@@ -76,20 +76,16 @@ def detect_timer_gaps(series: ConnectionSeries) -> TimerGapReport:
             induced_delay_us=sum(gaps),
             gap_durations_us=gaps,
         )
-    knee = l_method_knee([float(g) for g in gaps])
-    plateau = plateau_value([float(g) for g in gaps], knee)
+    knee = l_method_knee(gaps)
+    plateau = plateau_value(gaps, knee)
     if plateau is None:
         return TimerGapReport(detected=False, gap_count=len(gaps),
                               gap_durations_us=gaps)
-    plateau_count = knee + 1 if knee is not None else 0
+    plateau_count = knee + 1
     # The plateau must be flat (a repeating timer, not a smooth spread)
     # and cover a meaningful share of the gaps.
     plateau_gaps = gaps[:plateau_count]
-    flat = (
-        plateau_gaps[-1] - plateau_gaps[0] <= max(plateau * 0.5, 20_000)
-        if plateau_gaps
-        else False
-    )
+    flat = plateau_gaps[-1] - plateau_gaps[0] <= max(plateau * 0.5, 20_000)
     pronounced = plateau_count / len(gaps) >= TIMER_PLATEAU_FRACTION
     if not (flat and pronounced):
         return TimerGapReport(detected=False, gap_count=len(gaps),

@@ -138,7 +138,12 @@ def analyze_connection(
     with tracer.span("analysis.classify", cat="analysis"):
         factors = classify(series, exclude=exclude)
     with tracer.span("analysis.detectors", cat="analysis"):
-        timer_gaps = detect_timer_gaps(series)
+        gap_args: dict = {}  # the span reads it at exit, once filled
+        with tracer.span(
+            "analysis.detectors.timer_gaps", cat="analysis", args=gap_args
+        ):
+            timer_gaps = detect_timer_gaps(series)
+            gap_args["gaps"] = timer_gaps.gap_count
         consecutive_losses = detect_consecutive_losses(series)
         zero_ack_bug = detect_zero_ack_bug(series)
     if obs.enabled:

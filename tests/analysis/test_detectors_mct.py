@@ -1,8 +1,11 @@
 """Unit tests for knee detection, MCT and the problem detectors."""
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.ackshift import shift_acks
 from repro.analysis.detectors import (
@@ -44,6 +47,117 @@ class TestKnee:
         values = [float(i) for i in range(30)]
         knee = l_method_knee(values)
         assert knee is None or 0 <= knee < 30
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ValueError):
+            l_method_knee([1.0, 2.0, bad, 4.0, 5.0])
+
+    def test_float_scaling_is_exact(self):
+        # Floats reach the integer kernel scaled by a power of two, so a
+        # curve and its binary rescalings share one knee.
+        curve = [12.0] * 30 + [20.0, 90.0, 400.0, 700.0, 1300.0]
+        knee = l_method_knee(curve)
+        for shift in (-40, -3, 5):
+            assert l_method_knee([math.ldexp(v, shift) for v in curve]) == knee
+        assert l_method_knee([v + 0.1 for v in curve]) == _oracle_knee(
+            [v + 0.1 for v in curve]
+        )
+
+    def test_planted_knee_at_scale(self):
+        # A day-long rate-limited transfer: 100k gaps, a 200 ms timer
+        # plateau then a long tail.  The quadratic search cannot finish.
+        rng = random.Random(7)
+        plateau = [200_000 + rng.randint(0, 800) for _ in range(90_000)]
+        tail = [rng.randint(1_000_000, 5_000_000) for _ in range(10_000)]
+        gaps = sorted(plateau + tail)
+        knee = l_method_knee(gaps)
+        assert 89_000 <= knee <= 90_500
+        assert plateau_value(gaps, knee) == pytest.approx(200_400, abs=400)
+
+
+def _oracle_totals(values):
+    """Weighted total RMSE per split, refitting both lines every time.
+
+    The original quadratic L-method, kept here only as the reference
+    the linear-time kernel is checked against.
+    """
+
+    def line_fit_rmse(xs, ys):
+        n = len(xs)
+        if n < 2:
+            return 0.0
+        mean_x = sum(xs) / n
+        mean_y = sum(ys) / n
+        sxx = sum((x - mean_x) ** 2 for x in xs)
+        if sxx == 0:
+            return 0.0
+        slope = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / sxx
+        intercept = mean_y - slope * mean_x
+        sse = sum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
+        return math.sqrt(sse / n)
+
+    n = len(values)
+    xs = list(range(n))
+    totals = {}
+    for c in range(1, n - 2):
+        left_rmse = line_fit_rmse(xs[: c + 1], values[: c + 1])
+        right_rmse = line_fit_rmse(xs[c + 1 :], values[c + 1 :])
+        weight_left = (c + 1) / n
+        totals[c] = weight_left * left_rmse + (1 - weight_left) * right_rmse
+    return totals
+
+
+def _oracle_knee(values):
+    totals = _oracle_totals([float(v) for v in values])
+    best_index, best_error = None, math.inf
+    for c, total in totals.items():
+        if total < best_error:
+            best_index, best_error = c, total
+    return best_index
+
+
+@st.composite
+def plateau_tail_curves(draw):
+    n = draw(st.integers(4, 300))
+    plateau_len = draw(st.integers(1, n))
+    base = draw(st.integers(0, 2_000_000))
+    jitter = draw(st.integers(0, 5_000))
+    plateau = draw(st.lists(st.integers(base, base + jitter),
+                            min_size=plateau_len, max_size=plateau_len))
+    tail = draw(st.lists(st.integers(base, 5_000_000),
+                         min_size=n - plateau_len, max_size=n - plateau_len))
+    return sorted(plateau + tail)
+
+
+sorted_curves = st.lists(
+    st.integers(0, 5_000_000), min_size=0, max_size=300
+).map(sorted)
+
+
+class TestKneeDifferential:
+    """The linear kernel against the quadratic oracle."""
+
+    def check(self, values):
+        got = l_method_knee(values)
+        want = _oracle_knee(values)
+        if got == want:
+            return
+        # Only a floating-point tie may separate them: the oracle's own
+        # totals at the two indices agree to 1e-9 relative.
+        assert got is not None and want is not None
+        totals = _oracle_totals([float(v) for v in values])
+        assert totals[got] == pytest.approx(totals[want], rel=1e-9, abs=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(plateau_tail_curves())
+    def test_plateau_plus_tail(self, values):
+        self.check(values)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sorted_curves)
+    def test_arbitrary_sorted(self, values):
+        self.check(values)
 
 
 def make_update(*cidrs):
