@@ -90,7 +90,7 @@ def label_connection(connection: Connection) -> LabelingResult:
         seq = connection.relative_seq(packet)
         end = seq + packet.payload_len
         if end <= max_seq_end:
-            already = seen.intersection(TimeRangeSet([(seq, end)])).size()
+            already = seen.clip(seq, end).size()
             if already >= packet.payload_len:
                 kind = KIND_DOWNSTREAM
                 trigger = first_seen_time.get(seq, packet.timestamp_us)

@@ -161,12 +161,12 @@ class StepFunction:
         """Intervals within [start, end) where ``predicate(value)`` holds.
 
         One linear walk over the samples — a true run opens where the
-        predicate starts holding and closes where it stops, which is
-        exactly the coalescing the per-interval span adds used to do.
+        predicate starts holding and closes where it stops, so each run
+        is one span of the set, built once at the end.
         """
-        result = TimeRangeSet()
         if end_us <= start_us:
-            return result
+            return TimeRangeSet()
+        spans = []
         times = self._times
         values = self._values
         i = bisect.bisect_right(times, start_us)
@@ -181,11 +181,11 @@ class StepFunction:
                 if holds:
                     run_start = t
             elif not holds:
-                result.add_span(run_start, t)
+                spans.append((run_start, t))
                 run_start = None
         if run_start is not None:
-            result.add_span(run_start, end_us)
-        return result
+            spans.append((run_start, end_us))
+        return TimeRangeSet(spans)
 
     def samples(self) -> list[tuple[int, int]]:
         """The raw (time, value) samples."""
@@ -243,17 +243,16 @@ def generate_series(
     # ------------------------------------------------------------- #
     backend = _resolve_backend(config.series_backend, len(data) + len(acks))
 
-    transmission = TimeRangeSet()
+    sent = []
     for packet in data:
         ser = max(1, round(packet.wire_len * byte_time))
-        transmission.add(
-            TimeRange(
-                packet.timestamp_us - ser,
-                packet.timestamp_us,
-                SeriesEventData(packets=1, bytes=packet.payload_len,
-                                refs=[packet.index]),
-            )
-        )
+        sent.append((
+            packet.timestamp_us - ser,
+            packet.timestamp_us,
+            SeriesEventData(packets=1, bytes=packet.payload_len,
+                            refs=[packet.index]),
+        ))
+    transmission = TimeRangeSet(sent)
     catalog.put(EventSeries("Transmission", transmission,
                             "time actually spent clocking data onto the wire"))
 
@@ -266,10 +265,9 @@ def generate_series(
     catalog.put(EventSeries("Outstanding", outstanding_set,
                             "periods with unacknowledged data in flight"))
 
-    ack_marks = TimeRangeSet()
-    for ack in acks:
-        t = ack.effective_time_us
-        ack_marks.add_span(t, t + 1)
+    ack_marks = TimeRangeSet(
+        (t, t + 1) for t in (ack.effective_time_us for ack in acks)
+    )
     catalog.put(EventSeries("AckArrivals", ack_marks, "ACK observation instants"))
 
     adv_fn = _advertised_window(acks)
@@ -291,7 +289,8 @@ def generate_series(
         "receiver window near its configured maximum",
     ))
 
-    upstream, downstream, reordering = _loss_series(labeling)
+    loss_spans = _loss_series(labeling)
+    upstream, downstream, reordering = map(TimeRangeSet, loss_spans)
     catalog.put(EventSeries("UpstreamLoss", upstream,
                             "recovery periods for losses upstream of the tap"))
     catalog.put(EventSeries("DownstreamLoss", downstream,
@@ -301,10 +300,11 @@ def generate_series(
     catalog.put(EventSeries("Reordering", reordering,
                             "in-network reordering (not loss)"))
 
-    keepalives = TimeRangeSet()
-    for packet in data:
-        if packet.is_bgp_keepalive():
-            keepalives.add_span(packet.timestamp_us, packet.timestamp_us + 1)
+    keepalives = TimeRangeSet(
+        (packet.timestamp_us, packet.timestamp_us + 1)
+        for packet in data
+        if packet.is_bgp_keepalive()
+    )
     catalog.put(EventSeries("KeepAlives", keepalives,
                             "BGP keepalive transmission instants"))
 
@@ -358,9 +358,9 @@ def generate_series(
         connection, data, acks, profile.rtt_us,
         gap_threshold_us=max(threshold, 1_000),
     )
-    idle_raw = TimeRangeSet()
-    paced_raw = TimeRangeSet()
-    cwnd_eligible = TimeRangeSet()
+    idle_spans = []
+    paced_spans = []
+    cwnd_spans = []
     for cycle in cycles:
         # The busy head of every cycle — transmission plus the wait for
         # its ACKs — is window territory (adv or cwnd decide there).
@@ -368,11 +368,11 @@ def generate_series(
             cycle.acked_us, cycle.end_us
         )
         if head_end > cycle.start_us:
-            cwnd_eligible.add_span(cycle.start_us, head_end)
+            cwnd_spans.append((cycle.start_us, head_end))
         if cycle.next_start_us is None:
             # The trailing quiet period after the final flight.
             if cycle.acked_us is not None and analysis.end > cycle.acked_us:
-                idle_raw.add_span(cycle.acked_us, analysis.end)
+                idle_spans.append((cycle.acked_us, analysis.end))
             continue
         gap = cycle.next_start_us - cycle.last_data_us
         if gap <= threshold:
@@ -393,15 +393,18 @@ def generate_series(
             # cycle-covering ACK or an earlier window-sliding one (the
             # delayed ACK of a flight's last odd segment arrives long
             # after the window has already slid open): window bound.
-            cwnd_eligible.add_span(cycle.start_us, cycle.next_start_us)
+            cwnd_spans.append((cycle.start_us, cycle.next_start_us))
         elif response is not None and response > threshold:
             # Idle after everything was acknowledged: the application.
-            idle_raw.add_span(cycle.acked_us, cycle.next_start_us)
+            idle_spans.append((cycle.acked_us, cycle.next_start_us))
         else:
             # Paused, then resumed *before* the ACKs arrived: the
             # application paces itself (a sender-side rate limit, which
             # the paper folds into SendAppLimited via [15]).
-            paced_raw.add_span(cycle.last_data_us, cycle.next_start_us)
+            paced_spans.append((cycle.last_data_us, cycle.next_start_us))
+    idle_raw = TimeRangeSet(idle_spans)
+    paced_raw = TimeRangeSet(paced_spans)
+    cwnd_eligible = TimeRangeSet(cwnd_spans)
     cwd_bnd = (
         busy.intersection(cwnd_eligible)
         .difference(adv_bnd_raw)
@@ -526,13 +529,10 @@ def _bounded_ranges(
     """(busy, advertised-window-bounded) ranges from the step functions.
 
     A two-pointer merge over both step functions' boundaries; run
-    open/close bookkeeping reproduces the coalescing that per-interval
-    span adds over the sorted boundary union used to do.
+    open/close bookkeeping emits each coalesced run once.
     """
-    busy = TimeRangeSet()
-    adv_bound = TimeRangeSet()
-    if end_us <= start_us:
-        return busy, adv_bound
+    busy: list[tuple[int, int]] = []
+    adv_bound: list[tuple[int, int]] = []
     out_times, out_values = out_fn._times, out_fn._values
     adv_times, adv_values = adv_fn._times, adv_fn._values
     len_out, len_adv = len(out_times), len(adv_times)
@@ -556,14 +556,14 @@ def _bounded_ranges(
                 if adv_start is None:
                     adv_start = left
             elif adv_start is not None:
-                adv_bound.add_span(adv_start, left)
+                adv_bound.append((adv_start, left))
                 adv_start = None
         else:
             if busy_start is not None:
-                busy.add_span(busy_start, left)
+                busy.append((busy_start, left))
                 busy_start = None
             if adv_start is not None:
-                adv_bound.add_span(adv_start, left)
+                adv_bound.append((adv_start, left))
                 adv_start = None
         if right == end_us:
             break
@@ -575,10 +575,10 @@ def _bounded_ranges(
             j += 1
         left = right
     if busy_start is not None:
-        busy.add_span(busy_start, end_us)
+        busy.append((busy_start, end_us))
     if adv_start is not None:
-        adv_bound.add_span(adv_start, end_us)
-    return busy, adv_bound
+        adv_bound.append((adv_start, end_us))
+    return TimeRangeSet(busy), TimeRangeSet(adv_bound)
 
 
 def _outstanding(
@@ -594,7 +594,7 @@ def _outstanding(
         events.append((ack.effective_time_us, 1, "ack", connection.relative_ack(ack)))
     events.sort(key=lambda e: (e[0], e[1]))
     fn = StepFunction()
-    ranges = TimeRangeSet()
+    spans = []
     snd_max = 0
     acked = 0
     open_since: int | None = None
@@ -608,11 +608,11 @@ def _outstanding(
         if outstanding > 0 and open_since is None:
             open_since = time_us
         elif outstanding == 0 and open_since is not None:
-            ranges.add_span(open_since, time_us)
+            spans.append((open_since, time_us))
             open_since = None
     if open_since is not None and events:
-        ranges.add_span(open_since, events[-1][0] + 1)
-    return fn, ranges
+        spans.append((open_since, events[-1][0] + 1))
+    return fn, TimeRangeSet(spans)
 
 
 def _advertised_window(acks: list[TracePacket]) -> StepFunction:
@@ -622,16 +622,15 @@ def _advertised_window(acks: list[TracePacket]) -> StepFunction:
     return fn
 
 
-def _loss_series(
-    labeling: LabelingResult,
-) -> tuple[TimeRangeSet, TimeRangeSet, TimeRangeSet]:
-    upstream = TimeRangeSet()
-    downstream = TimeRangeSet()
-    reordering = TimeRangeSet()
+def _loss_series(labeling: LabelingResult) -> tuple[list, list, list]:
+    """(upstream, downstream, reordering) span lists from the labels."""
+    upstream: list[tuple] = []
+    downstream: list[tuple] = []
+    reordering: list[tuple] = []
     for label in labeling.labels:
         packet = label.packet
         if label.kind == KIND_REORDERING:
-            reordering.add_span(packet.timestamp_us, packet.timestamp_us + 1)
+            reordering.append((packet.timestamp_us, packet.timestamp_us + 1))
             continue
         if not label.is_retransmission:
             continue
@@ -642,14 +641,12 @@ def _loss_series(
         if end is None or end <= start:
             end = max(packet.timestamp_us, start + 1)
         target = upstream if label.kind == KIND_UPSTREAM else downstream
-        target.add(
-            TimeRange(
-                start,
-                end,
-                SeriesEventData(packets=1, bytes=packet.payload_len,
-                                refs=[packet.index]),
-            )
-        )
+        target.append((
+            start,
+            end,
+            SeriesEventData(packets=1, bytes=packet.payload_len,
+                            refs=[packet.index]),
+        ))
     return upstream, downstream, reordering
 
 
@@ -765,7 +762,7 @@ def _bandwidth_limited(
     config: SeriesConfig,
     min_duration_us: int = 20_000,
 ) -> TimeRangeSet:
-    result = TimeRangeSet()
+    spans = []
     run_start: int | None = None
     run_packets = 0
 
@@ -778,7 +775,7 @@ def _bandwidth_limited(
             and run_packets >= config.bandwidth_min_packets
             and end_us - run_start >= min_duration_us
         ):
-            result.add_span(run_start, end_us)
+            spans.append((run_start, end_us))
 
     for prev, curr in zip(data, data[1:]):
         gap = curr.timestamp_us - prev.timestamp_us
@@ -793,4 +790,4 @@ def _bandwidth_limited(
             run_start = None
             run_packets = 0
     commit(data[-1].timestamp_us if data else 0)
-    return result
+    return TimeRangeSet(spans)

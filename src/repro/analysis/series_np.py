@@ -10,8 +10,9 @@ suite in ``tests/analysis/test_fastpath_differential.py`` enforces.
 
 numpy is optional: :data:`AVAILABLE` gates every entry point, and
 ``SeriesConfig(series_backend="auto")`` only routes here for
-connections with at least :data:`AUTO_MIN_EVENTS` events, below which
-the list<->array round-trip costs more than the loop it replaces.
+connections with at least :data:`repro.analysis.series.AUTO_MIN_EVENTS`
+events, below which the list<->array round-trip costs more than the
+loop it replaces.
 """
 
 from __future__ import annotations
@@ -24,9 +25,6 @@ except ImportError:  # pragma: no cover
     _np = None  # type: ignore[assignment]
 
 AVAILABLE = _np is not None
-
-#: below this many events per connection the pure-python walk wins.
-AUTO_MIN_EVENTS = 4096
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis.profile import Connection, TracePacket
@@ -52,11 +50,10 @@ def outstanding(
         raise RuntimeError("numpy backend requested but numpy is unavailable")
 
     fn = StepFunction()
-    ranges = TimeRangeSet()
     n_data = len(data)
     n_acks = len(acks)
     if n_data + n_acks == 0:
-        return fn, ranges
+        return fn, TimeRangeSet()
 
     relative_seq = connection.relative_seq
     relative_ack = connection.relative_ack
@@ -85,7 +82,7 @@ def outstanding(
 
     # Same-instant events collapse to the instant's final value — the
     # transient values can only open-and-close zero-length spans, which
-    # the reference's TimeRangeSet.add drops anyway.
+    # the reference's TimeRangeSet drops anyway.
     last_of_instant = _np.empty(len(times), dtype=bool)
     last_of_instant[:-1] = times[:-1] != times[1:]
     last_of_instant[-1] = True
@@ -101,11 +98,8 @@ def outstanding(
     previous[1:] = positive[:-1]
     opens = step_times[positive & ~previous]
     closes = step_times[~positive & previous]
-    open_list = opens.tolist()
-    close_list = closes.tolist()
-    for start, end in zip(open_list, close_list):
-        ranges.add_span(start, end)
-    if len(open_list) > len(close_list):
+    spans = list(zip(opens.tolist(), closes.tolist()))
+    if len(opens) > len(closes):
         # Still in flight at the final event, as in the reference.
-        ranges.add_span(open_list[-1], int(times[-1]) + 1)
-    return fn, ranges
+        spans.append((int(opens[-1]), int(times[-1]) + 1))
+    return fn, TimeRangeSet(spans)

@@ -128,10 +128,12 @@ def analyze_connection(
             shift_stats = shift_acks(connection)
     with tracer.span("analysis.label", cat="analysis"):
         labeling = label_connection(connection)
-    with tracer.span("analysis.series", cat="analysis"):
+    series_args: dict = {}  # the span reads it at exit, once filled
+    with tracer.span("analysis.series", cat="analysis", args=series_args):
         series = generate_series(
             connection, labeling, window=window, config=config
         )
+        series_args["ranges"] = sum(len(s) for s in series.catalog)
     with tracer.span("analysis.voids", cat="analysis"):
         voids = find_capture_voids(connection)
     exclude = voids.void_windows if exclude_voids and voids.detected else None

@@ -50,13 +50,14 @@ def find_capture_voids(connection: Connection) -> CaptureVoidReport:
     if not data or not acks:
         return CaptureVoidReport(detected=False)
 
-    seen = TimeRangeSet()
+    highest_ack = max(connection.relative_ack(a) for a in acks)
+    if highest_ack <= 0:
+        return CaptureVoidReport(detected=False)
+    spans = []
     for packet in data:
         seq = connection.relative_seq(packet)
-        seen.add_span(seq, seq + packet.payload_len)
-    highest_ack = max(connection.relative_ack(a) for a in acks)
-    acked = TimeRangeSet([(0, highest_ack)]) if highest_ack > 0 else TimeRangeSet()
-    phantom = acked.difference(seen)
+        spans.append((seq, seq + packet.payload_len))
+    phantom = TimeRangeSet(spans).complement((0, highest_ack))
     if not phantom:
         return CaptureVoidReport(detected=False)
 
@@ -66,16 +67,16 @@ def find_capture_voids(connection: Connection) -> CaptureVoidReport:
     events = sorted(
         (connection.relative_seq(p), p.timestamp_us) for p in data
     )
-    voids = TimeRangeSet()
+    windows = []
     for hole in phantom:
         before = [t for seq, t in events if seq < hole.start]
         after = [t for seq, t in events if seq >= hole.end]
         start_us = max(before) if before else connection.packets[0].timestamp_us
         end_us = min(after) if after else connection.packets[-1].timestamp_us
         if end_us > start_us:
-            voids.add_span(start_us, end_us)
+            windows.append((start_us, end_us))
     return CaptureVoidReport(
         detected=True,
         phantom_bytes=phantom.size(),
-        void_windows=voids,
+        void_windows=TimeRangeSet(windows),
     )

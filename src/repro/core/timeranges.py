@@ -12,13 +12,24 @@ microseconds, optionally carrying a reference back to the detailed trace
 data (the paper's ``event_data`` field).  :class:`TimeRangeSet` is the
 ordered, coalesced container with union / intersection / complement /
 difference, total-size measurement, gap extraction and range queries.
+
+A set is stored as columns: ``starts``/``ends`` int lists and a payload
+column (``None`` when built without payloads).  One sort-and-coalesce
+sweep builds sets, unions and dilations; intersection and difference
+are two-pointer merges over the int columns; clip and complement are
+bisected one-window cases.  :class:`TimeRange` objects are made only at
+the API boundary.  A coalesced range carries a flat list of its parts'
+payloads (order not promised), algebra pieces the left operand's.  A
+set copies each payload list it stores, so ``add`` extends in place.
 """
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import itemgetter, sub
 from typing import Any
 
 
@@ -90,30 +101,26 @@ class TimeRangeSet:
     * no two stored ranges overlap or touch (touching ranges coalesce);
     * no stored range is empty.
 
-    Coalescing merges ``data`` payloads into a list when both sides carry
-    payloads, preserving the cross-reference back to raw trace events
-    that the paper highlights as essential for drill-down inspection.
+    It is built from :class:`TimeRange` objects or ``(start, end[,
+    data])`` tuples in any order.  Coalescing merges ``data`` payloads
+    into a list when both sides carry payloads, preserving the
+    cross-reference back to raw trace events that the paper highlights
+    as essential for drill-down inspection.
     """
 
-    __slots__ = ("_ranges", "_starts")
+    __slots__ = ("_starts", "_ends", "_data")
 
     def __init__(self, ranges: Iterable[TimeRange | tuple] = ()) -> None:
-        self._ranges: list[TimeRange] = []
-        self._starts: list[int] = []
-        for item in ranges:
-            self.add(_coerce(item))
+        self._starts, self._ends, self._data = _sweep([
+            (r.start, r.end, r.data) if isinstance(r, TimeRange) else r
+            for r in ranges
+        ])
 
     @classmethod
-    def _from_sorted(cls, ranges: list[TimeRange]) -> "TimeRangeSet":
-        """Adopt a list already satisfying the class invariants.
-
-        Callers must guarantee the ranges are sorted, non-empty and
-        pairwise non-touching — the outputs of the merge-walk algebra
-        below qualify; arbitrary input does not.
-        """
+    def _new(cls, starts, ends, data) -> "TimeRangeSet":
+        """Wrap columns that already satisfy the class invariants."""
         self = cls.__new__(cls)
-        self._ranges = ranges
-        self._starts = [r.start for r in ranges]
+        self._starts, self._ends, self._data = starts, ends, data
         return self
 
     # ------------------------------------------------------------------
@@ -121,104 +128,78 @@ class TimeRangeSet:
     # ------------------------------------------------------------------
     def add(self, item: TimeRange | tuple) -> None:
         """Insert a range, coalescing with any overlapping/adjacent ones."""
-        rng = _coerce(item)
-        if rng.end == rng.start:
-            return
-        ranges = self._ranges
-        if ranges:
-            last = ranges[-1]
-            if rng.start > last.end:
-                # Strictly after everything stored: plain append.
-                ranges.append(rng)
-                self._starts.append(rng.start)
-                return
-            if rng.start >= last.start:
-                # Touches or overlaps only the final stored range.
-                merged_data = _data_list(rng.data)
-                merged_data.extend(_data_list(last.data))
-                merged = TimeRange(
-                    last.start if last.start < rng.start else rng.start,
-                    last.end if last.end > rng.end else rng.end,
-                    _data_value(merged_data),
-                )
-                ranges[-1] = merged
-                self._starts[-1] = merged.start
-                return
-        else:
-            ranges.append(rng)
-            self._starts.append(rng.start)
-            return
-        idx = bisect.bisect_left(self._starts, rng.start)
-        # A predecessor may touch/overlap the new range.
-        if idx > 0 and ranges[idx - 1].end >= rng.start:
-            idx -= 1
-        merged_start, merged_end = rng.start, rng.end
-        merged_data = _data_list(rng.data)
-        remove_to = idx
-        while remove_to < len(ranges) and (
-            ranges[remove_to].start <= merged_end
-        ):
-            existing = ranges[remove_to]
-            merged_start = min(merged_start, existing.start)
-            merged_end = max(merged_end, existing.end)
-            merged_data.extend(_data_list(existing.data))
-            remove_to += 1
-        merged = TimeRange(merged_start, merged_end, _data_value(merged_data))
-        ranges[idx:remove_to] = [merged]
-        self._starts[idx:remove_to] = [merged.start]
+        if isinstance(item, TimeRange):
+            item = (item.start, item.end, item.data)
+        self.add_span(*_check(item))
 
     def add_span(self, start: int, end: int, data: Any = None) -> None:
-        """Convenience: insert ``[start, end)`` with optional payload."""
-        self.add(TimeRange(start, end, data))
+        """Insert ``[start, end)`` with optional payload."""
+        _check((start, end))
+        if end == start:
+            return
+        starts, ends, payload = self._starts, self._ends, self._data
+        # Stored ranges lo..hi-1 overlap or touch the new one.
+        lo = bisect_left(ends, start)
+        hi = bisect_right(starts, end, lo)
+        if payload is None and data is not None:
+            payload = self._data = [None] * len(starts)
+        if payload is not None:
+            merged = None
+            for part in payload[lo:hi]:
+                merged = part if merged is None else _join(merged, part)
+            payload[lo:hi] = (_join(merged, data),)
+        if lo < hi:
+            start = min(start, starts[lo])
+            end = max(end, ends[hi - 1])
+        starts[lo:hi] = (start,)
+        ends[lo:hi] = (end,)
 
     def remove_span(self, start: int, end: int) -> None:
         """Delete the interval ``[start, end)`` from the set."""
-        if end <= start:
-            return
-        self._ranges = list(
-            self._difference_ranges([TimeRange(start, end)])
-        )
-        self._starts = [r.start for r in self._ranges]
+        if end > start:
+            kept = self.difference(TimeRangeSet._new([start], [end], None))
+            self._starts, self._ends, self._data = (
+                kept._starts, kept._ends, kept._data
+            )
 
     # ------------------------------------------------------------------
     # Inspection
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._ranges)
+        return len(self._starts)
 
     def __iter__(self) -> Iterator[TimeRange]:
-        return iter(self._ranges)
+        return map(TimeRange, self._starts, self._ends, self._payloads())
 
     def __bool__(self) -> bool:
-        return bool(self._ranges)
+        return bool(self._starts)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TimeRangeSet):
             return NotImplemented
-        return [(r.start, r.end) for r in self._ranges] == [
-            (r.start, r.end) for r in other._ranges
-        ]
+        return self._starts == other._starts and self._ends == other._ends
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        inner = ", ".join(f"[{r.start},{r.end})" for r in self._ranges[:8])
-        if len(self._ranges) > 8:
+        pairs = zip(self._starts[:8], self._ends[:8])
+        inner = ", ".join(f"[{s},{e})" for s, e in pairs)
+        if len(self) > 8:
             inner += ", ..."
         return f"TimeRangeSet({inner})"
 
     @property
     def ranges(self) -> Sequence[TimeRange]:
         """The stored ranges as an immutable view (sorted, coalesced)."""
-        return tuple(self._ranges)
+        return tuple(self)
 
     def size(self) -> int:
         """Total covered duration in microseconds (the paper's set size)."""
-        return sum(r.duration for r in self._ranges)
+        return sum(self._ends) - sum(self._starts)
 
     def span(self) -> TimeRange | None:
         """The bounding range from first start to last end, or None."""
-        if not self._ranges:
+        if not self._starts:
             return None
-        return TimeRange(self._ranges[0].start, self._ranges[-1].end)
+        return TimeRange(self._starts[0], self._ends[-1])
 
     def contains(self, instant: int) -> bool:
         """True if some stored range covers ``instant``."""
@@ -226,55 +207,54 @@ class TimeRangeSet:
 
     def range_at(self, instant: int) -> TimeRange | None:
         """The stored range covering ``instant``, or None."""
-        idx = bisect.bisect_right(self._starts, instant) - 1
-        if idx >= 0 and self._ranges[idx].contains(instant):
-            return self._ranges[idx]
-        return None
+        hits = self.overlapping(instant, instant + 1)
+        return hits[0] if hits else None
 
     def overlapping(self, start: int, end: int) -> list[TimeRange]:
         """All stored ranges intersecting the query window ``[start, end)``."""
-        query = TimeRange(start, end)
-        return [r for r in self._ranges if r.overlaps(query)]
+        _check((start, end))
+        lo = bisect_right(self._ends, start)
+        hi = bisect_left(self._starts, end, lo)
+        data = repeat(None) if self._data is None else self._data[lo:hi]
+        return list(
+            map(TimeRange, self._starts[lo:hi], self._ends[lo:hi], data)
+        )
 
     def durations(self) -> list[int]:
         """The individual range durations, in order.
 
         This is what the timer-gap detector histograms (paper Fig. 17).
         """
-        return [r.duration for r in self._ranges]
+        return list(map(sub, self._ends, self._starts))
 
     def gaps(self) -> "TimeRangeSet":
         """The uncovered intervals *between* consecutive stored ranges."""
-        result = TimeRangeSet()
-        for prev, nxt in zip(self._ranges, self._ranges[1:]):
-            result.add_span(prev.end, nxt.start)
-        return result
+        return TimeRangeSet._new(self._ends[:-1], self._starts[1:], None)
 
     # ------------------------------------------------------------------
     # Set algebra (paper rule 4: series := series ⊕ series ...)
     # ------------------------------------------------------------------
     def union(self, *others: "TimeRangeSet") -> "TimeRangeSet":
         """The set union of this series with ``others``."""
-        result = TimeRangeSet(self._ranges)
-        for other in others:
-            for rng in other:
-                result.add(rng)
-        return result
+        spans: list[tuple] = []
+        for part in (self, *others):
+            spans.extend(zip(part._starts, part._ends, part._payloads()))
+        return TimeRangeSet._new(*_sweep(spans))
 
     def intersection(self, *others: "TimeRangeSet") -> "TimeRangeSet":
         """The set intersection of this series with ``others``."""
-        current = self._ranges
+        result = self
         for other in others:
-            current = list(_intersect_sorted(current, other._ranges))
-        if current is self._ranges:
-            current = list(current)
-        return TimeRangeSet._from_sorted(current)
+            result = _intersect(result, other)
+        return result if others else self.shift(0)  # shift(0): a copy
 
     def difference(self, other: "TimeRangeSet") -> "TimeRangeSet":
         """Ranges of this series with ``other``'s coverage removed."""
-        return TimeRangeSet._from_sorted(
-            list(self._difference_ranges(other._ranges))
-        )
+        if not self._starts:
+            return TimeRangeSet()
+        # A - B = A ∩ ¬B, with ¬B taken over A's own span.
+        window = (self._starts[0], self._ends[-1])
+        return _intersect(self, other.complement(window))
 
     def complement(self, within: TimeRange | tuple) -> "TimeRangeSet":
         """The uncovered portion of ``within``.
@@ -282,16 +262,42 @@ class TimeRangeSet:
         The paper uses complements to turn "time TCP spends transmitting"
         into "inter-transmission gaps to be explained".
         """
-        window = _coerce(within)
-        return TimeRangeSet([window]).difference(self)
+        if isinstance(within, TimeRange):
+            within = (within.start, within.end)
+        start, end, _ = _check(within)
+        lo = bisect_right(self._ends, start)
+        hi = bisect_left(self._starts, end, lo)
+        gap_s = [start, *self._ends[lo:hi]]
+        gap_e = [*self._starts[lo:hi], end]
+        if gap_e[0] <= start:  # a stored range covers the window's start
+            del gap_s[0], gap_e[0]
+        if gap_s and gap_s[-1] >= end:  # ... or its end
+            del gap_s[-1], gap_e[-1]
+        return TimeRangeSet._new(gap_s, gap_e, None)
 
     def clip(self, start: int, end: int) -> "TimeRangeSet":
         """Restrict the series to the analysis window ``[start, end)``."""
-        return self.intersection(TimeRangeSet([TimeRange(start, end)]))
+        _check((start, end))
+        if end == start:
+            return TimeRangeSet()
+        lo = bisect_right(self._ends, start)
+        hi = bisect_left(self._starts, end, lo)
+        starts, ends = self._starts[lo:hi], self._ends[lo:hi]
+        if starts:
+            starts[0] = max(starts[0], start)
+            ends[-1] = min(ends[-1], end)
+        data = self._data
+        if data is not None:
+            data = [_own(d) for d in data[lo:hi]]
+        return TimeRangeSet._new(starts, ends, data)
 
     def shift(self, offset: int) -> "TimeRangeSet":
         """Translate every range by ``offset`` microseconds."""
-        return TimeRangeSet(r.shift(offset) for r in self._ranges)
+        return TimeRangeSet._new(
+            [s + offset for s in self._starts],
+            [e + offset for e in self._ends],
+            None if self._data is None else [_own(d) for d in self._data],
+        )
 
     def dilate(self, margin_us: int) -> "TimeRangeSet":
         """Expand every range by ``margin_us`` on both sides.
@@ -302,67 +308,92 @@ class TimeRangeSet:
         """
         if margin_us < 0:
             raise ValueError(f"negative margin {margin_us}")
-        return TimeRangeSet(
-            TimeRange(r.start - margin_us, r.end + margin_us, r.data)
-            for r in self._ranges
-        )
+        return TimeRangeSet._new(*_sweep(list(zip(
+            [s - margin_us for s in self._starts],
+            [e + margin_us for e in self._ends],
+            self._payloads(),
+        ))))
 
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _difference_ranges(
-        self, subtrahend: list[TimeRange]
-    ) -> Iterator[TimeRange]:
-        sub_iter = iter(subtrahend)
-        sub = next(sub_iter, None)
-        for rng in self._ranges:
-            start = rng.start
-            while sub is not None and sub.end <= start:
-                sub = next(sub_iter, None)
-            cursor = start
-            while sub is not None and sub.start < rng.end:
-                if sub.start > cursor:
-                    yield TimeRange(cursor, sub.start, rng.data)
-                cursor = max(cursor, sub.end)
-                if sub.end >= rng.end:
-                    break
-                sub = next(sub_iter, None)
-            if cursor < rng.end:
-                yield TimeRange(cursor, rng.end, rng.data)
+    def _payloads(self) -> Iterable[Any]:
+        """The payload column, or endless ``None`` for a payload-free set."""
+        return repeat(None) if self._data is None else self._data
 
 
-def _intersect_sorted(
-    left: list[TimeRange], right: list[TimeRange]
-) -> Iterator[TimeRange]:
-    """Merge-intersect two sorted, coalesced range lists."""
+def _sweep(spans: list[tuple]) -> tuple[list[int], list[int], list | None]:
+    """Sort ``(start, end[, data])`` spans by start and coalesce them.
+
+    Touching spans merge, empty ones drop, reversed ones raise
+    ``ValueError``.  The payload column is None if no span has data.
+    """
+    spans.sort(key=itemgetter(0))
+    keep = any(len(span) > 2 and span[2] is not None for span in spans)
+    starts: list[int] = []
+    ends: list[int] = []
+    payload: list | None = [] if keep else None
+    last = None
+    for span in spans:
+        start = span[0]
+        end = span[1]
+        if end <= start:
+            _check(span)
+            continue
+        if last is not None and start <= last:
+            if end > last:
+                ends[-1] = last = end
+            if keep and len(span) > 2:
+                payload[-1] = _join(payload[-1], span[2])
+        else:
+            starts.append(start)
+            ends.append(last := end)
+            if keep:
+                payload.append(_own(span[2]) if len(span) > 2 else None)
+    return starts, ends, payload
+
+
+def _intersect(a: TimeRangeSet, b: TimeRangeSet) -> TimeRangeSet:
+    """Merge-intersect two sets; pieces carry ``a``'s payload."""
+    a_s, a_e, a_d = a._starts, a._ends, a._data
+    b_s, b_e = b._starts, b._ends
+    out_s: list[int] = []
+    out_e: list[int] = []
+    out_d: list | None = None if a_d is None else []
+    n_a, n_b = len(a_s), len(b_s)
     i = j = 0
-    while i < len(left) and j < len(right):
-        overlap = left[i].intersect(right[j])
-        if overlap is not None:
-            yield overlap
-        if left[i].end <= right[j].end:
+    while i < n_a and j < n_b:
+        start = a_s[i] if a_s[i] > b_s[j] else b_s[j]
+        a_end, b_end = a_e[i], b_e[j]
+        end = a_end if a_end < b_end else b_end
+        if start < end:
+            out_s.append(start)
+            out_e.append(end)
+            if out_d is not None:
+                out_d.append(_own(a_d[i]))
+        if a_end <= b_end:
             i += 1
         else:
             j += 1
+    return TimeRangeSet._new(out_s, out_e, out_d)
 
 
-def _coerce(item: TimeRange | tuple) -> TimeRange:
-    if isinstance(item, TimeRange):
-        return item
-    return TimeRange(*item)
+def _check(span: tuple) -> tuple[int, int, Any]:
+    """``(start, end, data)`` of a span tuple, validated like a TimeRange."""
+    start, end, data = (*span, None)[:3]
+    if end < start:
+        raise ValueError(f"end {end} precedes start {start}")
+    return start, end, data
 
 
-def _data_list(data: Any) -> list:
+def _own(data: Any) -> Any:
+    """A payload the set may keep: lists are copied, anything else kept."""
+    return data[:] if isinstance(data, list) else data
+
+
+def _join(merged: Any, data: Any) -> Any:
+    """Fold payload ``data`` into the owned payload ``merged``, in place."""
     if data is None:
-        return []
-    if isinstance(data, list):
-        return list(data)
-    return [data]
-
-
-def _data_value(items: list) -> Any:
-    if not items:
-        return None
-    if len(items) == 1:
-        return items[0]
-    return items
+        return merged
+    if merged is None:
+        return _own(data)
+    merged = merged if isinstance(merged, list) else [merged]
+    merged.extend(data if isinstance(data, list) else (data,))
+    return merged

@@ -59,10 +59,10 @@ def correlate_messages(connection: Connection) -> list[CorrelatedMessage]:
     retx_coverage = TimeRangeSet()
     for packet in connection.data_packets():
         seq = connection.relative_seq(packet)
-        span = TimeRangeSet([(seq, seq + packet.payload_len)])
-        for dup in seen.intersection(span):
+        end = seq + packet.payload_len
+        for dup in seen.clip(seq, end):
             retx_coverage.add(dup)
-        seen.add_span(seq, seq + packet.payload_len)
+        seen.add_span(seq, end)
 
     max_payload = max((p.payload_len for p in data), default=0)
 

@@ -152,6 +152,18 @@ class TestSeriesGeneration:
         result = generate_series(conn, window=(100_000, 300_000))
         assert result.window.duration == 200_000
 
+    def test_series_span_counts_stored_ranges(self):
+        from repro.analysis.tdat import analyze_connection
+        from repro.obs import Observability, use_obs
+
+        obs = Observability.create()
+        with use_obs(obs):
+            analysis = analyze_connection(timer_gap_connection())
+        (span,) = [s for s in obs.tracer.spans if s.name == "analysis.series"]
+        stored = sum(len(series) for series in analysis.series.catalog)
+        assert stored > 0
+        assert span.args == {"ranges": stored}
+
     def test_requires_finalized_connection(self):
         from repro.analysis.profile import Connection
 

@@ -1,0 +1,362 @@
+"""Test-only oracle: the object-list ``TimeRangeSet``.
+
+This is the original implementation of :mod:`repro.core.timeranges`,
+kept verbatim apart from this docstring: every stored or intermediate
+range is a frozen :class:`TimeRange`, sets grow one ``add`` at a time
+and the algebra walks lists of range objects.  It is slow but simple,
+and the differential property in ``test_timeranges_oracle.py`` replays
+random operation sequences against it and the columnar implementation.
+"""
+
+from __future__ import annotations
+
+import bisect
+from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass, field
+from typing import Any
+
+
+@dataclass(frozen=True, order=True)
+class TimeRange:
+    """A half-open time interval ``[start, end)`` in integer microseconds.
+
+    ``data`` is the paper's ``event_data``: an arbitrary reference to the
+    underlying trace detail (packet indices, byte counts, ...).  It is
+    excluded from ordering and equality so that set algebra compares
+    ranges purely by extent.
+    """
+
+    start: int
+    end: int
+    data: Any = field(default=None, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.end < self.start:
+            raise ValueError(f"end {self.end} precedes start {self.start}")
+
+    @property
+    def duration(self) -> int:
+        """Length of the interval in microseconds."""
+        return self.end - self.start
+
+    def is_empty(self) -> bool:
+        """True for a zero-length (degenerate) range."""
+        return self.end == self.start
+
+    def contains(self, instant: int) -> bool:
+        """True if ``instant`` lies inside the half-open interval."""
+        return self.start <= instant < self.end
+
+    def overlaps(self, other: "TimeRange") -> bool:
+        """True if the two half-open intervals share any instant."""
+        return self.start < other.end and other.start < self.end
+
+    def touches(self, other: "TimeRange") -> bool:
+        """True if the intervals overlap or are exactly adjacent."""
+        return self.start <= other.end and other.start <= self.end
+
+    def intersect(self, other: "TimeRange") -> "TimeRange | None":
+        """The overlapping part of two ranges, or None when disjoint.
+
+        The intersection carries ``data`` from ``self`` (the left operand
+        is considered the primary series in T-DAT's algebra rules).
+        """
+        start = max(self.start, other.start)
+        end = min(self.end, other.end)
+        if start >= end:
+            return None
+        return TimeRange(start, end, self.data)
+
+    def shift(self, offset: int) -> "TimeRange":
+        """Translate the range by ``offset`` microseconds."""
+        return TimeRange(self.start + offset, self.end + offset, self.data)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"TimeRange({self.start}, {self.end})"
+
+
+class TimeRangeSet:
+    """An ordered set of non-overlapping, coalesced time ranges.
+
+    Invariants maintained at all times:
+
+    * ranges are sorted by ``start``;
+    * no two stored ranges overlap or touch (touching ranges coalesce);
+    * no stored range is empty.
+
+    Coalescing merges ``data`` payloads into a list when both sides carry
+    payloads, preserving the cross-reference back to raw trace events
+    that the paper highlights as essential for drill-down inspection.
+    """
+
+    __slots__ = ("_ranges", "_starts")
+
+    def __init__(self, ranges: Iterable[TimeRange | tuple] = ()) -> None:
+        self._ranges: list[TimeRange] = []
+        self._starts: list[int] = []
+        for item in ranges:
+            self.add(_coerce(item))
+
+    @classmethod
+    def _from_sorted(cls, ranges: list[TimeRange]) -> "TimeRangeSet":
+        """Adopt a list already satisfying the class invariants.
+
+        Callers must guarantee the ranges are sorted, non-empty and
+        pairwise non-touching — the outputs of the merge-walk algebra
+        below qualify; arbitrary input does not.
+        """
+        self = cls.__new__(cls)
+        self._ranges = ranges
+        self._starts = [r.start for r in ranges]
+        return self
+
+    # ------------------------------------------------------------------
+    # Construction and mutation
+    # ------------------------------------------------------------------
+    def add(self, item: TimeRange | tuple) -> None:
+        """Insert a range, coalescing with any overlapping/adjacent ones."""
+        rng = _coerce(item)
+        if rng.end == rng.start:
+            return
+        ranges = self._ranges
+        if ranges:
+            last = ranges[-1]
+            if rng.start > last.end:
+                # Strictly after everything stored: plain append.
+                ranges.append(rng)
+                self._starts.append(rng.start)
+                return
+            if rng.start >= last.start:
+                # Touches or overlaps only the final stored range.
+                merged_data = _data_list(rng.data)
+                merged_data.extend(_data_list(last.data))
+                merged = TimeRange(
+                    last.start if last.start < rng.start else rng.start,
+                    last.end if last.end > rng.end else rng.end,
+                    _data_value(merged_data),
+                )
+                ranges[-1] = merged
+                self._starts[-1] = merged.start
+                return
+        else:
+            ranges.append(rng)
+            self._starts.append(rng.start)
+            return
+        idx = bisect.bisect_left(self._starts, rng.start)
+        # A predecessor may touch/overlap the new range.
+        if idx > 0 and ranges[idx - 1].end >= rng.start:
+            idx -= 1
+        merged_start, merged_end = rng.start, rng.end
+        merged_data = _data_list(rng.data)
+        remove_to = idx
+        while remove_to < len(ranges) and (
+            ranges[remove_to].start <= merged_end
+        ):
+            existing = ranges[remove_to]
+            merged_start = min(merged_start, existing.start)
+            merged_end = max(merged_end, existing.end)
+            merged_data.extend(_data_list(existing.data))
+            remove_to += 1
+        merged = TimeRange(merged_start, merged_end, _data_value(merged_data))
+        ranges[idx:remove_to] = [merged]
+        self._starts[idx:remove_to] = [merged.start]
+
+    def add_span(self, start: int, end: int, data: Any = None) -> None:
+        """Convenience: insert ``[start, end)`` with optional payload."""
+        self.add(TimeRange(start, end, data))
+
+    def remove_span(self, start: int, end: int) -> None:
+        """Delete the interval ``[start, end)`` from the set."""
+        if end <= start:
+            return
+        self._ranges = list(
+            self._difference_ranges([TimeRange(start, end)])
+        )
+        self._starts = [r.start for r in self._ranges]
+
+    # ------------------------------------------------------------------
+    # Inspection
+    # ------------------------------------------------------------------
+    def __len__(self) -> int:
+        return len(self._ranges)
+
+    def __iter__(self) -> Iterator[TimeRange]:
+        return iter(self._ranges)
+
+    def __bool__(self) -> bool:
+        return bool(self._ranges)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TimeRangeSet):
+            return NotImplemented
+        return [(r.start, r.end) for r in self._ranges] == [
+            (r.start, r.end) for r in other._ranges
+        ]
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        inner = ", ".join(f"[{r.start},{r.end})" for r in self._ranges[:8])
+        if len(self._ranges) > 8:
+            inner += ", ..."
+        return f"TimeRangeSet({inner})"
+
+    @property
+    def ranges(self) -> Sequence[TimeRange]:
+        """The stored ranges as an immutable view (sorted, coalesced)."""
+        return tuple(self._ranges)
+
+    def size(self) -> int:
+        """Total covered duration in microseconds (the paper's set size)."""
+        return sum(r.duration for r in self._ranges)
+
+    def span(self) -> TimeRange | None:
+        """The bounding range from first start to last end, or None."""
+        if not self._ranges:
+            return None
+        return TimeRange(self._ranges[0].start, self._ranges[-1].end)
+
+    def contains(self, instant: int) -> bool:
+        """True if some stored range covers ``instant``."""
+        return self.range_at(instant) is not None
+
+    def range_at(self, instant: int) -> TimeRange | None:
+        """The stored range covering ``instant``, or None."""
+        idx = bisect.bisect_right(self._starts, instant) - 1
+        if idx >= 0 and self._ranges[idx].contains(instant):
+            return self._ranges[idx]
+        return None
+
+    def overlapping(self, start: int, end: int) -> list[TimeRange]:
+        """All stored ranges intersecting the query window ``[start, end)``."""
+        query = TimeRange(start, end)
+        return [r for r in self._ranges if r.overlaps(query)]
+
+    def durations(self) -> list[int]:
+        """The individual range durations, in order.
+
+        This is what the timer-gap detector histograms (paper Fig. 17).
+        """
+        return [r.duration for r in self._ranges]
+
+    def gaps(self) -> "TimeRangeSet":
+        """The uncovered intervals *between* consecutive stored ranges."""
+        result = TimeRangeSet()
+        for prev, nxt in zip(self._ranges, self._ranges[1:]):
+            result.add_span(prev.end, nxt.start)
+        return result
+
+    # ------------------------------------------------------------------
+    # Set algebra (paper rule 4: series := series ⊕ series ...)
+    # ------------------------------------------------------------------
+    def union(self, *others: "TimeRangeSet") -> "TimeRangeSet":
+        """The set union of this series with ``others``."""
+        result = TimeRangeSet(self._ranges)
+        for other in others:
+            for rng in other:
+                result.add(rng)
+        return result
+
+    def intersection(self, *others: "TimeRangeSet") -> "TimeRangeSet":
+        """The set intersection of this series with ``others``."""
+        current = self._ranges
+        for other in others:
+            current = list(_intersect_sorted(current, other._ranges))
+        if current is self._ranges:
+            current = list(current)
+        return TimeRangeSet._from_sorted(current)
+
+    def difference(self, other: "TimeRangeSet") -> "TimeRangeSet":
+        """Ranges of this series with ``other``'s coverage removed."""
+        return TimeRangeSet._from_sorted(
+            list(self._difference_ranges(other._ranges))
+        )
+
+    def complement(self, within: TimeRange | tuple) -> "TimeRangeSet":
+        """The uncovered portion of ``within``.
+
+        The paper uses complements to turn "time TCP spends transmitting"
+        into "inter-transmission gaps to be explained".
+        """
+        window = _coerce(within)
+        return TimeRangeSet([window]).difference(self)
+
+    def clip(self, start: int, end: int) -> "TimeRangeSet":
+        """Restrict the series to the analysis window ``[start, end)``."""
+        return self.intersection(TimeRangeSet([TimeRange(start, end)]))
+
+    def shift(self, offset: int) -> "TimeRangeSet":
+        """Translate every range by ``offset`` microseconds."""
+        return TimeRangeSet(r.shift(offset) for r in self._ranges)
+
+    def dilate(self, margin_us: int) -> "TimeRangeSet":
+        """Expand every range by ``margin_us`` on both sides.
+
+        Used to test for *coincidence* between series whose ranges abut
+        rather than overlap (e.g. a loss-recovery period starting the
+        instant a zero-window episode ends).
+        """
+        if margin_us < 0:
+            raise ValueError(f"negative margin {margin_us}")
+        return TimeRangeSet(
+            TimeRange(r.start - margin_us, r.end + margin_us, r.data)
+            for r in self._ranges
+        )
+
+    # ------------------------------------------------------------------
+    # Internals
+    # ------------------------------------------------------------------
+    def _difference_ranges(
+        self, subtrahend: list[TimeRange]
+    ) -> Iterator[TimeRange]:
+        sub_iter = iter(subtrahend)
+        sub = next(sub_iter, None)
+        for rng in self._ranges:
+            start = rng.start
+            while sub is not None and sub.end <= start:
+                sub = next(sub_iter, None)
+            cursor = start
+            while sub is not None and sub.start < rng.end:
+                if sub.start > cursor:
+                    yield TimeRange(cursor, sub.start, rng.data)
+                cursor = max(cursor, sub.end)
+                if sub.end >= rng.end:
+                    break
+                sub = next(sub_iter, None)
+            if cursor < rng.end:
+                yield TimeRange(cursor, rng.end, rng.data)
+
+
+def _intersect_sorted(
+    left: list[TimeRange], right: list[TimeRange]
+) -> Iterator[TimeRange]:
+    """Merge-intersect two sorted, coalesced range lists."""
+    i = j = 0
+    while i < len(left) and j < len(right):
+        overlap = left[i].intersect(right[j])
+        if overlap is not None:
+            yield overlap
+        if left[i].end <= right[j].end:
+            i += 1
+        else:
+            j += 1
+
+
+def _coerce(item: TimeRange | tuple) -> TimeRange:
+    if isinstance(item, TimeRange):
+        return item
+    return TimeRange(*item)
+
+
+def _data_list(data: Any) -> list:
+    if data is None:
+        return []
+    if isinstance(data, list):
+        return list(data)
+    return [data]
+
+
+def _data_value(items: list) -> Any:
+    if not items:
+        return None
+    if len(items) == 1:
+        return items[0]
+    return items
