@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.bgp.messages import UpdateMessage
+from repro.bgp.messages import Prefix, UpdateMessage
 from repro.core.units import seconds
 
 DEFAULT_IDLE_TIMEOUT_US = seconds(30)
@@ -54,7 +54,7 @@ def minimum_collection_time(
         return None
     if start_us is None:
         start_us = updates[0][0]
-    seen: set[str] = set()
+    seen: set[Prefix] = set()
     end_us = updates[0][0]
     total_updates = 0
     duplicates = 0
@@ -68,9 +68,8 @@ def minimum_collection_time(
         total_updates += 1
         new_prefixes = 0
         for prefix in update.announced:
-            key = str(prefix)
-            if key not in seen:
-                seen.add(key)
+            if prefix not in seen:
+                seen.add(prefix)
                 new_prefixes += 1
         if update.announced and new_prefixes == 0:
             duplicates += 1

@@ -22,7 +22,7 @@ from collections.abc import Callable
 from repro.bgp.messages import UpdateMessage
 from repro.bgp.mrt import MrtRecord, write_mrt
 from repro.bgp.speaker import BgpSession
-from repro.bgp.table import Rib, Route
+from repro.bgp.table import Rib
 from repro.netsim.node import Host
 from repro.netsim.simulator import Simulator
 from repro.tcp.socket import TcpEndpoint
@@ -159,9 +159,8 @@ class BaseCollector:
     def _session_update(
         self, session: BgpSession, update: UpdateMessage, timestamp_us: int
     ) -> None:
-        for prefix in update.announced:
-            if update.attributes is not None:
-                self.rib.add(Route(prefix, update.attributes))
+        if update.attributes is not None:
+            self.rib.announce(update.announced, update.attributes)
         for prefix in update.withdrawn:
             self.rib.withdraw(prefix)
         if self.archives_mrt:

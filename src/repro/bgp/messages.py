@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from repro.bgp.attributes import PathAttributes
-from repro.wire.ip import bytes_to_ip, ip_to_bytes
+from repro.wire.ip import IpError, bytes_to_ip, ip_to_bytes
 
 MARKER = b"\xff" * 16
 HEADER_LEN = 19
@@ -56,19 +57,74 @@ class BgpError(ValueError):
     """Raised on malformed BGP messages."""
 
 
-@dataclass(frozen=True)
-class Prefix:
-    """An IPv4 prefix in CIDR form."""
+# NLRI layout by prefix length (RFC 4271 section 4.3): a length byte,
+# then the fewest address bytes that hold ``length`` bits.  Read as one
+# big-endian integer, an NLRI is ``_NLRI_TAG[length] | address >>
+# _NLRI_SHIFT[length]`` in ``_NLRI_SIZE[length]`` bytes.
+_NLRI_SIZE = [1 + (length + 7) // 8 for length in range(33)]
+_NLRI_SHIFT = [40 - 8 * size for size in _NLRI_SIZE]
+_NLRI_TAG = [length << (8 * size - 8) for length, size in enumerate(_NLRI_SIZE)]
 
-    network: str
-    length: int
+_new_tuple = tuple.__new__
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.length <= 32:
-            raise BgpError(f"bad prefix length {self.length}")
+
+class Prefix(tuple):
+    """An IPv4 prefix in CIDR form, held in its wire form.
+
+    A prefix is its 32-bit network address and its NLRI bytes (the
+    length byte, then the fewest address bytes that hold ``length``
+    bits), both built at construction.  ``encode`` returns the stored
+    bytes; ``network`` and ``str()`` render the dotted quad on demand.
+    Host bits are part of the value: ``Prefix("10.0.0.1", 8) !=
+    Prefix("10.0.0.0", 8)`` although both encode alike.
+
+    ``network`` is parsed when the prefix is built, so a malformed
+    dotted quad raises :class:`~repro.wire.ip.IpError` at construction
+    rather than at the first ``encode``, and the network reads back in
+    canonical form (``Prefix("010.0.0.0", 8).network == "10.0.0.0"``).
+
+    Underneath, a prefix is the immutable tuple ``(address, length,
+    nlri)``: a full-table RIB hashes and compares every prefix, and the
+    tuple does both in C.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, network: str, length: int) -> "Prefix":
+        # Checked before the network is parsed: a bad length is reported
+        # ahead of a bad dotted quad.
+        if not 0 <= length <= 32:
+            raise BgpError(f"bad prefix length {length}")
+        return cls.from_int(int.from_bytes(ip_to_bytes(network), "big"), length)
+
+    @classmethod
+    def from_int(cls, address: int, length: int) -> "Prefix":
+        """The prefix of a network address given as a 32-bit integer."""
+        if not 0 <= length <= 32:
+            raise BgpError(f"bad prefix length {length}")
+        if not 0 <= address <= 0xFFFFFFFF:
+            raise IpError(f"bad IPv4 address {address:#x}")
+        nlri = (_NLRI_TAG[length] | address >> _NLRI_SHIFT[length]).to_bytes(
+            _NLRI_SIZE[length], "big"
+        )
+        return _new_tuple(cls, (address, length, nlri))
+
+    length = property(itemgetter(1), doc="The prefix length in bits.")
+    nlri = property(itemgetter(2), doc="The NLRI wire form.")
+
+    @property
+    def network(self) -> str:
+        """The network address as a dotted quad."""
+        return ".".join(map(str, self[0].to_bytes(4, "big")))
 
     def __str__(self) -> str:
-        return f"{self.network}/{self.length}"
+        return f"{self.network}/{self[1]}"
+
+    def __repr__(self) -> str:
+        return f"Prefix(network={self.network!r}, length={self[1]!r})"
+
+    def __reduce__(self):
+        return (self.from_int, (self[0], self[1]))
 
     @classmethod
     def parse(cls, text: str) -> "Prefix":
@@ -78,24 +134,29 @@ class Prefix:
 
     def encode(self) -> bytes:
         """NLRI wire form: length byte + minimal network bytes."""
-        nbytes = (self.length + 7) // 8
-        return bytes([self.length]) + ip_to_bytes(self.network)[:nbytes]
+        return self[2]
 
 
 def decode_prefixes(data: bytes) -> list[Prefix]:
-    """Parse a run of NLRI-encoded prefixes."""
+    """Parse a run of NLRI-encoded prefixes.
+
+    Each prefix keeps its slice of ``data`` as its NLRI bytes.
+    """
     prefixes = []
+    append = prefixes.append
+    end = len(data)
     i = 0
-    while i < len(data):
+    while i < end:
         length = data[i]
         if length > 32:
             raise BgpError(f"bad prefix length {length}")
-        nbytes = (length + 7) // 8
-        if i + 1 + nbytes > len(data):
+        stop = i + _NLRI_SIZE[length]
+        if stop > end:
             raise BgpError("truncated prefix")
-        raw = data[i + 1 : i + 1 + nbytes] + b"\x00" * (4 - nbytes)
-        prefixes.append(Prefix(bytes_to_ip(raw), length))
-        i += 1 + nbytes
+        nlri = data[i:stop]
+        address = int.from_bytes(nlri, "big") ^ _NLRI_TAG[length]
+        append(_new_tuple(Prefix, (address << _NLRI_SHIFT[length], length, nlri)))
+        i = stop
     return prefixes
 
 
@@ -200,9 +261,9 @@ class UpdateMessage:
     type_code = TYPE_UPDATE
 
     def body(self) -> bytes:
-        withdrawn = b"".join(p.encode() for p in self.withdrawn)
+        withdrawn = b"".join([p.nlri for p in self.withdrawn])
         attrs = self.attributes.encode() if self.attributes is not None else b""
-        nlri = b"".join(p.encode() for p in self.announced)
+        nlri = b"".join([p.nlri for p in self.announced])
         return (
             struct.pack("!H", len(withdrawn))
             + withdrawn

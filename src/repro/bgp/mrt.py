@@ -18,7 +18,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO
 
-from repro.bgp.messages import BgpMessage, decode_message, encode_message
+from repro.bgp.messages import (
+    BgpError,
+    BgpMessage,
+    decode_message,
+    decode_prefixes,
+    encode_message,
+)
 from repro.core.units import US_PER_SECOND
 from repro.wire.ip import bytes_to_ip, ip_to_bytes
 
@@ -125,7 +131,6 @@ class RibSnapshot:
 def read_rib_snapshot(source: BinaryIO | str | Path) -> RibSnapshot:
     """Parse a TABLE_DUMP_V2 snapshot written by :class:`RibSnapshot`."""
     from repro.bgp.attributes import PathAttributes
-    from repro.bgp.messages import Prefix
 
     if isinstance(source, (str, Path)):
         with open(source, "rb") as stream:
@@ -163,11 +168,16 @@ def read_rib_snapshot(source: BinaryIO | str | Path) -> RibSnapshot:
             raise MrtError("truncated RIB record body")
         if mrt_type != MRT_TABLE_DUMP_V2 or subtype != TDV2_RIB_IPV4_UNICAST:
             continue
-        prefix_len = body[4]
-        nbytes = (prefix_len + 7) // 8
-        raw = body[5 : 5 + nbytes] + b"\x00" * (4 - nbytes)
-        prefix = Prefix(bytes_to_ip(raw), prefix_len)
-        offset = 5 + nbytes + 2  # skip entry count (always 1)
+        if len(body) < 5:
+            raise MrtError("truncated RIB entry")
+        stop = 5 + (body[4] + 7) // 8
+        try:
+            (prefix,) = decode_prefixes(body[4:stop])
+        except BgpError as exc:
+            raise MrtError(f"bad RIB entry prefix: {exc}") from exc
+        offset = stop + 2  # skip entry count (always 1)
+        if len(body) < offset + 8:
+            raise MrtError("truncated RIB entry")
         (_peer_index, _originated, attr_len) = struct.unpack_from(
             "!HIH", body, offset
         )

@@ -11,7 +11,11 @@ real routers emit them.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import accumulate, repeat, starmap
+from operator import attrgetter
 
 from repro.bgp.attributes import PathAttributes
 from repro.bgp.messages import (
@@ -21,6 +25,8 @@ from repro.bgp.messages import (
     UpdateMessage,
     encode_message,
 )
+
+_nlri = attrgetter("nlri")
 
 
 @dataclass(frozen=True)
@@ -32,65 +38,84 @@ class Route:
 
 
 class Rib:
-    """A Routing Information Base keyed by prefix."""
+    """A Routing Information Base keyed by prefix.
+
+    The table maps each :class:`Prefix` to its ``PathAttributes``;
+    :class:`Route` objects are built when a caller reads one.
+    """
 
     def __init__(self, routes: list[Route] | None = None) -> None:
-        self._routes: dict[str, Route] = {}
+        self._routes: dict[Prefix, PathAttributes] = {}
         for route in routes or ():
             self.add(route)
 
     def add(self, route: Route) -> None:
         """Insert or replace the route for its prefix."""
-        self._routes[str(route.prefix)] = route
+        self._routes[route.prefix] = route.attributes
+
+    def announce(
+        self, prefixes: Iterable[Prefix], attributes: PathAttributes
+    ) -> None:
+        """Insert or replace the route of each of ``prefixes``.
+
+        All of them get ``attributes``: this files one UPDATE's NLRI.
+        """
+        self._routes.update(zip(prefixes, repeat(attributes)))
 
     def withdraw(self, prefix: Prefix) -> Route | None:
         """Remove and return the route for ``prefix`` if present."""
-        return self._routes.pop(str(prefix), None)
+        attributes = self._routes.pop(prefix, None)
+        return None if attributes is None else Route(prefix, attributes)
 
     def lookup(self, prefix: Prefix) -> Route | None:
         """Exact-match lookup."""
-        return self._routes.get(str(prefix))
+        attributes = self._routes.get(prefix)
+        return None if attributes is None else Route(prefix, attributes)
 
     def __len__(self) -> int:
         return len(self._routes)
 
     def __iter__(self):
-        return iter(self._routes.values())
+        return starmap(Route, self._routes.items())
 
     def __contains__(self, prefix: Prefix) -> bool:
-        return str(prefix) in self._routes
+        return prefix in self._routes
 
     def prefixes(self) -> list[Prefix]:
         """All prefixes, in insertion order."""
-        return [route.prefix for route in self._routes.values()]
+        return list(self._routes)
 
     def to_updates(self, max_message_len: int = MAX_MESSAGE_LEN) -> list[UpdateMessage]:
         """Pack the whole table into UPDATE messages.
 
         Routes sharing a ``PathAttributes`` value ride in the same
         UPDATE until the 4096-byte limit, exactly as a router walks its
-        RIB grouped by attribute set during a table transfer.
+        RIB grouped by attribute set during a table transfer.  Groups
+        come in the order their first route was added.
         """
+        # Group by attribute object first, so each distinct object is
+        # hashed by value once rather than once per route.
         groups: dict[PathAttributes, list[Prefix]] = {}
-        for route in self._routes.values():
-            groups.setdefault(route.attributes, []).append(route.prefix)
+        by_object: dict[int, list[Prefix]] = {}
+        for prefix, attributes in self._routes.items():
+            members = by_object.get(id(attributes))
+            if members is None:
+                members = groups.setdefault(attributes, [])
+                by_object[id(attributes)] = members
+            members.append(prefix)
         updates: list[UpdateMessage] = []
         for attributes, prefixes in groups.items():
-            base_len = HEADER_LEN + 4 + len(attributes.encode())
-            current: list[Prefix] = []
-            used = base_len
-            for prefix in prefixes:
-                nlri_len = 1 + (prefix.length + 7) // 8
-                if used + nlri_len > max_message_len and current:
-                    updates.append(
-                        UpdateMessage(tuple(current), attributes)
-                    )
-                    current = []
-                    used = base_len
-                current.append(prefix)
-                used += nlri_len
-            if current:
-                updates.append(UpdateMessage(tuple(current), attributes))
+            room = max_message_len - HEADER_LEN - 4 - len(attributes.encode())
+            # Greedy packing: each UPDATE takes the longest run of
+            # prefixes whose NLRI fits the room left (at least one).
+            ends = list(accumulate(map(len, map(_nlri, prefixes))))
+            start = used = 0
+            while start < len(prefixes):
+                stop = max(bisect_right(ends, used + room), start + 1)
+                updates.append(
+                    UpdateMessage(tuple(prefixes[start:stop]), attributes)
+                )
+                start, used = stop, ends[stop - 1]
         return updates
 
     def wire_size(self) -> int:
@@ -139,20 +164,20 @@ def generate_table(
     if attribute_groups is None:
         attribute_groups = max(1, size // 60)
     lengths, weights = zip(*_PREFIX_LENGTH_WEIGHTS)
+    # The cumulative form ``choices`` would otherwise rebuild every call.
+    cum_weights = list(accumulate(weights))
     attribute_sets = [
         _random_attributes(rng, next_hop, asn_pool, wide_asn_fraction)
         for _ in range(attribute_groups)
     ]
     rib = Rib()
-    seen: set[str] = set()
-    while len(rib) < size:
-        length = rng.choices(lengths, weights)[0]
+    routes = rib._routes
+    while len(routes) < size:
+        length = rng.choices(lengths, cum_weights=cum_weights)[0]
         prefix = _random_prefix(rng, length)
-        if str(prefix) in seen:
+        if prefix in routes:
             continue
-        seen.add(str(prefix))
-        attributes = rng.choice(attribute_sets)
-        rib.add(Route(prefix, attributes))
+        routes[prefix] = rng.choice(attribute_sets)
     return rib
 
 
@@ -164,8 +189,7 @@ def _random_prefix(rng: random.Random, length: int) -> Prefix:
     first_octet = (address >> 24) & 0xFF
     if first_octet in (0, 10, 127) or first_octet >= 224:
         address = (address & 0x00FFFFFF) | (unicast_octet(rng) << 24)
-    octets = [(address >> shift) & 0xFF for shift in (24, 16, 8, 0)]
-    return Prefix(".".join(map(str, octets)), length)
+    return Prefix.from_int(address, length)
 
 
 def unicast_octet(rng: random.Random) -> int:

@@ -1,5 +1,7 @@
 """Unit tests for BGP message and attribute codecs."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -26,6 +28,7 @@ from repro.bgp.messages import (
     decode_prefixes,
     encode_message,
 )
+from repro.wire.ip import IpError
 
 
 class TestPrefix:
@@ -59,6 +62,55 @@ class TestPrefix:
     def test_decode_bad_length(self):
         with pytest.raises(BgpError):
             decode_prefixes(b"\x40\x01")
+
+    @pytest.mark.parametrize("text", ["10.0.0.1/8", "192.0.2.128/25", "0.0.0.0/0"])
+    def test_copies_and_pickles_are_equal(self, text):
+        p = Prefix.parse(text)
+        for clone in (
+            pickle.loads(pickle.dumps(p)),
+            pickle.loads(pickle.dumps(p, protocol=0)),
+            copy.copy(p),
+            copy.deepcopy(p),
+            copy.deepcopy([p, p])[0],
+        ):
+            assert clone == p and hash(clone) == hash(p)
+            assert type(clone) is Prefix
+            assert (clone.network, clone.length, clone.encode()) == (
+                p.network, p.length, p.encode()
+            )
+
+    def test_immutable(self):
+        p = Prefix("10.0.0.0", 8)
+        for name, value in (("network", "11.0.0.0"), ("length", 9), ("extra", 1)):
+            with pytest.raises(AttributeError):
+                setattr(p, name, value)
+        assert p == Prefix("10.0.0.0", 8)
+
+    def test_hash_and_equality_keep_host_bits(self):
+        assert Prefix("10.0.0.1", 8) != Prefix("10.0.0.0", 8)
+        assert Prefix("10.0.0.1", 8).encode() == Prefix("10.0.0.0", 8).encode()
+        assert Prefix("10.0.0.0", 8) != Prefix("10.0.0.0", 9)
+        assert Prefix("10.0.0.0", 8) == Prefix.parse("10.0.0.0/8")
+        assert len({Prefix("10.0.0.0", 8), Prefix.parse("10.0.0.0/8")}) == 1
+
+    def test_repr(self):
+        assert repr(Prefix("192.0.2.0", 24)) == (
+            "Prefix(network='192.0.2.0', length=24)"
+        )
+
+    def test_parse_inverts_str(self):
+        for p in (Prefix("10.0.0.1", 8), Prefix("255.255.255.255", 32)):
+            assert Prefix.parse(str(p)) == p
+
+    def test_network_is_canonical_and_checked_at_construction(self):
+        assert Prefix("010.0.0.0", 8).network == "10.0.0.0"
+        assert Prefix.from_int(0x0A000001, 8) == Prefix("10.0.0.1", 8)
+        with pytest.raises(IpError):
+            Prefix("10.0.0", 8)
+        with pytest.raises(IpError):
+            Prefix.from_int(1 << 32, 8)
+        with pytest.raises(BgpError):
+            Prefix.from_int(0, 33)
 
 
 class TestPathAttributes:

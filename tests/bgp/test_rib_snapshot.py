@@ -2,9 +2,11 @@
 
 import io
 import random
+import struct
 
 import pytest
 
+from repro.bgp.attributes import PathAttributes
 from repro.bgp.mrt import MrtError, RibSnapshot, read_rib_snapshot
 from repro.bgp.table import generate_table
 from repro.core.units import seconds
@@ -56,6 +58,42 @@ class TestRibSnapshotCodec:
     def test_garbage_rejected(self):
         with pytest.raises(MrtError):
             read_rib_snapshot(io.BytesIO(b"\x00" * 40))
+
+
+def with_rib_record(body: bytes) -> bytes:
+    """A one-entry snapshot followed by a RIB record holding ``body``."""
+    index_only, _ = make_snapshot(size=0)
+    header = struct.pack("!IHHI", 0, 13, 2, len(body))  # TABLE_DUMP_V2 RIB
+    return index_only.encode() + header + body
+
+
+class TestRibRecordErrors:
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            # prefix length 33: five address bytes would follow
+            (b"\x00\x00\x00\x00\x21" + bytes(5 + 10), "bad prefix length 33"),
+            # a /24 with two of its three address bytes
+            (b"\x00\x00\x00\x00\x18\x0a\x00", "truncated prefix"),
+            (b"\x00\x00\x00", "truncated RIB entry"),
+            # a whole /8, then the entry header cut short
+            (b"\x00\x00\x00\x00\x08\x0a\x00\x01\x00", "truncated RIB entry"),
+        ],
+    )
+    def test_malformed_entry_raises_mrt_error(self, body, message):
+        with pytest.raises(MrtError, match=message):
+            read_rib_snapshot(io.BytesIO(with_rib_record(body)))
+
+    def test_well_formed_record_reads(self):
+        attrs = PathAttributes.from_path([65001], "10.1.0.1").encode()
+        body = (
+            b"\x00\x00\x00\x00\x08\x0a" + struct.pack("!H", 1)
+            + struct.pack("!HIH", 0, 0, len(attrs)) + attrs
+        )
+        snapshot = read_rib_snapshot(io.BytesIO(with_rib_record(body)))
+        assert [(str(p), a.path_asns()) for p, a in snapshot.entries] == [
+            ("10.0.0.0/8", (65001,))
+        ]
 
 
 class TestCollectorSnapshot:

@@ -56,6 +56,62 @@ class TestRib:
         sizes = sorted(len(u.announced) for u in updates)
         assert sizes == [1, 2]
 
+    def test_to_updates_groups_equal_attribute_objects_in_order(self):
+        # Equal values held by distinct objects share an UPDATE, groups
+        # follow first insertion and prefixes keep their order inside.
+        a1 = PathAttributes.from_path([1, 2], "10.0.0.1")
+        a2 = PathAttributes.from_path([1, 2], "10.0.0.1")
+        b = PathAttributes.from_path([3], "10.0.0.1")
+        assert a1 == a2 and a1 is not a2
+        cidrs = ["10.1.0.0/16", "10.9.0.0/16", "10.2.0.0/16", "10.3.0.0/16"]
+        rib = Rib([
+            Route(Prefix.parse(cidr), attributes)
+            for cidr, attributes in zip(cidrs, (b, a1, a2, b))
+        ])
+        updates = rib.to_updates()
+        assert [u.attributes for u in updates] == [b, a1]
+        assert [[str(p) for p in u.announced] for u in updates] == [
+            ["10.1.0.0/16", "10.3.0.0/16"], ["10.9.0.0/16", "10.2.0.0/16"],
+        ]
+
+    @pytest.mark.parametrize("max_len", [4096, 1000, 300, 60, 40, 1])
+    def test_to_updates_packs_like_the_one_at_a_time_walk(self, max_len):
+        rib = generate_table(3000, random.Random(12), attribute_groups=7)
+
+        def greedy(prefixes, attributes):
+            base_len = 19 + 4 + len(attributes.encode())
+            runs, current, used = [], [], base_len
+            for prefix in prefixes:
+                nlri_len = len(prefix.encode())
+                if used + nlri_len > max_len and current:
+                    runs.append(current)
+                    current, used = [], base_len
+                current.append(prefix)
+                used += nlri_len
+            return runs + [current] if current else runs
+
+        groups = {}
+        for route in rib:
+            groups.setdefault(route.attributes, []).append(route.prefix)
+        expected = [
+            (tuple(run), attributes)
+            for attributes, prefixes in groups.items()
+            for run in greedy(prefixes, attributes)
+        ]
+        updates = rib.to_updates(max_message_len=max_len)
+        assert [(u.announced, u.attributes) for u in updates] == expected
+
+    def test_announce_files_all_prefixes_of_an_update(self):
+        old = PathAttributes.from_path([1], "10.0.0.1")
+        new = PathAttributes.from_path([2], "10.0.0.1")
+        rib = Rib([Route(Prefix("10.2.0.0", 16), old)])
+        prefixes = (Prefix("10.1.0.0", 16), Prefix("10.2.0.0", 16))
+        rib.announce(prefixes, new)
+        assert len(rib) == 2
+        # A replaced prefix keeps its place; a new one goes last.
+        assert rib.prefixes() == [prefixes[1], prefixes[0]]
+        assert list(rib) == [Route(prefixes[1], new), Route(prefixes[0], new)]
+
     def test_to_updates_respects_message_limit(self):
         shared = PathAttributes.from_path([1], "10.0.0.1")
         rib = Rib(
