@@ -14,6 +14,7 @@ seen), following Jaiswal et al.
 
 from __future__ import annotations
 
+import heapq
 import statistics
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -405,26 +406,12 @@ class Trace:
             )
         for index, record in enumerate(records):
             trace.total_records += 1
-            try:
-                fields = frames.parse_packet(record.data)
-            except (frames.FrameError, ValueError) as exc:
+            decoded = _decode_record(record, trace.health)
+            if decoded is None:
                 trace.skipped_frames += 1
-                trace.health.record(
-                    STAGE_FRAME, "undecodable-frame",
-                    timestamp_us=record.timestamp_us,
-                    bytes_lost=record.captured_length,
-                    detail=str(exc),
-                    benign=True,
-                )
                 continue
-            trace.health.frames_decoded += 1
+            fields, key = decoded
             packet = _packet_from_fields(index, record, fields)
-            key = canonical_key(
-                fields.src_ip,
-                fields.src_port,
-                fields.dst_ip,
-                fields.dst_port,
-            )
             connection = trace.connections.get(key)
             if connection is None:
                 connection = Connection(key)
@@ -441,28 +428,31 @@ class Trace:
         return iter(self.connections.values())
 
 
-def _packet_from_record(
-    index: int, record: PcapRecord, parsed
-) -> TracePacket:
-    """Flatten one decoded frame into the analyzer's packet form."""
-    return TracePacket(
-        index=index,
-        timestamp_us=record.timestamp_us,
-        src_ip=parsed.ipv4.src,
-        src_port=parsed.tcp.src_port,
-        dst_ip=parsed.ipv4.dst,
-        dst_port=parsed.tcp.dst_port,
-        seq=parsed.tcp.seq,
-        ack=parsed.tcp.ack,
-        flags=parsed.tcp.flags,
-        window=parsed.tcp.window,
-        payload_len=len(parsed.tcp.payload),
-        wire_len=record.wire_length,
-        ip_id=parsed.ipv4.identification,
-        payload=parsed.tcp.payload,
-        mss_option=parsed.tcp.mss_option,
-        wscale_option=parsed.tcp.wscale_option,
+def _decode_record(
+    record: PcapRecord, health: TraceHealth
+) -> tuple[frames.PacketFields, FlowKey] | None:
+    """Decode one record's frame and key its flow; ``None`` if undecodable.
+
+    The one per-record step the buffered and streaming ingests share:
+    an undecodable frame becomes a benign ``undecodable-frame`` issue in
+    ``health``, a decoded one counts in ``health.frames_decoded``.
+    """
+    try:
+        fields = frames.parse_packet(record.data)
+    except (frames.FrameError, ValueError) as exc:
+        health.record(
+            STAGE_FRAME, "undecodable-frame",
+            timestamp_us=record.timestamp_us,
+            bytes_lost=record.captured_length,
+            detail=str(exc),
+            benign=True,
+        )
+        return None
+    health.frames_decoded += 1
+    key = canonical_key(
+        fields.src_ip, fields.src_port, fields.dst_ip, fields.dst_port
     )
+    return fields, key
 
 
 def _packet_from_fields(
@@ -495,6 +485,7 @@ class _OpenFlow:
     """Streaming-ingest state of one not-yet-finalized connection."""
 
     connection: Connection
+    order: int  # capture index of its first admitted packet
     last_ts_us: int = 0
     fin_from: set = field(default_factory=set)
     saw_rst: bool = False
@@ -530,12 +521,19 @@ def iter_connections(
     The buffered path (:meth:`Trace.from_pcap`) holds every parsed
     frame of every connection until the file ends; this iterator
     finalizes and yields each connection as soon as its flow has closed
-    (FINs from both sides or an RST) and stayed quiet for
+    (FINs from both sides or an RST) and stayed quiet for more than
     ``linger_us``, so peak memory is bounded by the *open* flows, not
     the whole capture.  Per-connection results are identical to the
     buffered path for captures whose flows close cleanly; a packet
     arriving for an already-emitted flow is dropped and accounted in
     ``health`` rather than resurrecting the connection.
+
+    Cost per packet is independent of the number of open flows: closed
+    flows wait in a heap ordered by their last packet time, so a packet
+    inspects only the entries that have come due, and each entry is
+    inspected once — amortized O(log L) for L lingering flows.  Flows
+    due at the same packet are released in first-seen order, and the
+    packet's own flow is never released by its own packet.
 
     A :class:`~repro.analysis.budget.StateLedger` bounds even the open
     flows: every packet is metered through it, per-connection caps shed
@@ -558,40 +556,38 @@ def iter_connections(
         )
         records = iter(reader)
         reader_counts = True
+    heappush, heappop = heapq.heappush, heapq.heappop
     open_flows: dict[FlowKey, _OpenFlow] = {}
     emitted: set[FlowKey] = set()
+    # (last_ts_us, order, key) of every closable flow, pushed whenever
+    # such a flow's clock moves.  An entry is live while its flow is
+    # still open with that last_ts_us; the rest are skipped when popped.
+    lingering: list[tuple[int, int, FlowKey]] = []
     try:
         for index, record in enumerate(records):
             if not reader_counts:
                 health.records_read += 1
-            try:
-                fields = frames.parse_packet(record.data)
-            except (frames.FrameError, ValueError) as exc:
-                health.record(
-                    STAGE_FRAME, "undecodable-frame",
-                    timestamp_us=record.timestamp_us,
-                    bytes_lost=record.captured_length,
-                    detail=str(exc),
-                    benign=True,
-                )
+            decoded = _decode_record(record, health)
+            if decoded is None:
                 continue
-            health.frames_decoded += 1
-            key = canonical_key(
-                fields.src_ip,
-                fields.src_port,
-                fields.dst_ip,
-                fields.dst_port,
-            )
-            # Sweep flows whose close has lingered long enough.
+            fields, key = decoded
+            # Release flows whose close has lingered long enough.
             now = record.timestamp_us
-            for other_key in list(open_flows):
-                flow = open_flows[other_key]
-                if (
-                    other_key != key
-                    and flow.closable
-                    and now - flow.last_ts_us > linger_us
-                ):
-                    del open_flows[other_key]
+            cutoff = now - linger_us
+            if lingering and lingering[0][0] < cutoff:
+                due: dict[int, FlowKey] = {}
+                while lingering and lingering[0][0] < cutoff:
+                    last_ts_us, order, other_key = heappop(lingering)
+                    flow = open_flows.get(other_key)
+                    if (
+                        flow is not None
+                        and flow.last_ts_us == last_ts_us
+                        and other_key != key
+                    ):
+                        due[order] = other_key
+                for order in sorted(due):
+                    other_key = due[order]
+                    flow = open_flows.pop(other_key)
                     emitted.add(other_key)
                     if ledger is not None:
                         ledger.discharge(other_key)
@@ -615,18 +611,22 @@ def iter_connections(
                 if flow is not None:
                     flow.connection.complete = False
                     flow.last_ts_us = now
+                    if flow.closable:
+                        heappush(lingering, (now, flow.order, key))
                 continue
             packet = _packet_from_fields(index, record, fields)
             flow = open_flows.get(key)
             if flow is None:
-                flow = _OpenFlow(connection=Connection(key))
+                flow = _OpenFlow(connection=Connection(key), order=index)
                 open_flows[key] = flow
             flow.connection.add(packet)
-            flow.last_ts_us = record.timestamp_us
+            flow.last_ts_us = now
             if packet.is_fin:
                 flow.fin_from.add(packet.src_ip)
             if packet.is_rst:
                 flow.saw_rst = True
+            if flow.closable:
+                heappush(lingering, (now, flow.order, key))
             if ledger is not None:
                 for victim_key, policy in ledger.plan_evictions(
                     open_flows, key, now

@@ -65,15 +65,21 @@ class ChunkFeeder:
     stream, or :meth:`abort` to tear the session down.  The consumer —
     the pcap reader inside the analysis thread — calls :meth:`read`,
     which blocks until it can return exactly ``n`` bytes, or fewer
-    only at EOF.  That exact-read contract is what the streaming
+    only at EOF; ``n`` of ``None`` or below zero reads to EOF.  That
+    exact-read contract is what the streaming
     :class:`~repro.wire.pcap.PcapReader` relies on to distinguish
     "more bytes coming" from "capture truncated".
+
+    A read costs O(n) plus O(1) per chunk it touches, whatever the
+    chunk size: it copies its bytes out of the head chunk at a read
+    offset and never re-slices the chunk's remainder.
     """
 
     def __init__(self, max_buffered: int = 8 * 1024 * 1024) -> None:
         self.max_buffered = max_buffered
         self.bytes_fed = 0  # guarded-by: _cond
         self._chunks: deque[bytes] = deque()  # guarded-by: _cond
+        self._offset = 0  # guarded-by: _cond
         self._buffered = 0  # guarded-by: _cond
         self._eof = False  # guarded-by: _cond
         self._abort_reason: str | None = None  # guarded-by: _cond
@@ -111,13 +117,14 @@ class ChunkFeeder:
             self._eof = True
             self._cond.notify_all()
 
-    def read(self, n: int = -1) -> bytes:
+    def read(self, n: int | None = -1) -> bytes:
         """Return exactly ``n`` bytes, or fewer only at end of stream."""
-        if n is not None and n < 0:
+        if n is None or n < 0:
             return self._read_all()
-        out = bytearray()
+        pieces = []
+        need = n
         with self._cond:
-            while len(out) < n:
+            while need:
                 if self._abort_reason is not None:
                     raise SessionAborted(self._abort_reason)
                 if not self._chunks:
@@ -126,16 +133,21 @@ class ChunkFeeder:
                     self._cond.wait()
                     continue
                 chunk = self._chunks[0]
-                need = n - len(out)
-                if len(chunk) <= need:
-                    out += chunk
+                start = self._offset
+                end = start + need
+                if end >= len(chunk):
+                    end = len(chunk)
                     self._chunks.popleft()
+                    self._offset = 0
                 else:
-                    out += chunk[:need]
-                    self._chunks[0] = chunk[need:]
-                self._buffered -= min(need, len(chunk))
-                self._cond.notify_all()
-        return bytes(out)
+                    self._offset = end
+                pieces.append(chunk[start:end])
+                need -= end - start
+                if self._buffered >= self.max_buffered:
+                    # Only a full buffer can have blocked a producer.
+                    self._cond.notify_all()
+                self._buffered -= end - start
+        return pieces[0] if len(pieces) == 1 else b"".join(pieces)
 
     def _read_all(self) -> bytes:
         out = bytearray()

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import io
+import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.budget import ResourceBudget
 from repro.analysis.render import ReportRenderer
@@ -19,6 +22,19 @@ from repro.serve.session import (
 )
 
 from tests.serve.helpers import flood_bytes
+
+
+#: chunk boundaries for ``feed`` calls, and ``read(n)`` sizes including
+#: the read-to-EOF forms.
+_cuts = st.lists(st.integers(0, 300), max_size=12)
+_read_sizes = st.lists(
+    st.one_of(st.integers(0, 80), st.sampled_from((-1, None))), max_size=12
+)
+
+
+def _chunked(data: bytes, cuts: list[int]) -> list[bytes]:
+    bounds = sorted({0, len(data), *(c for c in cuts if c < len(data))})
+    return [data[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 class TestChunkFeeder:
@@ -95,6 +111,103 @@ class TestChunkFeeder:
         feeder.feed(b"")
         feeder.feed(b"defg")
         assert feeder.bytes_fed == 7
+
+    def test_read_none_reads_to_eof_like_a_file(self):
+        feeder = ChunkFeeder()
+        feeder.feed(b"ab")
+        feeder.feed(b"cd")
+        feeder.close()
+        reference = io.BytesIO(b"abcd")
+        assert feeder.read(1) == reference.read(1) == b"a"
+        assert feeder.read(None) == reference.read(None) == b"bcd"
+        assert feeder.read(None) == reference.read(None) == b""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.binary(max_size=300), cuts=_cuts, sizes=_read_sizes)
+    def test_reads_match_bytesio(self, data, cuts, sizes):
+        feeder = ChunkFeeder()
+        for chunk in _chunked(data, cuts):
+            feeder.feed(chunk)
+        feeder.close()
+        reference = io.BytesIO(data)
+        for n in sizes:
+            assert feeder.read(n) == reference.read(n)
+        assert feeder.read() == reference.read()
+        with feeder._cond:
+            assert feeder._buffered == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.binary(max_size=300), cuts=_cuts, sizes=_read_sizes,
+        max_buffered=st.integers(1, 16),
+    )
+    def test_small_buffer_still_unblocks_the_producer(
+        self, data, cuts, sizes, max_buffered
+    ):
+        feeder = ChunkFeeder(max_buffered=max_buffered)
+        got = []
+
+        def produce():
+            for chunk in _chunked(data, cuts):
+                feeder.feed(chunk)
+            feeder.close()
+
+        def consume():
+            got.extend(feeder.read(n) for n in sizes)
+            got.append(feeder.read())
+
+        threads = [
+            threading.Thread(target=produce, daemon=True),
+            threading.Thread(target=consume, daemon=True),
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10)
+            assert not thread.is_alive(), "feeder deadlocked"
+        reference = io.BytesIO(data)
+        assert got == [reference.read(n) for n in sizes] + [reference.read()]
+        with feeder._cond:
+            assert feeder._buffered == 0
+
+    def test_concurrent_producers_under_backpressure_lose_nothing(self):
+        feeder = ChunkFeeder(max_buffered=64)
+        producers = 6
+        chunks = [bytes([p]) * (1 + i % 97) for p in range(producers)
+                  for i in range(300)]
+        got = bytearray()
+
+        def produce(p):
+            for chunk in chunks:
+                if chunk[0] == p:
+                    feeder.feed(chunk)
+
+        def consume():
+            while piece := feeder.read(13):
+                got.extend(piece)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=produce, args=(p,), daemon=True)
+                for p in range(producers)
+            ]
+            consumer = threading.Thread(target=consume, daemon=True)
+            for thread in [*threads, consumer]:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+                assert not thread.is_alive(), "producer never unblocked"
+            feeder.close()
+            consumer.join(30)
+            assert not consumer.is_alive(), "reader never saw EOF"
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert sorted(got) == sorted(b"".join(chunks))
+        with feeder._cond:
+            assert feeder._buffered == 0
+            assert feeder.bytes_fed == len(got)
 
 
 class TestAnalysisSession:
