@@ -203,9 +203,6 @@ def analyze_pcap(
     workers: int = 1,
     streaming: bool = False,
     pool: WorkPool | None = None,
-    mmap: bool | None = None,
-    decode_batch: int | None = None,
-    series_backend: str | None = None,
     budget: ResourceBudget | None = None,
 ) -> TdatReport:
     """Analyze every TCP connection in a capture.
@@ -235,17 +232,6 @@ def analyze_pcap(
       processes.  Analyses come back in the same order the serial path
       produces, so reports are identical.
 
-    Three performance knobs, also result-preserving (every fast path is
-    byte-identical to its reference and falls back automatically):
-
-    * ``mmap`` — zero-copy batched pcap scanning (``None`` = auto:
-      used when the source supports it and the pre-scan finds no
-      damage; ``False`` forces the streaming reader);
-    * ``decode_batch`` — records decoded per fast-path batch;
-    * ``series_backend`` — ``"auto"`` | ``"python"`` | ``"numpy"``
-      kernel selection for series generation (ignored when an explicit
-      ``config`` is given; set it on the config instead).
-
     ``budget`` bounds the live analysis state itself (see
     :class:`~repro.analysis.budget.ResourceBudget`): ingest is forced
     onto the streaming path, every packet is metered, and watermark
@@ -256,10 +242,7 @@ def analyze_pcap(
     unbudgeted streaming run.
     """
     if config is None:
-        config = SeriesConfig(
-            sniffer_location=sniffer_location,
-            series_backend=series_backend or "auto",
-        )
+        config = SeriesConfig(sniffer_location=sniffer_location)
     if health is None:
         health = TraceHealth(strict=strict)
     report = TdatReport(health=health)
@@ -276,7 +259,7 @@ def analyze_pcap(
         for analysis in _analyze_stream(
             source, report, windows=windows, config=config,
             min_data_packets=min_data_packets, strict=strict, health=health,
-            mmap=mmap, decode_batch=decode_batch, ledger=ledger,
+            ledger=ledger,
         ):
             report.analyses[analysis.key] = analysis
         _restore_capture_order(report)
@@ -287,13 +270,11 @@ def analyze_pcap(
         # flows, and by the ledger when a budget is set), then batch
         # the eligible connections through the pool.
         connections = iter_connections(
-            source, health=health, tolerant=not strict,
-            mmap=mmap, decode_batch=decode_batch, ledger=ledger,
+            source, health=health, tolerant=not strict, ledger=ledger,
         )
     else:
         connections = iter(Trace.from_pcap(
             source, health=health, tolerant=not strict,
-            mmap=mmap, decode_batch=decode_batch,
         ))
 
     eligible: list[tuple[Connection, tuple[int, int] | None]] = []
@@ -363,14 +344,11 @@ def _analyze_stream(
     min_data_packets: int,
     strict: bool,
     health: TraceHealth,
-    mmap: bool | None = None,
-    decode_batch: int | None = None,
     ledger: StateLedger | None = None,
 ):
     """Yield analyses one flow at a time, updating ``report`` counters."""
     for connection in iter_connections(
-        source, health=health, tolerant=not strict,
-        mmap=mmap, decode_batch=decode_batch, ledger=ledger,
+        source, health=health, tolerant=not strict, ledger=ledger,
     ):
         if connection.profile is None or (
             connection.profile.total_data_packets < min_data_packets
@@ -397,9 +375,6 @@ def iter_analyze_pcap(
     min_data_packets: int = 2,
     strict: bool = False,
     health: TraceHealth | None = None,
-    mmap: bool | None = None,
-    decode_batch: int | None = None,
-    series_backend: str | None = None,
     budget: ResourceBudget | None = None,
     ledger: StateLedger | None = None,
 ):
@@ -409,18 +384,14 @@ def iter_analyze_pcap(
     flow closes, in close order.  The caller owns each analysis as it
     arrives and may discard it, so a capture of thousands of sequential
     transfers can be analyzed in bounded memory — the use case behind
-    the paper's multi-week monitoring traces.  The performance knobs
-    (``mmap``, ``decode_batch``, ``series_backend``) behave exactly as
-    in :func:`analyze_pcap`, as does ``budget``; a caller that needs
+    the paper's multi-week monitoring traces.  ``budget`` behaves
+    exactly as in :func:`analyze_pcap`; a caller that needs
     the :class:`~repro.analysis.budget.DegradationSummary` afterwards
     can construct the :class:`~repro.analysis.budget.StateLedger`
     itself and pass it as ``ledger`` (which overrides ``budget``).
     """
     if config is None:
-        config = SeriesConfig(
-            sniffer_location=sniffer_location,
-            series_backend=series_backend or "auto",
-        )
+        config = SeriesConfig(sniffer_location=sniffer_location)
     if health is None:
         health = TraceHealth(strict=strict)
     if ledger is None and budget is not None and budget.bounded:
@@ -429,5 +400,5 @@ def iter_analyze_pcap(
     yield from _analyze_stream(
         source, throwaway, windows=windows, config=config,
         min_data_packets=min_data_packets, strict=strict, health=health,
-        mmap=mmap, decode_batch=decode_batch, ledger=ledger,
+        ledger=ledger,
     )

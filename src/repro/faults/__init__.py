@@ -39,9 +39,8 @@ __all__ = [
 
 
 def __getattr__(name):
-    # repro.faults.fuzz imports lazily so `python -m repro.faults.fuzz`
-    # does not re-import the module it is executing (and the mangler
-    # stays importable without the simulator stack).
+    # repro.faults.fuzz imports lazily so the mangler stays importable
+    # without the simulator stack.
     if name in ("FuzzCase", "FuzzReport", "run_fuzz"):
         from repro.faults import fuzz
 

@@ -476,10 +476,7 @@ class AnalysisServer:
                     overrides["budget"] = ResourceBudget(**budget_spec)
                 except TypeError as exc:
                     raise ServeError(400, f"bad budget: {exc}")
-            allowed = {
-                "sniffer_location", "min_data_packets", "strict",
-                "series_backend",
-            }
+            allowed = {"sniffer_location", "min_data_packets", "strict"}
             unknown = set(spec) - allowed
             if unknown:
                 raise ServeError(

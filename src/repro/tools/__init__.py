@@ -27,21 +27,6 @@ from repro.tools.report import (
 from repro.tools.tcptrace_lite import ConnectionSummary, format_report, summarize
 
 
-def __getattr__(name: str):
-    # Deprecated re-export: the supported entry point is the
-    # repro.api facade (engine code imports repro.tools.pcap2bgp).
-    if name == "pcap_to_bgp":
-        from repro.core.deprecation import warn_deprecated
-        from repro.tools.pcap2bgp import pcap_to_bgp
-
-        warn_deprecated(
-            "importing pcap_to_bgp from repro.tools is deprecated; "
-            "use repro.api.Pipeline().extract_bgp(...) or import it from "
-            "repro.tools.pcap2bgp"
-        )
-        return pcap_to_bgp
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "ConnectionSummary",
     "CorrelatedMessage",
@@ -56,7 +41,6 @@ __all__ = [
     "duration_statistics",
     "factor_distribution",
     "format_report",
-    "pcap_to_bgp",
     "pcap_to_mrt",
     "reconstruct_stream",
     "render_analysis",

@@ -801,8 +801,8 @@ def _cmd_bgplot(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    # Returns EXIT_OK, EXIT_ERROR (a run failed or a fast path diverged
-    # from its reference) or EXIT_REGRESSION (a perf gate tripped).
+    # Returns EXIT_OK, EXIT_ERROR (a run failed or its reports
+    # diverged) or EXIT_REGRESSION (a perf gate tripped).
     return _run_bench(args)
 
 

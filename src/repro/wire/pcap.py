@@ -5,23 +5,24 @@ microsecond and nanosecond timestamp variants, both byte orders on
 read, and truncation-aware iteration so analysis survives the capture
 drops the paper notes tcpdump suffers (section II-A).
 
-Two reading disciplines:
+There is one record walk and two disciplines over it:
 
-* strict (the default): malformed structure raises :class:`PcapError`,
-  except for a truncated trailing record which is tolerated like
-  ``tcpdump -r`` does;
 * tolerant (``PcapReader(..., tolerant=True)``): nothing past the
   global header raises.  Implausible record headers trigger a forward
   scan that resynchronizes on the next plausible record boundary, and
   every skipped or truncated region is recorded as an
   :class:`~repro.core.health.IngestIssue` in the supplied
-  :class:`~repro.core.health.TraceHealth` ledger.
+  :class:`~repro.core.health.TraceHealth` ledger;
+* strict (the default): the same walk, raising :class:`PcapError`
+  wherever the tolerant walk would record a non-benign issue (a bad
+  record header, an unreadable tail, an implausible timestamp).  A
+  truncated final record or record header still ends the read quietly,
+  as ``tcpdump -r`` does.
 """
 
 from __future__ import annotations
 
 import io
-import mmap as _mmap
 import struct
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -42,18 +43,14 @@ GLOBAL_HEADER = struct.Struct("IHHiIII")
 RECORD_HEADER = struct.Struct("IIII")
 DEFAULT_SNAPLEN = 65535
 
-# Tolerant mode refuses to believe record headers claiming more than
+# The reader refuses to believe record headers claiming more than
 # this many captured bytes: it bounds memory on corrupt length fields
 # and is far above any real snaplen.
 MAX_PLAUSIBLE_CAPLEN = 1 << 22
 # Resync scans look this far ahead for the next plausible record
 # boundary before declaring the remainder of the file unreadable.
 RESYNC_SCAN_LIMIT = 1 << 20
-# Fast-path record construction happens this many records at a time:
-# large enough to amortize the chunk loop, small enough that an early
-# abandoning consumer never pays for more than one batch of slices.
-DEFAULT_DECODE_BATCH = 512
-# Tolerant mode disbelieves records whose timestamp jumps more than
+# The reader disbelieves records whose timestamp jumps more than
 # this far from their neighbours.  A structurally intact header with a
 # mangled timestamp field passes every length check — and in
 # nanosecond-magic files the fraction field's plausibility bound is
@@ -166,6 +163,8 @@ class PcapReader:
     damaged regions are skipped (resynchronizing on the next plausible
     record header) and accounted in ``health``.  An unrecognizable
     global header yields an empty iteration instead of raising.
+    Without it, the same walk raises :class:`PcapError` at the first
+    damage it would have accounted.
     """
 
     def __init__(
@@ -173,9 +172,6 @@ class PcapReader:
         source: BinaryIO | str | Path,
         tolerant: bool = False,
         health: TraceHealth | None = None,
-        *,
-        mmap: bool | None = None,
-        decode_batch: int | None = None,
     ) -> None:
         if isinstance(source, (str, Path)):
             self._stream: BinaryIO = open(source, "rb")
@@ -185,12 +181,6 @@ class PcapReader:
             self._owns_stream = False
         self.tolerant = tolerant
         self.health = health if health is not None else TraceHealth()
-        self.mmap_mode = mmap
-        self.decode_batch = (
-            decode_batch
-            if decode_batch is not None and decode_batch > 0
-            else DEFAULT_DECODE_BATCH
-        )
         self.nanosecond = False
         self.snaplen = DEFAULT_SNAPLEN
         self.linktype = LINKTYPE_ETHERNET
@@ -198,6 +188,15 @@ class PcapReader:
         self._unusable = False
         self._endian = "<"
         self._read_global_header()
+        # Record-header layout and plausibility limits, as fixed by the
+        # global header.
+        self._record_header = struct.Struct(self._endian + "IIII")
+        self._frac_limit = US_PER_SECOND * (1000 if self.nanosecond else 1)
+        self._max_caplen = (
+            self.snaplen
+            if 0 < self.snaplen <= MAX_PLAUSIBLE_CAPLEN
+            else DEFAULT_SNAPLEN
+        )
 
     # ------------------------------------------------------------------
     # Header parsing
@@ -255,253 +254,46 @@ class PcapReader:
         """Could ``raw[at:at+16]`` be a believable record header?"""
         if len(raw) - at < RECORD_HEADER.size:
             return False
-        _, ts_frac, incl_len, orig_len = struct.unpack_from(
-            self._endian + "IIII", raw, at
+        _, ts_frac, incl_len, orig_len = self._record_header.unpack_from(raw, at)
+        return self._plausible(ts_frac, incl_len, orig_len)
+
+    def _plausible(self, ts_frac: int, incl_len: int, orig_len: int) -> bool:
+        """Could a record header carrying these fields be believed?"""
+        return (
+            ts_frac < self._frac_limit
+            and incl_len <= self._max_caplen
+            and incl_len <= orig_len <= MAX_PLAUSIBLE_CAPLEN
         )
-        frac_limit = US_PER_SECOND * (1000 if self.nanosecond else 1)
-        if ts_frac >= frac_limit:
-            return False
-        if incl_len > MAX_PLAUSIBLE_CAPLEN:
-            return False
-        cap = self.snaplen if 0 < self.snaplen <= MAX_PLAUSIBLE_CAPLEN else DEFAULT_SNAPLEN
-        if incl_len > cap:
-            return False
-        if orig_len < incl_len or orig_len > MAX_PLAUSIBLE_CAPLEN:
-            return False
-        return True
 
     def __iter__(self) -> Iterator[PcapRecord]:
         if self._unusable:
             return
         obs = get_obs()
-        inner: Iterator[PcapRecord] | None = None
-        fast = False
-        buffer = self._acquire_buffer()
-        if buffer is not None:
-            index, clean = self._scan_index(buffer, self._offset)
-            if clean:
-                inner = self._iter_fast(buffer, index)
-                fast = True
-            else:
-                # The pre-scan saw something the tolerant streaming
-                # reader must adjudicate (resync, truncation,
-                # timestamp damage): fall back so every health issue
-                # is produced by the reference code path.
-                self._release_buffer(buffer)
-                if obs.enabled:
-                    obs.metrics.counter("ingest.fallbacks").inc()
-        if inner is None:
-            inner = (
-                self._iter_tolerant() if self.tolerant else self._iter_strict()
-            )
         if not obs.enabled:
-            yield from inner
+            yield from self._iter_records()
             return
         # Aggregate locally and flush once at end-of-iteration: the
         # per-record cost with observability on is two local adds.
         records = 0
         data_bytes = 0
         try:
-            for record in inner:
+            for record in self._iter_records():
                 records += 1
                 data_bytes += len(record.data)
                 yield record
         finally:
             obs.metrics.counter("pcap.records").inc(records)
             obs.metrics.counter("pcap.bytes").inc(data_bytes)
-            if fast:
-                obs.metrics.counter("ingest.fast_records").inc(records)
 
-    # ------------------------------------------------------------------
-    # Fast path: zero-copy buffer scan with batched record decode
-    # ------------------------------------------------------------------
-    def _acquire_buffer(self) -> "_mmap.mmap | memoryview | None":
-        """A zero-copy view of the whole capture, or None.
-
-        Only sources whose pcap stream begins at file offset 0 (checked
-        via ``tell() == bytes consumed so far``) are eligible: the scan
-        addresses the buffer with absolute offsets.  ``mmap=False``
-        disables the fast path entirely; ``mmap=None`` (auto) and
-        ``mmap=True`` differ only in intent — both degrade silently to
-        the streaming reader when no buffer can be had.
-        """
-        if self.mmap_mode is False:
-            return None
-        stream = self._stream
-        try:
-            if stream.tell() != self._offset:
-                return None
-        except (AttributeError, OSError, io.UnsupportedOperation):
-            return None
-        if isinstance(stream, io.BytesIO):
-            return stream.getbuffer()
-        try:
-            fileno = stream.fileno()
-        except (AttributeError, OSError, io.UnsupportedOperation):
-            return None
-        try:
-            return _mmap.mmap(fileno, 0, access=_mmap.ACCESS_READ)
-        except (ValueError, OSError):
-            # Empty file, pipe, or a platform refusing the mapping.
-            return None
-
-    @staticmethod
-    def _release_buffer(buffer: "_mmap.mmap | memoryview") -> None:
-        if isinstance(buffer, memoryview):
-            buffer.release()
-        else:
-            buffer.close()
-
-    def _scan_index(
-        self, buffer: "_mmap.mmap | memoryview", base: int
-    ) -> tuple[list[tuple[int, int, int, int]], bool]:
-        """One header walk over the buffer: the record index + verdict.
-
-        Returns ``(index, clean)`` where ``index`` holds
-        ``(timestamp_us, data_start, data_end, orig_len)`` per record.
-        In strict mode the walk is always ``clean`` — the strict reader
-        accepts any header and tolerates a truncated trailing record by
-        stopping, which the index models by simply ending early.  In
-        tolerant mode ``clean`` demands what the streaming reader would
-        pass through without recording a single issue or dropping a
-        record: every header plausible (the `_plausible_header`
-        predicate), every record complete, the file ending exactly on a
-        record boundary, and consecutive timestamps within
-        ``MAX_PLAUSIBLE_TS_JUMP_US`` of each other.
-        """
-        unpack_from = struct.Struct(self._endian + "IIII").unpack_from
-        size = len(buffer)
-        pos = base
-        index: list[tuple[int, int, int, int]] = []
-        append = index.append
-        tolerant = self.tolerant
-        nanosecond = self.nanosecond
-        frac_limit = US_PER_SECOND * (1000 if nanosecond else 1)
-        cap = (
-            self.snaplen
-            if 0 < self.snaplen <= MAX_PLAUSIBLE_CAPLEN
-            else DEFAULT_SNAPLEN
+    def _damage(self, kind: str, offset: int, detail: str, **fields) -> None:
+        """One non-benign pcap issue: raise (strict) or account it."""
+        if not self.tolerant:
+            raise PcapError(f"damaged pcap: {kind} at offset {offset}")
+        self.health.record(
+            STAGE_PCAP, kind, offset=offset, detail=detail, **fields
         )
-        prev_ts: int | None = None
-        clean = True
-        while pos + 16 <= size:
-            ts_sec, ts_frac, incl_len, orig_len = unpack_from(buffer, pos)
-            if tolerant and (
-                ts_frac >= frac_limit
-                or incl_len > cap
-                or incl_len > MAX_PLAUSIBLE_CAPLEN
-                or orig_len < incl_len
-                or orig_len > MAX_PLAUSIBLE_CAPLEN
-            ):
-                clean = False
-                break
-            data_start = pos + 16
-            end = data_start + incl_len
-            if end > size:
-                # Strict tolerates a truncated trailing record by
-                # stopping; tolerant records an issue, so fall back.
-                clean = not tolerant
-                break
-            if nanosecond:
-                ts = ts_sec * US_PER_SECOND + ts_frac // 1000
-            else:
-                ts = ts_sec * US_PER_SECOND + ts_frac
-            if (
-                tolerant
-                and prev_ts is not None
-                and not -MAX_PLAUSIBLE_TS_JUMP_US
-                <= ts - prev_ts
-                <= MAX_PLAUSIBLE_TS_JUMP_US
-            ):
-                # The streaming reader's quorum logic would drop or
-                # re-anchor here (except in sub-3-record files, where
-                # falling back is merely slower, never different).
-                clean = False
-                break
-            prev_ts = ts
-            append((ts, data_start, end, orig_len))
-            pos = end
-        if tolerant and clean and pos != size:
-            # Dangling partial header bytes: the streaming reader
-            # records truncated-record-header for these.
-            clean = False
-        return index, clean
 
-    def _iter_fast(
-        self,
-        buffer: "_mmap.mmap | memoryview",
-        index: list[tuple[int, int, int, int]],
-    ) -> Iterator[PcapRecord]:
-        """Emit pre-scanned records in decode batches.
-
-        Byte-identical to the streaming readers over the clean inputs
-        `_scan_index` admits; bookkeeping (``records_read``, the
-        tolerant timestamp-regression summary, the resume offset) is
-        kept per-yield so an early-abandoning consumer observes the
-        same ledger state it would with the streaming reader.
-        """
-        health = self.health
-        tolerant = self.tolerant
-        batch = self.decode_batch
-        record_cls = PcapRecord
-        last_ts: int | None = None
-        regressions = 0
-        first_regression_at: int | None = None
-        try:
-            for chunk_at in range(0, len(index), batch):
-                chunk = index[chunk_at : chunk_at + batch]
-                records = [
-                    record_cls(ts, bytes(buffer[s:e]), orig)
-                    for ts, s, e, orig in chunk
-                ]
-                for record, (ts, _s, e, _orig) in zip(records, chunk):
-                    if tolerant:
-                        if last_ts is not None and ts < last_ts:
-                            regressions += 1
-                            if first_regression_at is None:
-                                first_regression_at = ts
-                        last_ts = ts
-                    health.records_read += 1
-                    self._offset = e
-                    yield record
-        finally:
-            if regressions:
-                health.record(
-                    STAGE_PCAP, "timestamp-regression",
-                    timestamp_us=first_regression_at,
-                    detail=f"{regressions} record(s) went backwards in time",
-                    benign=True,
-                )
-            self._release_buffer(buffer)
-            try:
-                # Keep the stream in step with what was emitted, so a
-                # re-iteration (fast or streaming) resumes — or ends —
-                # exactly where the streaming reader would.
-                self._stream.seek(self._offset)
-            except (AttributeError, OSError, ValueError):
-                pass
-
-    def _iter_strict(self) -> Iterator[PcapRecord]:
-        record_struct = struct.Struct(self._endian + "IIII")
-        while True:
-            header = self._stream.read(record_struct.size)
-            if not header:
-                return
-            if len(header) < record_struct.size:
-                # A truncated trailing record: tolerate, like tcpdump -r.
-                return
-            ts_sec, ts_frac, incl_len, orig_len = record_struct.unpack(header)
-            data = self._stream.read(incl_len)
-            if len(data) < incl_len:
-                return
-            self.health.records_read += 1
-            yield PcapRecord(
-                timestamp_us=self._timestamp(ts_sec, ts_frac),
-                data=data,
-                original_length=orig_len,
-            )
-
-    def _iter_tolerant(self) -> Iterator[PcapRecord]:
+    def _iter_records(self) -> Iterator[PcapRecord]:
         last_ts: int | None = None
         regressions = 0
         first_regression_at: int | None = None
@@ -529,7 +321,7 @@ class PcapReader:
             return record
 
         try:
-            for start, record in self._iter_tolerant_raw():
+            for start, record in self._iter_framed():
                 ready: list[PcapRecord]
                 if anchor is None:
                     pending.append((start, record))
@@ -571,7 +363,8 @@ class PcapReader:
                 else:
                     anchor = record.timestamp_us
                     dropped_ts = None
-                    ready = [record]
+                    yield emit(record)
+                    continue
                 for item in ready:
                     yield emit(item)
             # EOF with the jury still out (a file of one or two
@@ -595,44 +388,49 @@ class PcapReader:
         return abs(a.timestamp_us - b.timestamp_us) <= MAX_PLAUSIBLE_TS_JUMP_US
 
     def _drop_implausible_ts(self, start: int, record: PcapRecord) -> None:
-        self.health.record(
-            STAGE_PCAP, "implausible-timestamp",
-            offset=start,
+        self._damage(
+            "implausible-timestamp", start,
+            "timestamp a year away from its neighbours",
             timestamp_us=record.timestamp_us,
             bytes_lost=RECORD_HEADER.size + len(record.data),
-            detail="timestamp a year away from its neighbours",
         )
 
-    def _iter_tolerant_raw(self) -> Iterator[tuple[int, PcapRecord]]:
-        """Structurally validated records plus their file offsets."""
+    def _iter_framed(self) -> Iterator[tuple[int, PcapRecord]]:
+        """Structurally validated records plus their file offsets.
+
+        A truncated final record (or record header) ends the walk; only
+        the tolerant discipline accounts it.
+        """
+        unpack = self._record_header.unpack
+        plausible = self._plausible
         while True:
             start = self._offset
             header = self._read_exact(RECORD_HEADER.size)
             if not header:
                 return
             if len(header) < RECORD_HEADER.size:
-                self.health.record(
-                    STAGE_PCAP, "truncated-record-header",
-                    offset=start, bytes_lost=len(header),
-                    detail=f"{len(header)} of {RECORD_HEADER.size} header bytes",
-                )
+                if self.tolerant:
+                    self.health.record(
+                        STAGE_PCAP, "truncated-record-header",
+                        offset=start, bytes_lost=len(header),
+                        detail=f"{len(header)} of {RECORD_HEADER.size} header bytes",
+                    )
                 return
-            if not self._plausible_header(header):
+            ts_sec, ts_frac, incl_len, orig_len = unpack(header)
+            if not plausible(ts_frac, incl_len, orig_len):
                 if not self._resync(start, header):
                     return
                 continue
-            ts_sec, ts_frac, incl_len, orig_len = struct.unpack(
-                self._endian + "IIII", header
-            )
             data = self._read_exact(incl_len)
             if len(data) < incl_len:
-                self.health.record(
-                    STAGE_PCAP, "truncated-record",
-                    offset=start,
-                    timestamp_us=self._timestamp(ts_sec, ts_frac),
-                    bytes_lost=RECORD_HEADER.size + len(data),
-                    detail=f"{len(data)} of {incl_len} data bytes",
-                )
+                if self.tolerant:
+                    self.health.record(
+                        STAGE_PCAP, "truncated-record",
+                        offset=start,
+                        timestamp_us=self._timestamp(ts_sec, ts_frac),
+                        bytes_lost=RECORD_HEADER.size + len(data),
+                        detail=f"{len(data)} of {incl_len} data bytes",
+                    )
                 return
             yield start, PcapRecord(
                 timestamp_us=self._timestamp(ts_sec, ts_frac),
@@ -666,7 +464,7 @@ class PcapReader:
         for i in range(1, len(window) - RECORD_HEADER.size + 1):
             if not self._plausible_header(window, i):
                 continue
-            _, _, incl_len, _ = struct.unpack_from(self._endian + "IIII", window, i)
+            _, _, incl_len, _ = self._record_header.unpack_from(window, i)
             following = i + RECORD_HEADER.size + incl_len
             if self._plausible_header(window, following):
                 found_at = i
@@ -676,16 +474,16 @@ class PcapReader:
         if found_at is None:
             found_at = fallback_at
         if found_at is None:
-            self.health.record(
-                STAGE_PCAP, "unreadable-tail",
-                offset=start, bytes_lost=len(window),
-                detail="no plausible record boundary found",
+            self._damage(
+                "unreadable-tail", start,
+                "no plausible record boundary found",
+                bytes_lost=len(window),
             )
             return False
-        self.health.record(
-            STAGE_PCAP, "bad-record-header",
-            offset=start, bytes_lost=found_at,
-            detail=f"resynchronized after {found_at} bytes",
+        self._damage(
+            "bad-record-header", start,
+            f"resynchronized after {found_at} bytes",
+            bytes_lost=found_at,
         )
         get_obs().metrics.counter("pcap.resyncs").inc()
         # Rewind the unconsumed tail of the scan window.
@@ -733,15 +531,9 @@ def read_pcap(
     source: BinaryIO | str | Path,
     tolerant: bool = False,
     health: TraceHealth | None = None,
-    *,
-    mmap: bool | None = None,
-    decode_batch: int | None = None,
 ) -> list[PcapRecord]:
     """Read an entire pcap file into memory."""
-    with PcapReader(
-        source, tolerant=tolerant, health=health,
-        mmap=mmap, decode_batch=decode_batch,
-    ) as reader:
+    with PcapReader(source, tolerant=tolerant, health=health) as reader:
         return list(reader)
 
 

@@ -59,8 +59,6 @@ def iter_connections(
     tolerant: bool = False,
     linger_us: int = DEFAULT_LINGER_US,
     *,
-    mmap: bool | None = None,
-    decode_batch: int | None = None,
     ledger: StateLedger | None = None,
 ) -> Iterator[Connection]:
     """Stream finalized connections out of a capture, flow by flow.
@@ -90,10 +88,7 @@ def iter_connections(
         records: Iterator[PcapRecord] = iter(source)
         reader_counts = False
     else:
-        reader = PcapReader(
-            source, tolerant=tolerant, health=health,
-            mmap=mmap, decode_batch=decode_batch,
-        )
+        reader = PcapReader(source, tolerant=tolerant, health=health)
         records = iter(reader)
         reader_counts = True
     open_flows: dict[FlowKey, _OpenFlow] = {}

@@ -1,29 +1,20 @@
-"""Differential suite: every fast path vs. its pure-python reference.
+"""Differential suite: the fused frame decoder vs. the layered one.
 
-The performance knobs (``mmap``, ``decode_batch``, ``series_backend``)
-select fast paths that must be **byte-identical** to the reference
-implementations — over clean captures, over the mangled-pcap fault
-corpus, and over adversarial record layouts drawn by Hypothesis.
-These tests are the contract the knobs advertise.
+``frames.parse_packet`` (the analyzer's single-pass decoder) must
+agree with ``frames.parse_frame`` (the layer-object decoder that
+``anonymize`` rebuilds frames from) on every real frame, and raise the
+same ``FrameError`` on damaged ones.
 """
 
 import io
-import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import series_np
-from repro.analysis.series import SeriesConfig, generate_series
-from repro.analysis.tdat import analyze_pcap
-from repro.core.health import TraceHealth
 from repro.faults.fuzz import clean_trace_bytes
-from repro.faults.mangle import OPERATORS, mangle
-from repro.tools.tdat_cli import _analysis_to_dict
 from repro.wire import frames
-from repro.wire.pcap import PcapReader, PcapRecord, records_to_bytes
-from tests.analysis.helpers import TraceBuilder
+from repro.wire.pcap import read_pcap
 
 
 @pytest.fixture(scope="module")
@@ -32,135 +23,11 @@ def clean_blob():
     return clean_trace_bytes(table_prefixes=800, duration_s=60)
 
 
-def analyze_payload(blob: bytes, **knobs) -> dict:
-    """The canonical {connections, health} JSON view of one analysis."""
-    report = analyze_pcap(io.BytesIO(blob), **knobs)
-    payload = {
-        "connections": {
-            str(key): _analysis_to_dict(analysis)
-            for key, analysis in report.analyses.items()
-        },
-        "health": report.health.to_dict(),
-    }
-    # Round-trip through JSON so exotic value types can't compare
-    # equal while serializing differently.
-    return json.loads(json.dumps(payload, sort_keys=True))
-
-
-def read_outcome(blob: bytes, **reader_knobs):
-    """Records + health ledger one reader configuration produces."""
-    health = TraceHealth()
-    records = list(
-        PcapReader(io.BytesIO(blob), tolerant=True, health=health, **reader_knobs)
-    )
-    return records, health.to_dict()
-
-
-class TestAnalyzeDifferential:
-    """Full-pipeline identity: fast knobs on vs. forced off."""
-
-    def test_clean_capture_all_knob_combinations(self, clean_blob):
-        reference = analyze_payload(
-            clean_blob, mmap=False, series_backend="python"
-        )
-        assert reference["connections"], "corpus produced no analyses"
-        for knobs in (
-            {},
-            {"mmap": True},
-            {"decode_batch": 1},
-            {"decode_batch": 7},
-            {"series_backend": "auto"},
-            {"streaming": True},
-        ):
-            assert analyze_payload(clean_blob, **knobs) == reference, knobs
-
-    @pytest.mark.parametrize("operator", sorted(OPERATORS))
-    @pytest.mark.parametrize("seed", [3, 17])
-    def test_mangled_corpus_identical(self, clean_blob, operator, seed):
-        """Damage must produce identical reports AND identical health.
-
-        Every fault operator forces some mix of truncation, resync and
-        timestamp trouble; whatever the streaming reader records, the
-        fast pre-scan must either reproduce it exactly (by falling
-        back) or prove it could not happen (clean scan).
-        """
-        blob = mangle(clean_blob, [operator], seed=seed)
-        fast = analyze_payload(blob)
-        reference = analyze_payload(blob, mmap=False, series_backend="python")
-        assert fast == reference
-
-    def test_truncated_mid_record(self, clean_blob):
-        cut = clean_blob[: len(clean_blob) - 11]
-        assert analyze_payload(cut) == analyze_payload(cut, mmap=False)
-
-    def test_nanosecond_magic(self, clean_blob):
-        records, _ = read_outcome(clean_blob)
-        nano = records_to_bytes(records, nanosecond=True)
-        assert analyze_payload(nano) == analyze_payload(nano, mmap=False)
-
-
-class TestReaderDifferential:
-    """Record-level identity of the batched scanner vs. streaming reads."""
-
-    def test_clean_blob_records_and_health(self, clean_blob):
-        fast_records, fast_health = read_outcome(clean_blob)
-        ref_records, ref_health = read_outcome(clean_blob, mmap=False)
-        assert fast_records == ref_records
-        assert fast_health == ref_health
-
-    @given(
-        sizes=st.lists(st.integers(min_value=0, max_value=120), max_size=12),
-        jumps=st.lists(
-            st.integers(min_value=-10**8, max_value=10**13), max_size=12
-        ),
-        cut=st.integers(min_value=0, max_value=400),
-        nanosecond=st.booleans(),
-        batch=st.sampled_from([1, 2, 512]),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_arbitrary_layouts_identical(
-        self, sizes, jumps, cut, nanosecond, batch
-    ):
-        """Hypothesis: batched scanning == streaming, bytes and health.
-
-        Layouts cover empty records, timestamp regressions, implausible
-        jumps (which dirty the scan) and truncation at every offset.
-        """
-        timestamp = 1_000_000
-        records = []
-        for index, size in enumerate(sizes):
-            timestamp = max(timestamp + (jumps[index] if index < len(jumps) else 250), 0)
-            records.append(
-                PcapRecord(
-                    timestamp_us=timestamp,
-                    data=bytes([index % 251]) * size,
-                )
-            )
-        blob = records_to_bytes(records, nanosecond=nanosecond)
-        blob = blob[: max(len(blob) - cut, 0)]
-        fast = read_outcome(blob, decode_batch=batch)
-        reference = read_outcome(blob, mmap=False)
-        assert fast == reference
-
-    def test_strict_mode_identical(self, clean_blob):
-        for blob in (clean_blob, clean_blob[:-7]):
-            fast_health = TraceHealth(strict=True)
-            ref_health = TraceHealth(strict=True)
-            fast = list(
-                PcapReader(io.BytesIO(blob), health=fast_health)
-            )
-            reference = list(
-                PcapReader(io.BytesIO(blob), health=ref_health, mmap=False)
-            )
-            assert fast == reference
-            assert fast_health.to_dict() == ref_health.to_dict()
-
-
 class TestFrameDecodeDifferential:
     """parse_packet (fused) vs. parse_frame (layered) over real frames."""
 
     def test_corpus_frames_identical(self, clean_blob):
-        records, _ = read_outcome(clean_blob)
+        records = read_pcap(io.BytesIO(clean_blob), tolerant=True)
         assert records
         for record in records:
             parsed = frames.parse_frame(record.data)
@@ -218,78 +85,8 @@ class TestFrameDecodeDifferential:
 
 def _damage_corpus() -> list[bytes]:
     blob = clean_trace_bytes(table_prefixes=50, duration_s=30)
-    records, _ = read_outcome(blob)
+    records = read_pcap(io.BytesIO(blob), tolerant=True)
     return [record.data for record in records[:24]]
 
 
 _DAMAGE_CORPUS = _damage_corpus()
-
-
-def _busy_connection(events: int = 600):
-    """A connection with same-instant events and interleaved ACKs."""
-    builder = TraceBuilder().handshake()
-    t = 20_000
-    seq = 0
-    for i in range(events):
-        builder.data(t, seq, 100)
-        seq += 100
-        if i % 3 == 0:
-            # Same-instant ACK: exercises the last-of-instant collapse.
-            builder.ack(t, seq - 100)
-        else:
-            builder.ack(t + 40, seq - 100)
-        t += 75
-    builder.ack(t + 500, seq)
-    return builder.build()
-
-
-@pytest.mark.skipif(not series_np.AVAILABLE, reason="numpy not installed")
-class TestSeriesBackendDifferential:
-    """Forced numpy backend vs. the pure-python reference walk."""
-
-    def _series_view(self, connection, backend):
-        series = generate_series(
-            connection, config=SeriesConfig(series_backend=backend)
-        )
-        return {
-            "outstanding": series.outstanding.samples(),
-            "ranges": {
-                name: [(r.start, r.end) for r in entry.ranges]
-                for name, entry in series.catalog._series.items()
-            },
-        }
-
-    def test_busy_connection_identical(self):
-        connection = _busy_connection()
-        assert self._series_view(connection, "numpy") == self._series_view(
-            connection, "python"
-        )
-
-    def test_corpus_connections_identical(self, clean_blob):
-        from repro.analysis.profile import Trace
-
-        trace = Trace.from_pcap(io.BytesIO(clean_blob), tolerant=True)
-        checked = 0
-        for connection in trace:
-            if connection.profile is None:
-                continue
-            assert self._series_view(
-                connection, "numpy"
-            ) == self._series_view(connection, "python")
-            checked += 1
-        assert checked
-
-    def test_auto_threshold_picks_python_for_small(self):
-        from repro.analysis.series import AUTO_MIN_EVENTS, _resolve_backend
-
-        assert _resolve_backend("auto", AUTO_MIN_EVENTS - 1) is None
-        assert _resolve_backend("auto", AUTO_MIN_EVENTS) is series_np
-        assert _resolve_backend("python", 10**9) is None
-        assert _resolve_backend("numpy", 1) is series_np
-
-
-def test_unknown_backend_rejected():
-    from repro.analysis.series import _resolve_backend
-
-    with pytest.raises(ValueError, match="series_backend"):
-        _resolve_backend("fortran", 10)

@@ -1,5 +1,6 @@
 """Failure-injection tests: the analyzer must survive damaged captures."""
 
+import io
 import random
 
 import pytest
@@ -8,8 +9,10 @@ from repro.analysis.profile import Trace
 from repro.analysis.tdat import analyze_pcap
 from repro.bgp.table import generate_table
 from repro.core.units import seconds
+from repro.faults.fuzz import clean_trace_bytes
+from repro.faults.mangle import mangle
 from repro.netsim.simulator import Simulator
-from repro.wire.pcap import PcapRecord
+from repro.wire.pcap import PcapError, PcapRecord
 from repro.workloads.scenarios import MonitoringSetup, RouterParams
 
 
@@ -85,3 +88,15 @@ class TestDamagedCaptures:
         # but the pipeline completes and ratios stay in range.
         for value in analysis.factors.ratios.values():
             assert 0.0 <= value <= 1.0
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+def test_strict_analysis_raises_on_damaged_pcap_structure(seed):
+    """strict=True raises where the default run accounts the damage."""
+    blob = mangle(
+        clean_trace_bytes(table_prefixes=800, duration_s=60),
+        ["corrupt-record-header"], seed=seed,
+    )
+    assert analyze_pcap(io.BytesIO(blob)).health.failures
+    with pytest.raises(PcapError):
+        analyze_pcap(io.BytesIO(blob), strict=True)

@@ -1,22 +1,20 @@
-"""The repro.api facade, its knobs, and the deprecation shims."""
+"""The repro.api facade, its knobs, and the removed re-exports."""
 
 import ast
-import warnings
+import importlib
 from pathlib import Path
 
 import pytest
 
 import repro.analysis
-import repro.tools
-import repro.workloads
 from repro.api import AnalysisRequest, CampaignRequest, Pipeline
 from repro.faults.fuzz import clean_trace_bytes
 from repro.workloads.campaign import CampaignConfig, isp_quagga_config
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 
-#: name -> package it must no longer be imported from (use repro.api or
-#: the engine module instead).
+#: name -> package that no longer re-exports it (use repro.api or the
+#: engine module instead).
 SHIMMED = {
     "analyze_pcap": "repro.analysis",
     "pcap_to_bgp": "repro.tools",
@@ -91,53 +89,11 @@ class TestCampaignRequest:
 
 
 class TestDeprecationShims:
-    @pytest.mark.parametrize("name,package", sorted(SHIMMED.items()))
-    def test_shim_warns_and_returns_the_engine_object(self, name, package):
-        import importlib
-
-        module = importlib.import_module(package)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            shimmed = getattr(module, name)
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        ), f"{package}.{name} did not warn"
-        engine_module = {
-            "analyze_pcap": "repro.analysis.tdat",
-            "pcap_to_bgp": "repro.tools.pcap2bgp",
-            "run_campaign": "repro.workloads.campaign",
-        }[name]
-        engine = getattr(importlib.import_module(engine_module), name)
-        assert shimmed is engine
-
     def test_unknown_attribute_still_raises(self):
         with pytest.raises(AttributeError):
             repro.analysis.does_not_exist
-
-    @pytest.mark.parametrize("name,package", sorted(SHIMMED.items()))
-    def test_shim_warning_points_at_the_caller(self, name, package):
-        """The warning blames this file, not the import machinery.
-
-        A ``from pkg import name`` reaches the shim through
-        ``importlib._bootstrap``; a naive ``stacklevel`` attributes the
-        warning to ``<frozen importlib._bootstrap>`` or ``sys:1``.
-        ``warn_deprecated`` must pin it to the caller's file and line.
-        """
-        source = f"from {package} import {name}\n"
-        scope: dict = {}
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            exec(compile(source, __file__, "exec"), scope)  # noqa: S102
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert deprecations, f"{package}.{name} did not warn"
-        for warning in deprecations:
-            assert warning.filename == __file__, (
-                f"warning attributed to {warning.filename}:{warning.lineno},"
-                f" expected {__file__}"
-            )
-            assert warning.lineno == 1
+        for name, package in SHIMMED.items():
+            assert not hasattr(importlib.import_module(package), name)
 
 
 class TestNoShimImportsInRepo:

@@ -49,9 +49,12 @@ class TestBasics:
             status, payload = client.json("POST", "/sessions", b"not json")
             assert status == 400 and "bad session spec" in payload["error"]
             status, payload = client.json(
-                "POST", "/sessions", json.dumps({"bogus_knob": 1}).encode()
+                "POST",
+                "/sessions",
+                json.dumps({"bogus_knob": 1, "series_backend": "python"}).encode(),
             )
             assert status == 400 and "bogus_knob" in payload["error"]
+            assert "series_backend" in payload["error"]
             status, payload = client.json(
                 "POST",
                 "/sessions",

@@ -12,7 +12,8 @@ from repro.bgp.table import generate_table
 from repro.core.units import seconds
 from repro.netsim.link import WindowLoss
 from repro.netsim.simulator import Simulator
-from repro.tools import bgplot, cli, pcap2bgp, tcptrace_lite
+from repro.tools import bgplot, pcap2bgp, tcptrace_lite
+from repro.tools.tdat_cli import main
 from repro.workloads.scenarios import MonitoringSetup, RouterParams
 
 
@@ -181,7 +182,7 @@ class TestBgplot:
 
 class TestClis:
     def test_tdat_cli(self, clean_capture, capsys):
-        rc = cli.tdat_main([str(clean_capture["path"])])
+        rc = main(["analyze", str(clean_capture["path"])])
         out = capsys.readouterr().out
         assert rc == 0
         assert "connection" in out
@@ -192,30 +193,30 @@ class TestClis:
 
         empty = tmp_path / "empty.pcap"
         write_pcap(empty, [])
-        rc = cli.tdat_main([str(empty)])
+        rc = main(["analyze", str(empty)])
         assert rc == 1
 
     def test_pcap2bgp_cli(self, clean_capture, tmp_path, capsys):
         out_path = tmp_path / "cli.mrt"
-        rc = cli.pcap2bgp_main([str(clean_capture["path"]), str(out_path)])
+        rc = main(["pcap2bgp", str(clean_capture["path"]), str(out_path)])
         assert rc == 0
         assert out_path.exists()
         assert "MRT records" in capsys.readouterr().out
 
     def test_tcptrace_cli(self, clean_capture, capsys):
-        rc = cli.tcptrace_main([str(clean_capture["path"])])
+        rc = main(["tcptrace", str(clean_capture["path"])])
         assert rc == 0
         assert "TCP connection" in capsys.readouterr().out
 
     def test_bgplot_cli_csv(self, clean_capture, capsys):
-        rc = cli.bgplot_main([str(clean_capture["path"]), "--csv"])
+        rc = main(["bgplot", str(clean_capture["path"]), "--csv"])
         assert rc == 0
         assert "series,start_us" in capsys.readouterr().out
 
     def test_tdat_cli_json(self, clean_capture, capsys):
         import json
 
-        rc = cli.tdat_main([str(clean_capture["path"]), "--json"])
+        rc = main(["analyze", str(clean_capture["path"]), "--json"])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["connections"]) == 1

@@ -8,6 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.health import TraceHealth
+from repro.faults.fuzz import clean_trace_bytes
+from repro.faults.mangle import mangle
 from repro.wire import frames, tcpw
 from repro.wire.pcap import (
     MAGIC_NS,
@@ -62,13 +64,17 @@ class TestPcapRoundtrip:
 
     def test_truncated_trailing_record_tolerated(self):
         blob = records_to_bytes(sample_records())
-        got = read_pcap(io.BytesIO(blob[:-5]))
-        assert len(got) == 2
+        health = TraceHealth(strict=True)
+        got = read_pcap(io.BytesIO(blob[:-5]), health=health)
+        assert got == read_pcap(io.BytesIO(blob))[:2]
+        assert health.issues == []
 
     def test_truncated_record_header_tolerated(self):
-        blob = records_to_bytes(sample_records()[:1])
-        got = read_pcap(io.BytesIO(blob + b"\x01\x02"))
-        assert len(got) == 1
+        blob = records_to_bytes(sample_records())
+        health = TraceHealth(strict=True)
+        got = read_pcap(io.BytesIO(blob[:-105]), health=health)
+        assert got == read_pcap(io.BytesIO(blob))[:2]
+        assert health.issues == []
 
     def test_big_endian_read(self):
         # Hand-build a big-endian pcap with one record.
@@ -235,11 +241,15 @@ class TestTolerantReader:
         assert health.by_kind() == {"timestamp-regression": 1}
 
     def test_clean_file_tolerant_equals_strict(self):
-        blob = records_to_bytes(sample_records())
-        health = TraceHealth()
+        """Same records and ledger, the benign regression included."""
+        records = sample_records()
+        records[0], records[1] = records[1], records[0]
+        blob = records_to_bytes(records)
+        health, strict_health = TraceHealth(), TraceHealth(strict=True)
         tolerant = read_pcap(io.BytesIO(blob), tolerant=True, health=health)
-        assert tolerant == read_pcap(io.BytesIO(blob))
-        assert health.ok
+        assert tolerant == read_pcap(io.BytesIO(blob), health=strict_health)
+        assert health.by_kind() == {"timestamp-regression": 1}
+        assert strict_health.to_dict() == health.to_dict()
 
     @given(
         st.lists(
@@ -265,6 +275,34 @@ class TestTolerantReader:
         ]
         if cut < len(blob):
             assert not health.ok or len(got) < len(records) or cut == 0
+
+
+@pytest.fixture(scope="module")
+def transfer_blob():
+    """One deterministic monitored table transfer, as pcap bytes."""
+    return clean_trace_bytes(table_prefixes=800, duration_s=60)
+
+
+class TestStrictReader:
+    """Strict reading is the tolerant walk, raising at the first damage."""
+
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_corrupt_record_header_raises(self, transfer_blob, seed):
+        blob = mangle(transfer_blob, ["corrupt-record-header"], seed=seed)
+        health = TraceHealth()
+        read_pcap(io.BytesIO(blob), tolerant=True, health=health)
+        assert health.by_kind().get("bad-record-header")
+        with pytest.raises(PcapError, match="bad-record-header"):
+            read_pcap(io.BytesIO(blob))
+
+    def test_implausible_timestamp_raises(self):
+        records = [
+            PcapRecord(timestamp_us=1_000_000 + i, data=b"r") for i in range(5)
+        ]
+        blob = bytearray(records_to_bytes(records))
+        struct.pack_into("<I", blob, 24 + 2 * 17, 0x7FFFFFFF)  # third ts_sec
+        with pytest.raises(PcapError, match="implausible-timestamp"):
+            read_pcap(io.BytesIO(bytes(blob)))
 
 
 class TestTimestampContinuity:
