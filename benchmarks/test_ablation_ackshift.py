@@ -46,10 +46,12 @@ def build_ablation(records):
         connection = next(iter(trace))
         # The analysis window is the transfer proper: keepalives after
         # the table has drained are not part of it.
+        data = connection.data
         payload = [
-            p for p in connection.data_packets() if not p.is_bgp_keepalive()
+            t for t, keepalive in zip(data.time, data.keepalive)
+            if not keepalive
         ]
-        window = (payload[0].timestamp_us, payload[-1].timestamp_us)
+        window = (payload[0], payload[-1])
         analysis = analyze_connection(connection, window=window,
                                       enable_ack_shift=shifted)
         results[shifted] = analysis.factors

@@ -38,14 +38,12 @@ def run_scenario():
 def build_figure(records):
     trace = Trace.from_pcap(records)
     connection = next(iter(trace))
-    data = connection.data_packets()
-    gaps = [
-        b.timestamp_us - a.timestamp_us for a, b in zip(data, data[1:])
-    ]
+    times = connection.data.time
+    gaps = [b - a for a, b in zip(times, times[1:])]
     lines = ["packet#, time_s, gap_ms"]
-    for i, packet in enumerate(data[:120]):
+    for i, time_us in enumerate(times[:120]):
         gap = gaps[i - 1] / 1000 if i else 0.0
-        lines.append(f"{i}, {packet.timestamp_us / 1e6:.4f}, {gap:.1f}")
+        lines.append(f"{i}, {time_us / 1e6:.4f}, {gap:.1f}")
     long_gaps = [g for g in gaps if g > 50_000]
     lines.append(f"\nlong gaps (>50ms): {len(long_gaps)}")
     return "\n".join(lines), gaps

@@ -48,7 +48,7 @@ def build_table(records):
     # Per-update wire-to-delivery delay, message-to-packet correlated —
     # exactly the paper's Table III columns.
     connection = next(iter(Trace.from_pcap(records)))
-    delayed = delayed_updates(connection, min_delay_us=500_000)
+    delayed = delayed_updates(connection, records, min_delay_us=500_000)
     lines = [
         f"retransmissions: {len(retx)}; delayed updates: {len(delayed)}",
         f"{'arrival_s':>9s} {'delay_s':>8s} {'retx':>5s}  first prefix",

@@ -48,7 +48,6 @@ from repro.analysis.profile import (
     Connection,
     ConnectionProfile,
     Trace,
-    TracePacket,
     canonical_key,
     infer_sniffer_location,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "TdatReport",
     "TimerGapReport",
     "Trace",
-    "TracePacket",
     "ZeroAckBugReport",
     "CaptureVoidReport",
     "DegradationSummary",

@@ -18,6 +18,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 
+from repro.analysis.columns import FirstAbove
 from repro.analysis.flights import flight_gap_threshold_us, group_flights
 from repro.analysis.profile import Connection
 
@@ -37,10 +38,12 @@ def shift_acks(
     gap_threshold_us: int | None = None,
     max_reasonable_shift_us: int | None = None,
 ) -> AckShiftStats:
-    """Annotate the connection's ACKs with shifted timestamps.
+    """Rewrite the connection's shifted ACK-time column.
 
-    Modifies ``shifted_timestamp_us`` on the ACK packets in place and
-    returns summary statistics.  Data packets keep their timestamps.
+    Every call writes the whole ``connection.acks.shifted`` column:
+    shifted flights move forward, the rest keep their raw times, so
+    nothing from an earlier analysis survives.  Data packets keep their
+    timestamps.  Returns summary statistics.
     """
     stats = AckShiftStats()
     profile = connection.profile
@@ -58,35 +61,36 @@ def shift_acks(
         else:
             max_reasonable_shift_us = profile.rtt_us + 100_000
 
-    data = connection.data_packets()
-    data_times = [p.timestamp_us for p in data]
-    data_ends = [connection.relative_seq(p) + p.payload_len for p in data]
-    acks = connection.ack_packets()
+    data, acks = connection.data, connection.acks
+    data_times = data.time
+    releases = FirstAbove(data.end)
+    ack_times = acks.time
+    shifted = list(ack_times)
 
     # Right edge (ack + window) in effect *before* each ACK: the data a
     # given ACK releases is the first segment past that old edge, which
     # is the [16]-style estimate that survives pipelined flows.
     edges_before: list[int] = []
     edge = 0
-    for ack in acks:
+    for value, window in zip(acks.value, acks.window):
         edges_before.append(edge)
-        edge = max(edge, connection.relative_ack(ack) + ack.window)
+        if value + window > edge:
+            edge = value + window
 
     fallback = profile.d2_us if 0 < profile.d2_us <= max_reasonable_shift_us else None
 
-    index = 0
-    for flight in group_flights(acks, gap_threshold_us):
+    for first, stop in group_flights(ack_times, gap_threshold_us):
         stats.flights += 1
-        d2_values = []
-        for ack in flight:
-            old_edge = edges_before[index]
-            index += 1
-            released = _first_release(
-                data_times, data_ends, ack.timestamp_us, old_edge
+        d2_min = None
+        for i in range(first, stop):
+            ack_us = ack_times[i]
+            released = releases.find(
+                bisect.bisect_right(data_times, ack_us), edges_before[i]
             )
             if released is not None:
-                d2_values.append(released - ack.timestamp_us)
-        d2_min = min((d for d in d2_values if d > 0), default=None)
+                d2 = data_times[released] - ack_us
+                if d2 > 0 and (d2_min is None or d2 < d2_min):
+                    d2_min = d2
         if d2_min is None or d2_min > max_reasonable_shift_us:
             d2_min = fallback
         if d2_min is None:
@@ -94,23 +98,17 @@ def shift_acks(
         shift = d2_min - 1  # keep ACKs strictly before the data they free
         if shift <= 0:
             continue
-        for ack in flight:
-            ack.shifted_timestamp_us = ack.timestamp_us + shift
+        for i in range(first, stop):
+            shifted[i] += shift
         stats.shifted_flights += 1
         stats.total_shift_us += shift
         stats.max_shift_us = max(stats.max_shift_us, shift)
+    acks.shifted = shifted
     return stats
 
 
-def _first_release(
-    data_times: list[int],
-    data_ends: list[int],
-    after_us: int,
-    old_edge: int,
-) -> int | None:
-    """Arrival time of the first data past ``old_edge`` after ``after_us``."""
-    start = bisect.bisect_right(data_times, after_us)
-    for i in range(start, len(data_times)):
-        if data_ends[i] > old_edge:
-            return data_times[i]
-    return None
+def unshift_acks(connection: Connection) -> None:
+    """Reset the shifted ACK-time column to the raw ACK times."""
+    acks = connection.acks
+    if acks is not None:
+        acks.shifted = acks.time

@@ -105,15 +105,15 @@ def infer_tcp_flavor(
     reno_votes = 0
     for cluster in clusters:
         first = cluster[0]
-        packet = first.packet
-        silence = packet.timestamp_us - first.trigger_time_us
+        sent_us = first.timestamp_us
+        silence = sent_us - first.trigger_time_us
         is_timeout = silence > 3 * rtt + 200_000
         if is_timeout:
             continue  # RTO recovery says nothing about fast-recovery flavour
         fast_events += 1
-        before = outstanding.value_at(packet.timestamp_us - 1)
+        before = outstanding.value_at(sent_us - 1)
         recovery_end = max(
-            (l.recovery_time_us or packet.timestamp_us) for l in cluster
+            (l.recovery_time_us or sent_us) for l in cluster
         )
         # Only the FIRST flight after recovery reflects the collapsed /
         # halved window; any longer horizon sees slow-start regrowth.
@@ -178,10 +178,7 @@ def _cluster_retransmissions(retx, gap_us: int):
     clusters = []
     current = [retx[0]]
     for label in retx[1:]:
-        if (
-            label.packet.timestamp_us - current[-1].packet.timestamp_us
-            <= gap_us
-        ):
+        if label.timestamp_us - current[-1].timestamp_us <= gap_us:
             current.append(label)
         else:
             clusters.append(current)
@@ -219,7 +216,7 @@ def _post_recovery_peak(
 def _distinct_seq_retx_times(cluster, connection: Connection) -> list[int]:
     """First retransmission time of each distinct segment in a cluster."""
     seen: dict[int, int] = {}
+    seqs = connection.data.seq
     for label in cluster:
-        seq = connection.relative_seq(label.packet)
-        seen.setdefault(seq, label.packet.timestamp_us)
+        seen.setdefault(seqs[label.position], label.timestamp_us)
     return sorted(seen.values())

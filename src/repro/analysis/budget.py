@@ -54,8 +54,8 @@ POLICY_DROP_COLDEST = "drop-coldest"
 POLICIES = (POLICY_FINALIZE_IDLE, POLICY_DROP_COLDEST)
 
 #: Modeled bookkeeping cost of one tracked packet beyond its payload
-#: (the ``TracePacket`` object, its slot in the connection's list, and
-#: its share of downstream accumulators).  A model, not a measurement:
+#: (its ingest row, its entries in the connection's columns, and its
+#: share of downstream accumulators).  A model, not a measurement:
 #: the ledger must be deterministic across interpreters, so it charges
 #: this constant rather than probing the allocator.
 PACKET_STATE_BYTES = 160

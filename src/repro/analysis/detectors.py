@@ -18,7 +18,9 @@ representation makes targeted problem checks short and composable:
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
+from itertools import compress
 
 from repro.analysis.knee import l_method_knee, plateau_value
 from repro.analysis.profile import Connection
@@ -216,34 +218,24 @@ def detect_long_keepalive_pauses(
     sibling connection's trace the cause cannot be pinned to peer-group
     replication, but the signature is the same.
     """
-    real_data = []
-    keepalive_times = []
-    for packet in connection.data_packets():
-        if packet.is_bgp_keepalive():
-            keepalive_times.append(packet.timestamp_us)
-        else:
-            real_data.append(packet.timestamp_us)
+    data = connection.data
+    real_data = [
+        t for t, keepalive in zip(data.time, data.keepalive) if not keepalive
+    ]
+    keepalive_times = sorted(compress(data.time, data.keepalive))
     blocked = []
     for left, right in zip(real_data, real_data[1:]):
         if right - left < min_block_us:
             continue
-        inside = [t for t in keepalive_times if left < t < right]
-        if inside:
+        # The first keepalive after ``left``: is it before ``right``?
+        inside = bisect.bisect_right(keepalive_times, left)
+        if inside < len(keepalive_times) and keepalive_times[inside] < right:
             blocked.append(TimeRange(left, right))
     return PeerGroupBlockingReport(
         detected=bool(blocked),
         blocked_ranges=blocked,
         induced_delay_us=sum(r.duration for r in blocked),
     )
-
-
-def _only_keepalives(connection: Connection, rng: TimeRange) -> bool:
-    """No non-keepalive data left the sender inside ``rng``."""
-    for packet in connection.data_packets():
-        if rng.start <= packet.timestamp_us < rng.end:
-            if not packet.is_bgp_keepalive():
-                return False
-    return True
 
 
 @dataclass

@@ -8,7 +8,8 @@ as well as data.
 
 from __future__ import annotations
 
-from repro.analysis.profile import TracePacket
+from collections.abc import Sequence
+from itertools import islice
 
 
 def flight_gap_threshold_us(rtt_us: int, floor_us: int = 1_000) -> int:
@@ -17,38 +18,18 @@ def flight_gap_threshold_us(rtt_us: int, floor_us: int = 1_000) -> int:
 
 
 def group_flights(
-    packets: list[TracePacket], gap_threshold_us: int
-) -> list[list[TracePacket]]:
-    """Partition time-ordered packets into flights.
+    times: Sequence[int], gap_threshold_us: int
+) -> list[tuple[int, int]]:
+    """Partition a time column into flights of consecutive positions.
 
-    A gap of more than ``gap_threshold_us`` between consecutive packets
-    starts a new flight.
+    A gap of more than ``gap_threshold_us`` between consecutive times
+    starts a new flight.  Each flight is a half-open ``(first, stop)``
+    range of positions into ``times``.
     """
     if gap_threshold_us <= 0:
         raise ValueError(f"non-positive threshold {gap_threshold_us}")
-    flights: list[list[TracePacket]] = []
-    current: list[TracePacket] = []
-    previous_time: int | None = None
-    for packet in packets:
-        if (
-            previous_time is not None
-            and packet.timestamp_us - previous_time > gap_threshold_us
-        ):
-            flights.append(current)
-            current = []
-        current.append(packet)
-        previous_time = packet.timestamp_us
-    if current:
-        flights.append(current)
-    return flights
-
-
-def flight_spans(
-    flights: list[list[TracePacket]],
-) -> list[tuple[int, int]]:
-    """The [first, last] timestamp of each flight."""
-    return [
-        (flight[0].timestamp_us, flight[-1].timestamp_us)
-        for flight in flights
-        if flight
-    ]
+    gaps = map(int.__sub__, islice(times, 1, None), times)
+    bounds = [0]
+    bounds += [i for i, gap in enumerate(gaps, 1) if gap > gap_threshold_us]
+    bounds.append(len(times))
+    return list(zip(bounds, bounds[1:])) if times else []

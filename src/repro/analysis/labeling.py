@@ -24,9 +24,11 @@ loss").
 from __future__ import annotations
 
 import bisect
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro.analysis.profile import Connection, TracePacket
+from repro.analysis.columns import FirstAbove
+from repro.analysis.profile import Connection
 from repro.core.timeranges import TimeRangeSet
 
 # Out-of-order packets closer than this to the gap creation, with an
@@ -41,10 +43,14 @@ KIND_REORDERING = "reordering"
 
 @dataclass
 class PacketLabel:
-    """The classification of one data packet."""
+    """The classification of one data packet.
 
-    packet: TracePacket
+    ``position`` indexes the connection's ``data`` columns.
+    """
+
+    position: int
     kind: str
+    timestamp_us: int
     trigger_time_us: int | None = None
     recovery_time_us: int | None = None
 
@@ -55,28 +61,55 @@ class PacketLabel:
 
 @dataclass
 class LabelingResult:
-    """All labels of one connection's data direction."""
+    """All labels of one connection's data direction, as columns.
 
-    labels: list[PacketLabel]
+    ``kinds`` has one entry per data packet.  ``events`` lists only the
+    packets that are not :data:`KIND_NEW`, in data order, as
+    ``(position, kind, trigger_time_us, recovery_time_us)``; ``times``
+    is the data packets' time column.
+    """
+
+    kinds: list[str]
+    events: list[tuple[int, str, int | None, int | None]]
+    times: Sequence[int]
+
+    @property
+    def labels(self) -> list[PacketLabel]:
+        """Every data packet's label, in data order."""
+        labels = [
+            PacketLabel(position, kind, self.times[position])
+            for position, kind in enumerate(self.kinds)
+        ]
+        for position, kind, trigger, recovery in self.events:
+            labels[position].trigger_time_us = trigger
+            labels[position].recovery_time_us = recovery
+        return labels
 
     def retransmissions(self) -> list[PacketLabel]:
-        return [l for l in self.labels if l.is_retransmission]
+        times = self.times
+        return [
+            PacketLabel(position, kind, times[position], trigger, recovery)
+            for position, kind, trigger, recovery in self.events
+            if kind in (KIND_UPSTREAM, KIND_DOWNSTREAM)
+        ]
 
     def by_kind(self, kind: str) -> list[PacketLabel]:
         return [l for l in self.labels if l.kind == kind]
 
     def count(self, kind: str) -> int:
-        return sum(1 for l in self.labels if l.kind == kind)
+        return self.kinds.count(kind)
 
 
 def label_connection(connection: Connection) -> LabelingResult:
     """Classify every data packet of the connection's data direction."""
-    data = connection.data_packets()
-    acks = connection.ack_packets()
-    ack_times = [a.timestamp_us for a in acks]
-    ack_values = [connection.relative_ack(a) for a in acks]
+    data, acks = connection.data, connection.acks
+    if data is None or acks is None:
+        raise ValueError("connection has no columns; call finalize() first")
+    ack_times = acks.time
+    recoveries = FirstAbove(acks.value)
 
-    labels: list[PacketLabel] = []
+    kinds: list[str] = []
+    events: list[tuple[int, str, int | None, int | None]] = []
     seen = TimeRangeSet()  # sequence-space coverage
     first_seen_time: dict[int, int] = {}  # seg rel_seq -> first time
     # Sequence holes and when they became visible (the arrival of the
@@ -86,22 +119,20 @@ def label_connection(connection: Connection) -> LabelingResult:
     max_end_time = 0  # when max_seq_end was reached
     max_end_ip_id = 0
 
-    for packet in data:
-        seq = connection.relative_seq(packet)
-        end = seq + packet.payload_len
+    for position, (seq, end, time_us, ip_id) in enumerate(
+        zip(data.seq, data.end, data.time, data.ip_id)
+    ):
         if end <= max_seq_end:
             already = seen.clip(seq, end).size()
-            if already >= packet.payload_len:
+            if already >= end - seq:
                 kind = KIND_DOWNSTREAM
-                trigger = first_seen_time.get(seq, packet.timestamp_us)
+                trigger = first_seen_time.get(seq, time_us)
             else:
                 gap = _find_gap(gaps, seq)
                 gap_time = gap[2] if gap else max_end_time
                 gap_ip_id = gap[3] if gap else max_end_ip_id
-                arrived_quickly = (
-                    packet.timestamp_us - gap_time <= REORDER_WINDOW_US
-                )
-                sent_before_gap = _ip_id_before(packet.ip_id, gap_ip_id)
+                arrived_quickly = time_us - gap_time <= REORDER_WINDOW_US
+                sent_before_gap = _ip_id_before(ip_id, gap_ip_id)
                 if arrived_quickly and sent_before_gap:
                     kind = KIND_REORDERING
                     trigger = None
@@ -111,30 +142,24 @@ def label_connection(connection: Connection) -> LabelingResult:
                 if gap:
                     _shrink_gap(gaps, gap, seq, end)
             recovery = None
-            if kind in (KIND_UPSTREAM, KIND_DOWNSTREAM):
-                recovery = _recovery_time(
-                    ack_times, ack_values, packet.timestamp_us, seq
+            if kind != KIND_REORDERING:
+                found = recoveries.find(
+                    bisect.bisect_right(ack_times, time_us), seq
                 )
-            labels.append(
-                PacketLabel(
-                    packet=packet,
-                    kind=kind,
-                    trigger_time_us=trigger,
-                    recovery_time_us=recovery,
-                )
-            )
+                if found is not None:
+                    recovery = ack_times[found]
+            kinds.append(kind)
+            events.append((position, kind, trigger, recovery))
         else:
-            labels.append(PacketLabel(packet=packet, kind=KIND_NEW))
+            kinds.append(KIND_NEW)
             if seq > max_seq_end:
-                gaps.append(
-                    [max_seq_end, seq, packet.timestamp_us, packet.ip_id]
-                )
+                gaps.append([max_seq_end, seq, time_us, ip_id])
             max_seq_end = end
-            max_end_time = packet.timestamp_us
-            max_end_ip_id = packet.ip_id
+            max_end_time = time_us
+            max_end_ip_id = ip_id
         seen.add_span(seq, end)
-        first_seen_time.setdefault(seq, packet.timestamp_us)
-    return LabelingResult(labels=labels)
+        first_seen_time.setdefault(seq, time_us)
+    return LabelingResult(kinds=kinds, events=events, times=data.time)
 
 
 def _find_gap(gaps: list[list[int]], seq: int) -> list[int] | None:
@@ -159,14 +184,3 @@ def _shrink_gap(
 def _ip_id_before(candidate: int, reference: int) -> bool:
     """True if ``candidate`` precedes ``reference`` modulo 2^16."""
     return 0 < (reference - candidate) & 0xFFFF < 0x8000
-
-
-def _recovery_time(
-    ack_times: list[int], ack_values: list[int], after_us: int, seq: int
-) -> int | None:
-    """First ACK past ``seq`` observed after ``after_us``."""
-    start = bisect.bisect_right(ack_times, after_us)
-    for i in range(start, len(ack_times)):
-        if ack_values[i] > seq:
-            return ack_times[i]
-    return None

@@ -4,7 +4,8 @@ This is the repo's ``tcptrace``-equivalent (paper section III-B): it
 extracts individual TCP connections from a bidirectional capture and
 derives the connection-level parameters the analyzer needs — MSS, an
 RTT estimate, the maximum advertised window, start/end times — plus the
-per-direction packet timelines that the series generators consume.
+per-direction packet columns (:mod:`repro.analysis.columns`) that every
+later layer reads.
 
 The d1/d2 decomposition (paper Figure 12) is computed here too:
 ``d1`` is the tap→receiver→tap half of the RTT (data seen → matching
@@ -18,83 +19,31 @@ import heapq
 import statistics
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import compress
 from pathlib import Path
 from typing import BinaryIO
 
 from repro.analysis.budget import POLICY_FINALIZE_IDLE, StateLedger
+from repro.analysis.columns import (
+    ROW_FLAGS,
+    ROW_LENGTH,
+    ROW_SRC,
+    AckColumns,
+    DataColumns,
+    PacketColumns,
+)
 from repro.bgp.messages import HEADER_LEN as BGP_HEADER_LEN
 from repro.bgp.messages import MARKER as BGP_MARKER
 from repro.core.health import STAGE_FRAME, TraceHealth
 from repro.wire import frames
+from repro.wire.ip import ip_to_bytes
 from repro.wire.pcap import PcapReader, PcapRecord, read_pcap
 from repro.wire.tcpw import ACK, FIN, RST, SYN
 
 FlowKey = tuple[str, int, str, int]
 
-
-@dataclass
-class TracePacket:
-    """One captured TCP segment, flattened for analysis."""
-
-    index: int
-    timestamp_us: int
-    src_ip: str
-    src_port: int
-    dst_ip: str
-    dst_port: int
-    seq: int
-    ack: int
-    flags: int
-    window: int
-    payload_len: int
-    wire_len: int
-    ip_id: int
-    payload: bytes = b""
-    mss_option: int | None = None
-    wscale_option: int | None = None
-    # Filled by the ACK-shift step; series generation reads this field.
-    shifted_timestamp_us: int | None = None
-
-    @property
-    def effective_time_us(self) -> int:
-        """Shifted timestamp when present, raw otherwise."""
-        if self.shifted_timestamp_us is not None:
-            return self.shifted_timestamp_us
-        return self.timestamp_us
-
-    @property
-    def is_syn(self) -> bool:
-        return bool(self.flags & SYN)
-
-    @property
-    def is_fin(self) -> bool:
-        return bool(self.flags & FIN)
-
-    @property
-    def is_rst(self) -> bool:
-        return bool(self.flags & RST)
-
-    @property
-    def is_pure_ack(self) -> bool:
-        """ACK-only segment carrying no data and no SYN/FIN/RST."""
-        return (
-            bool(self.flags & ACK)
-            and self.payload_len == 0
-            and not self.flags & (SYN | FIN | RST)
-        )
-
-    @property
-    def seq_end(self) -> int:
-        """Sequence number just past this segment's payload."""
-        return self.seq + self.payload_len
-
-    def is_bgp_keepalive(self) -> bool:
-        """True when the payload is exactly one BGP KEEPALIVE."""
-        return (
-            self.payload_len == BGP_HEADER_LEN
-            and self.payload[:16] == BGP_MARKER
-            and self.payload[18:19] == b"\x04"
-        )
+_SEQ_MASK = 0xFFFFFFFF
+_KEEPALIVE_TYPE = 4
 
 
 @dataclass
@@ -127,56 +76,30 @@ class Connection:
     ``sender`` / ``receiver`` follow the paper's terminology: the
     sender is the endpoint contributing the bulk of the data bytes (the
     operational router in a monitoring deployment).
+
+    Ingest appends one row per packet to ``rows`` (layout
+    :data:`~repro.analysis.columns.ROW_FIELDS`); :meth:`finalize`
+    transposes them once into ``packets``, ``data`` and ``acks``
+    columns, which every analysis layer reads.  A side is an address:
+    side 0 (``False``) is ``key[0]``, side 1 (``True``) is ``key[2]``.
     """
 
     def __init__(self, key: FlowKey) -> None:
         self.key = key
-        self.packets: list[TracePacket] = []
+        self.rows: list[tuple] = []
         self.sender_ip: str | None = None
-        self._isn: dict[str, int] = {}
         self.profile: ConnectionProfile | None = None
+        self.packets: PacketColumns | None = None
+        self.data: DataColumns | None = None
+        self.acks: AckColumns | None = None
         # False when a resource budget truncated this connection's
         # packet record (shed data or early finalization before close):
         # the derived profile and analysis rest on partial state.
         self.complete = True
 
-    def add(self, packet: TracePacket) -> None:
-        """Append a packet (records must arrive in timestamp order)."""
-        self.packets.append(packet)
-        if packet.is_syn:
-            self._isn[packet.src_ip] = packet.seq
-
-    # ------------------------------------------------------------------
-    # Direction handling
-    # ------------------------------------------------------------------
-    def finalize(self) -> None:
-        """Determine the data direction and compute the profile."""
-        bytes_by_src: dict[str, int] = {}
-        for packet in self.packets:
-            bytes_by_src[packet.src_ip] = (
-                bytes_by_src.get(packet.src_ip, 0) + packet.payload_len
-            )
-        if not bytes_by_src:
-            return
-        self.sender_ip = max(bytes_by_src, key=lambda ip: bytes_by_src[ip])
-        self._apply_window_scaling()
-        self.profile = self._build_profile()
-
-    def _apply_window_scaling(self) -> None:
-        """Rewrite window fields per RFC 7323 if both SYNs offered it.
-
-        tcptrace does the same: the scale seen on each side's SYN
-        applies to every later window that side advertises.
-        """
-        scales: dict[str, int] = {}
-        for packet in self.packets:
-            if packet.is_syn and packet.wscale_option is not None:
-                scales[packet.src_ip] = min(packet.wscale_option, 14)
-        if len(scales) < 2:
-            return  # both ends must offer the option
-        for packet in self.packets:
-            if not packet.is_syn:
-                packet.window <<= scales[packet.src_ip]
+    def add(self, row: tuple) -> None:
+        """Append one packet row (records must arrive in capture order)."""
+        self.rows.append(row)
 
     @property
     def receiver_ip(self) -> str | None:
@@ -185,100 +108,142 @@ class Connection:
         src, _, dst, _ = self.key
         return dst if self.sender_ip == src else src
 
-    def data_packets(self) -> list[TracePacket]:
-        """Sender-to-receiver segments that carry payload."""
-        return [
-            p
-            for p in self.packets
-            if p.src_ip == self.sender_ip and p.payload_len > 0
-        ]
+    # ------------------------------------------------------------------
+    # Transposition
+    # ------------------------------------------------------------------
+    def finalize(self) -> None:
+        """Build the columns and the profile; later calls do nothing.
 
-    def ack_packets(self) -> list[TracePacket]:
-        """Receiver-to-sender segments bearing the ACK flag."""
-        return [
-            p
-            for p in self.packets
-            if p.src_ip != self.sender_ip and p.flags & ACK and not p.is_syn
-        ]
+        The data direction is the side that carried the most payload
+        bytes (the first side seen wins a tie).  Each side's ISN is its
+        last SYN's sequence number, or one below its first packet's
+        when the capture missed the handshake.
+        """
+        rows = self.rows
+        if self.packets is not None or not rows:
+            return
+        self.rows = []
+        (
+            index, time, src, seq, ack, flags, window, length, wire,
+            ip_id, keepalive, mss, wscale,
+        ) = zip(*rows)
+        del rows  # the row tuples go before the columns are built
+        first_ip = int.from_bytes(ip_to_bytes(self.key[0]), "big")
+        side = tuple(map(first_ip.__ne__, src))
+        syns = [i for i, f in enumerate(flags) if f & SYN]
 
-    def relative_seq(self, packet: TracePacket) -> int:
-        """Sequence relative to the data stream (0 == first data byte)."""
-        isn = self._isn.get(packet.src_ip)
-        if isn is None:
-            first = next(
-                (p for p in self.packets if p.src_ip == packet.src_ip), None
+        first, other = side[0], not side[0]
+        side_bytes = sum(compress(length, side))
+        bytes_by_side = {False: sum(length) - side_bytes, True: side_bytes}
+        sender = (
+            first if bytes_by_side[first] >= bytes_by_side[other] else other
+        )
+        self.sender_ip = self.key[2 * sender]
+
+        isn = {first: seq[0] - 1}
+        if other in side:
+            isn[other] = seq[side.index(other)] - 1
+        scales: dict[int, int] = {}
+        for i in syns:
+            isn[side[i]] = seq[i]
+            if wscale[i] is not None:
+                scales[side[i]] = min(wscale[i], 14)
+        if len(scales) == 2:
+            # RFC 7323, as tcptrace applies it: each side's SYN scale
+            # applies to every later window that side advertises.
+            window = tuple(
+                w if f & SYN else w << scales[s]
+                for w, f, s in zip(window, flags, side)
             )
-            isn = first.seq - 1 if first is not None else packet.seq - 1
-            self._isn[packet.src_ip] = isn
-        return (packet.seq - isn - 1) & 0xFFFFFFFF
+        # An ACK is relative to the opposite side's stream; a side with
+        # no opposite packets anchors on its own first ACK number.
+        seq_base = {s: value + 1 for s, value in isn.items()}
+        ack_base = {
+            s: seq_base.get(not s, ack[side.index(s)]) for s in seq_base
+        }
+        seq0, seq1 = seq_base.get(False), seq_base.get(True)
+        ack0, ack1 = ack_base.get(False), ack_base.get(True)
+        seq = tuple(
+            (q - (seq1 if s else seq0)) & _SEQ_MASK for q, s in zip(seq, side)
+        )
+        ack = tuple(
+            (a - (ack1 if s else ack0)) & _SEQ_MASK for a, s in zip(ack, side)
+        )
+        self.packets = PacketColumns(
+            index, time, side, seq, ack, flags, window, length, wire,
+            ip_id, keepalive,
+        )
 
-    def relative_ack(self, packet: TracePacket) -> int:
-        """ACK number relative to the opposite direction's stream."""
-        src, _, dst, _ = self.key
-        other = dst if packet.src_ip == src else src
-        isn = self._isn.get(other)
-        if isn is None:
-            first = next(
-                (p for p in self.packets if p.src_ip == other), None
-            )
-            isn = first.seq - 1 if first is not None else packet.ack - 1
-            self._isn[other] = isn
-        return (packet.ack - isn - 1) & 0xFFFFFFFF
+        is_data = [s == sender and l > 0 for s, l in zip(side, length)]
+        data_seq = tuple(compress(seq, is_data))
+        data_length = tuple(compress(length, is_data))
+        self.data = DataColumns(
+            tuple(compress(index, is_data)),
+            tuple(compress(time, is_data)),
+            data_seq,
+            tuple(map(int.__add__, data_seq, data_length)),
+            data_length,
+            tuple(compress(wire, is_data)),
+            tuple(compress(ip_id, is_data)),
+            tuple(compress(keepalive, is_data)),
+        )
+        is_ack = [
+            s != sender and f & ACK and not f & SYN
+            for s, f in zip(side, flags)
+        ]
+        ack_time = tuple(compress(time, is_ack))
+        self.acks = AckColumns(
+            tuple(compress(index, is_ack)),
+            ack_time,
+            tuple(compress(ack, is_ack)),
+            tuple(compress(window, is_ack)),
+            ack_time,
+        )
+        self.profile = self._build_profile(
+            next((mss[i] for i in syns if mss[i]), None)
+        )
 
     # ------------------------------------------------------------------
     # Profile derivation
     # ------------------------------------------------------------------
-    def _build_profile(self) -> ConnectionProfile:
-        data = self.data_packets()
-        acks = self.ack_packets()
-        mss = self._estimate_mss(data)
-        d1 = self._estimate_d1(data, acks)
+    def _build_profile(self, mss_option: int | None) -> ConnectionProfile:
+        packets, data, acks = self.packets, self.data, self.acks
+        d1 = self._estimate_d1()
         d2 = self._estimate_d2_handshake()
         if d2 is None:
-            d2 = self._estimate_d2(data, acks)
-        max_window = max((p.window for p in acks), default=0)
+            d2 = self._estimate_d2()
+        flags = packets.flags
         return ConnectionProfile(
-            mss=mss,
+            mss=mss_option or max(data.length, default=536),
             rtt_us=d1 + d2,
             d1_us=d1,
             d2_us=d2,
-            max_advertised_window=max_window,
-            start_time_us=self.packets[0].timestamp_us,
-            end_time_us=self.packets[-1].timestamp_us,
-            total_data_bytes=sum(p.payload_len for p in data),
+            max_advertised_window=max(acks.window, default=0),
+            start_time_us=packets.time[0],
+            end_time_us=packets.time[-1],
+            total_data_bytes=sum(data.length),
             total_data_packets=len(data),
             total_ack_packets=len(acks),
-            saw_syn=any(p.is_syn for p in self.packets),
-            saw_fin=any(p.is_fin for p in self.packets),
-            saw_rst=any(p.is_rst for p in self.packets),
+            saw_syn=any(f & SYN for f in flags),
+            saw_fin=any(f & FIN for f in flags),
+            saw_rst=any(f & RST for f in flags),
         )
 
-    def _estimate_mss(self, data: list[TracePacket]) -> int:
-        for packet in self.packets:
-            if packet.is_syn:
-                parsed_mss = getattr(packet, "mss_option", None)
-                if parsed_mss:
-                    return parsed_mss
-        return max((p.payload_len for p in data), default=536)
-
-    def _estimate_d1(
-        self, data: list[TracePacket], acks: list[TracePacket]
-    ) -> int:
+    def _estimate_d1(self) -> int:
         """Tap -> receiver -> tap delay: data seen to its exact ACK seen."""
         samples = []
-        ack_iter = iter(acks)
-        current_ack = next(ack_iter, None)
-        for packet in data:
-            target = self.relative_seq(packet) + packet.payload_len
-            while current_ack is not None and (
-                current_ack.timestamp_us < packet.timestamp_us
-                or self.relative_ack(current_ack) < target
+        ack_times, ack_values = self.acks.time, self.acks.value
+        n_acks = len(ack_times)
+        j = 0
+        for time_us, target in zip(self.data.time, self.data.end):
+            while j < n_acks and (
+                ack_times[j] < time_us or ack_values[j] < target
             ):
-                current_ack = next(ack_iter, None)
-            if current_ack is None:
+                j += 1
+            if j == n_acks:
                 break
-            if self.relative_ack(current_ack) == target:
-                samples.append(current_ack.timestamp_us - packet.timestamp_us)
+            if ack_values[j] == target:
+                samples.append(ack_times[j] - time_us)
             if len(samples) >= 200:
                 break
         if not samples:
@@ -294,31 +259,34 @@ class Connection:
         gap is.  This survives pipelined data flows where per-ACK d2
         estimates collapse.
         """
+        packets = self.packets
+        time, flags, side = packets.time, packets.flags, packets.side
+        length = packets.length
         syn = synack = handshake_ack = None
-        for packet in self.packets:
-            if packet.is_syn and not packet.flags & ACK and syn is None:
-                syn = packet
-            elif packet.is_syn and packet.flags & ACK and synack is None:
-                synack = packet
+        for i, f in enumerate(flags):
+            if f & SYN and not f & ACK and syn is None:
+                syn = i
+            elif f & SYN and f & ACK and synack is None:
+                synack = i
             elif (
                 synack is not None
-                and handshake_ack is None
-                and packet.is_pure_ack
-                and packet.src_ip == (syn.src_ip if syn else None)
+                and syn is not None
+                and f & ACK
+                and not f & (SYN | FIN | RST)
+                and length[i] == 0
+                and side[i] == side[syn]
             ):
-                handshake_ack = packet
+                handshake_ack = i
                 break
         if syn is None or synack is None:
             return None
-        if self.sender_ip == syn.src_ip:
+        if self.sender_ip == self.key[2 * side[syn]]:
             if handshake_ack is None:
                 return None
-            return handshake_ack.timestamp_us - synack.timestamp_us
-        return synack.timestamp_us - syn.timestamp_us
+            return time[handshake_ack] - time[synack]
+        return time[synack] - time[syn]
 
-    def _estimate_d2(
-        self, data: list[TracePacket], acks: list[TracePacket]
-    ) -> int:
+    def _estimate_d2(self) -> int:
         """Tap -> sender -> tap delay: ACK seen to released data seen.
 
         The minimum positive gap is used: larger gaps include sender
@@ -326,16 +294,15 @@ class Connection:
         *not* bake into its RTT estimate.
         """
         samples = []
-        data_iter = iter(data)
-        current_data = next(data_iter, None)
-        for ack in acks:
-            while current_data is not None and (
-                current_data.timestamp_us <= ack.timestamp_us
-            ):
-                current_data = next(data_iter, None)
-            if current_data is None:
+        data_times = self.data.time
+        n_data = len(data_times)
+        j = 0
+        for ack_us in self.acks.time:
+            while j < n_data and data_times[j] <= ack_us:
+                j += 1
+            if j == n_data:
                 break
-            samples.append(current_data.timestamp_us - ack.timestamp_us)
+            samples.append(data_times[j] - ack_us)
             if len(samples) >= 500:
                 break
         positive = [s for s in samples if s > 0]
@@ -390,26 +357,41 @@ class Trace:
         damage (see :class:`~repro.wire.pcap.PcapReader`); either way,
         undecodable frames are skipped and accounted in ``health``.
         """
-        trace = cls(health=health)
         if isinstance(source, list):
-            records = source
-            trace.health.records_read += len(records)
-        else:
-            records = read_pcap(source, tolerant=tolerant, health=trace.health)
+            trace = cls.from_records(source, health=health)
+            trace.health.records_read += len(source)
+            return trace
+        health = health if health is not None else TraceHealth()
+        records = read_pcap(source, tolerant=tolerant, health=health)
+        return cls.from_records(records, health=health)
+
+    @classmethod
+    def from_records(
+        cls, records: list[PcapRecord], health: TraceHealth | None = None
+    ) -> "Trace":
+        """Connections of records already read (and counted) elsewhere.
+
+        A connection's ``index`` column holds positions in ``records``,
+        which is how :mod:`repro.tools.pcap2bgp` finds the payloads the
+        columns leave out.
+        """
+        trace = cls(health=health)
+        health = trace.health
+        connections = trace.connections
+        by_flow: dict[int, Connection] = {}
         for index, record in enumerate(records):
-            trace.total_records += 1
-            decoded = _decode_record(record, trace.health)
+            decoded = _decode_record(index, record, health)
             if decoded is None:
                 trace.skipped_frames += 1
                 continue
-            fields, key = decoded
-            packet = _packet_from_fields(index, record, fields)
-            connection = trace.connections.get(key)
+            flow, row = decoded
+            connection = by_flow.get(flow)
             if connection is None:
-                connection = Connection(key)
-                trace.connections[key] = connection
-            connection.add(packet)
-        for connection in trace.connections.values():
+                connection = by_flow[flow] = Connection(_flow_key(flow))
+                connections[connection.key] = connection
+            connection.rows.append(row)
+        trace.total_records = len(records)
+        for connection in connections.values():
             connection.finalize()
         return trace
 
@@ -421,16 +403,22 @@ class Trace:
 
 
 def _decode_record(
-    record: PcapRecord, health: TraceHealth
-) -> tuple[frames.PacketFields, FlowKey] | None:
-    """Decode one record's frame and key its flow; ``None`` if undecodable.
+    index: int, record: PcapRecord, health: TraceHealth
+) -> tuple[int, tuple] | None:
+    """Decode one record to its flow id and row; ``None`` if undecodable.
 
     The one per-record step the buffered and streaming ingests share:
     an undecodable frame becomes a benign ``undecodable-frame`` issue in
-    ``health``, a decoded one counts in ``health.frames_decoded``.
+    ``health``, a decoded one counts in ``health.frames_decoded``.  The
+    flow id is an integer, the same for both directions of a flow;
+    :func:`_flow_key` renders it once per connection.
     """
+    data = record.data
     try:
-        fields = frames.parse_packet(record.data)
+        (
+            src, src_port, dst, dst_port, seq, ack, flags, window, ip_id,
+            start, end, mss, wscale,
+        ) = frames.decode_fields(data)
     except (frames.FrameError, ValueError) as exc:
         health.record(
             STAGE_FRAME, "undecodable-frame",
@@ -441,34 +429,36 @@ def _decode_record(
         )
         return None
     health.frames_decoded += 1
-    key = canonical_key(
-        fields.src_ip, fields.src_port, fields.dst_ip, fields.dst_port
+    here = src << 16 | src_port
+    there = dst << 16 | dst_port
+    flow = here << 48 | there if here < there else there << 48 | here
+    length = end - start
+    wire = record.original_length
+    return flow, (
+        index,
+        record.timestamp_us,
+        src,
+        seq,
+        ack,
+        flags,
+        window,
+        length,
+        len(data) if wire is None else wire,
+        ip_id,
+        length == BGP_HEADER_LEN
+        and data.startswith(BGP_MARKER, start)
+        and data[start + 18] == _KEEPALIVE_TYPE,
+        mss,
+        wscale,
     )
-    return fields, key
 
 
-def _packet_from_fields(
-    index: int, record: PcapRecord, fields: frames.PacketFields
-) -> TracePacket:
-    """Flatten one fused-decoded frame into the analyzer's packet form."""
-    payload = fields.payload
-    return TracePacket(
-        index=index,
-        timestamp_us=record.timestamp_us,
-        src_ip=fields.src_ip,
-        src_port=fields.src_port,
-        dst_ip=fields.dst_ip,
-        dst_port=fields.dst_port,
-        seq=fields.seq,
-        ack=fields.ack,
-        flags=fields.flags,
-        window=fields.window,
-        payload_len=len(payload),
-        wire_len=record.wire_length,
-        ip_id=fields.ip_id,
-        payload=payload,
-        mss_option=fields.mss_option,
-        wscale_option=fields.wscale_option,
+def _flow_key(flow: int) -> FlowKey:
+    """The canonical string key of an integer flow id."""
+    low, high = flow >> 48, flow & 0xFFFFFFFFFFFF
+    return canonical_key(
+        frames.int_to_ip(low >> 16), low & 0xFFFF,
+        frames.int_to_ip(high >> 16), high & 0xFFFF,
     )
 
 
@@ -478,6 +468,7 @@ class _OpenFlow:
 
     connection: Connection
     order: int  # capture index of its first admitted packet
+    flow_id: int  # the integer flow id ingest keys it by
     last_ts_us: int = 0
     fin_from: set = field(default_factory=set)
     saw_rst: bool = False
@@ -531,7 +522,7 @@ def iter_connections(
     a global watermark trips its eviction plan is executed here —
     ``finalize-idle`` victims are finalized and yielded early,
     ``drop-coldest`` victims are discarded.  Either way the victim's
-    key joins ``emitted``, so stragglers land as benign
+    flow id joins ``emitted``, so stragglers land as benign
     ``packet-after-close`` issues instead of resurrecting state.
     """
     health = health if health is not None else TraceHealth()
@@ -544,8 +535,9 @@ def iter_connections(
         records = iter(reader)
         reader_counts = True
     heappush, heappop = heapq.heappush, heapq.heappop
+    keys: dict[int, FlowKey] = {}  # the open flows' keys by flow id
     open_flows: dict[FlowKey, _OpenFlow] = {}
-    emitted: set[FlowKey] = set()
+    emitted: set[int] = set()
     # (last_ts_us, order, key) of every closable flow, pushed whenever
     # such a flow's clock moves.  An entry is live while its flow is
     # still open with that last_ts_us; the rest are skipped when popped.
@@ -554,10 +546,13 @@ def iter_connections(
         for index, record in enumerate(records):
             if not reader_counts:
                 health.records_read += 1
-            decoded = _decode_record(record, health)
+            decoded = _decode_record(index, record, health)
             if decoded is None:
                 continue
-            fields, key = decoded
+            flow_id, row = decoded
+            key = keys.get(flow_id)
+            if key is None:  # a new flow, or one already emitted
+                key = _flow_key(flow_id)
             # Release flows whose close has lingered long enough.
             now = record.timestamp_us
             cutoff = now - linger_us
@@ -575,22 +570,24 @@ def iter_connections(
                 for order in sorted(due):
                     other_key = due[order]
                     flow = open_flows.pop(other_key)
-                    emitted.add(other_key)
+                    del keys[flow.flow_id]
+                    emitted.add(flow.flow_id)
                     if ledger is not None:
                         ledger.discharge(other_key)
                     flow.connection.finalize()
                     yield flow.connection
-            if key in emitted:
+            flags = row[ROW_FLAGS]
+            if flow_id in emitted:
                 health.record(
                     STAGE_FRAME, "packet-after-close",
                     timestamp_us=record.timestamp_us,
-                    bytes_lost=len(fields.payload),
+                    bytes_lost=row[ROW_LENGTH],
                     detail=f"{key}: flow already finalized and emitted",
                     benign=True,
                 )
                 continue
             if ledger is not None and not ledger.admit(
-                key, len(fields.payload), fields.flags, now
+                key, row[ROW_LENGTH], flags, now
             ):
                 # A capped connection sheds this packet, but its clock
                 # must keep running so the linger sweep stays honest.
@@ -601,16 +598,16 @@ def iter_connections(
                     if flow.closable:
                         heappush(lingering, (now, flow.order, key))
                 continue
-            packet = _packet_from_fields(index, record, fields)
             flow = open_flows.get(key)
             if flow is None:
-                flow = _OpenFlow(connection=Connection(key), order=index)
+                flow = _OpenFlow(Connection(key), order=index, flow_id=flow_id)
                 open_flows[key] = flow
-            flow.connection.add(packet)
+                keys[flow_id] = key
+            flow.connection.rows.append(row)
             flow.last_ts_us = now
-            if packet.is_fin:
-                flow.fin_from.add(packet.src_ip)
-            if packet.is_rst:
+            if flags & FIN:
+                flow.fin_from.add(row[ROW_SRC])
+            if flags & RST:
                 flow.saw_rst = True
             if flow.closable:
                 heappush(lingering, (now, flow.order, key))
@@ -619,7 +616,8 @@ def iter_connections(
                     open_flows, key, now
                 ):
                     victim = open_flows.pop(victim_key)
-                    emitted.add(victim_key)
+                    del keys[victim.flow_id]
+                    emitted.add(victim.flow_id)
                     if policy == POLICY_FINALIZE_IDLE:
                         # Early render: complete only if the flow had
                         # already closed and was merely lingering.

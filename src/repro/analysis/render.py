@@ -208,7 +208,7 @@ class ReportRenderer:
         capture order.
         """
         return sorted(
-            self._analyses, key=lambda a: a.connection.packets[0].index
+            self._analyses, key=lambda a: a.connection.packets.index[0]
         )
 
     def report_dict(self) -> dict:

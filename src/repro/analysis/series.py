@@ -25,7 +25,8 @@ under Figure 11.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate, compress, islice
 
 from repro.analysis.flights import flight_gap_threshold_us, group_flights
 from repro.analysis.labeling import (
@@ -35,7 +36,8 @@ from repro.analysis.labeling import (
     LabelingResult,
     label_connection,
 )
-from repro.analysis.profile import Connection, TracePacket
+from repro.analysis.columns import AckColumns, DataColumns
+from repro.analysis.profile import Connection
 from repro.core.events import EventSeries, SeriesCatalog, SeriesEventData
 from repro.core.timeranges import TimeRange, TimeRangeSet
 
@@ -101,6 +103,15 @@ class StepFunction:
         self._times: list[int] = []
         self._values: list[int] = []
         self.initial = initial
+
+    @classmethod
+    def from_columns(
+        cls, times: list[int], values: list[int], initial: int = 0
+    ) -> "StepFunction":
+        """Wrap strictly increasing ``times`` and their ``values``."""
+        fn = cls(initial)
+        fn._times, fn._values = times, values
+        return fn
 
     def add(self, time_us: int, value: int) -> None:
         """Append a sample; times must be non-decreasing."""
@@ -184,16 +195,15 @@ def generate_series(
     first data packet to the last packet of the connection).
     """
     config = config or SeriesConfig()
-    if labeling is None:
-        labeling = label_connection(connection)
     profile = connection.profile
     if profile is None:
         raise ValueError("connection has no profile; call finalize() first")
+    if labeling is None:
+        labeling = label_connection(connection)
     mss = profile.mss
-    data = connection.data_packets()
-    acks = connection.ack_packets()
+    data, acks = connection.data, connection.acks
     if window is None:
-        start = data[0].timestamp_us if data else profile.start_time_us
+        start = data.time[0] if data else profile.start_time_us
         window = (start, profile.end_time_us)
     analysis = TimeRange(*window)
     catalog = SeriesCatalog()
@@ -203,26 +213,21 @@ def generate_series(
     # ------------------------------------------------------------- #
     # Extraction                                                      #
     # ------------------------------------------------------------- #
-    sent = []
-    for packet in data:
-        ser = max(1, round(packet.wire_len * byte_time))
-        sent.append((
-            packet.timestamp_us - ser,
-            packet.timestamp_us,
-            SeriesEventData(packets=1, bytes=packet.payload_len,
-                            refs=[packet.index]),
-        ))
-    transmission = TimeRangeSet(sent)
+    transmission = TimeRangeSet([
+        (time_us - max(1, round(wire * byte_time)), time_us,
+         SeriesEventData(1, length, [index]))
+        for time_us, wire, length, index in zip(
+            data.time, data.wire, data.length, data.index
+        )
+    ])
     catalog.put(EventSeries("Transmission", transmission,
                             "time actually spent clocking data onto the wire"))
 
-    outstanding_fn, outstanding_set = _outstanding(connection, data, acks)
+    outstanding_fn, outstanding_set = _outstanding(data, acks)
     catalog.put(EventSeries("Outstanding", outstanding_set,
                             "periods with unacknowledged data in flight"))
 
-    ack_marks = TimeRangeSet(
-        (t, t + 1) for t in (ack.effective_time_us for ack in acks)
-    )
+    ack_marks = TimeRangeSet([(t, t + 1) for t in acks.shifted])
     catalog.put(EventSeries("AckArrivals", ack_marks, "ACK observation instants"))
 
     adv_fn = _advertised_window(acks)
@@ -244,7 +249,7 @@ def generate_series(
         "receiver window near its configured maximum",
     ))
 
-    loss_spans = _loss_series(labeling)
+    loss_spans = _loss_series(labeling, data)
     upstream, downstream, reordering = map(TimeRangeSet, loss_spans)
     catalog.put(EventSeries("UpstreamLoss", upstream,
                             "recovery periods for losses upstream of the tap"))
@@ -255,11 +260,10 @@ def generate_series(
     catalog.put(EventSeries("Reordering", reordering,
                             "in-network reordering (not loss)"))
 
-    keepalives = TimeRangeSet(
-        (packet.timestamp_us, packet.timestamp_us + 1)
-        for packet in data
-        if packet.is_bgp_keepalive()
-    )
+    keepalives = TimeRangeSet([
+        (time_us, time_us + 1)
+        for time_us in compress(data.time, data.keepalive)
+    ])
     catalog.put(EventSeries("KeepAlives", keepalives,
                             "BGP keepalive transmission instants"))
 
@@ -310,8 +314,7 @@ def generate_series(
     # classification of its tail.
     threshold = config.response_threshold_us
     cycles = _flight_cycles(
-        connection, data, acks, profile.rtt_us,
-        gap_threshold_us=max(threshold, 1_000),
+        data, acks, profile.rtt_us, gap_threshold_us=max(threshold, 1_000),
     )
     idle_spans = []
     paced_spans = []
@@ -379,7 +382,7 @@ def generate_series(
 
     zero_bnd = catalog.get("ZeroAdvWindow").ranges
     if data:
-        zero_bnd = zero_bnd.clip(analysis.start, data[-1].timestamp_us)
+        zero_bnd = zero_bnd.clip(analysis.start, data.time[-1])
     catalog.put(EventSeries("ZeroAdvBndOut", zero_bnd,
                             "transfer stalled on a zero receiver window"))
 
@@ -461,17 +464,18 @@ def generate_series(
 # ------------------------------------------------------------------ #
 # Internals                                                            #
 # ------------------------------------------------------------------ #
-def _estimate_byte_time(data: list[TracePacket]) -> float:
+def _estimate_byte_time(data: DataColumns) -> float:
     """Packet-pair estimate of the bottleneck's us-per-byte."""
-    best: float | None = None
-    for prev, curr in zip(data, data[1:]):
-        gap = curr.timestamp_us - prev.timestamp_us
-        if gap <= 0 or curr.wire_len == 0:
-            continue
-        rate = gap / curr.wire_len
-        if best is None or rate < best:
-            best = rate
-    return best if best is not None else 0.01
+    times = data.time
+    rates = [
+        gap / wire
+        for gap, wire in zip(
+            map(int.__sub__, islice(times, 1, None), times),
+            islice(data.wire, 1, None),
+        )
+        if gap > 0 and wire != 0
+    ]
+    return min(rates) if rates else 0.01
 
 
 def _bounded_ranges(
@@ -537,70 +541,88 @@ def _bounded_ranges(
 
 
 def _outstanding(
-    connection: Connection,
-    data: list[TracePacket],
-    acks: list[TracePacket],
+    data: DataColumns, acks: AckColumns
 ) -> tuple[StepFunction, TimeRangeSet]:
-    events: list[tuple[int, int, str, int]] = []
-    for packet in data:
-        end = connection.relative_seq(packet) + packet.payload_len
-        events.append((packet.timestamp_us, 0, "data", end))
-    for ack in acks:
-        events.append((ack.effective_time_us, 1, "ack", connection.relative_ack(ack)))
-    events.sort(key=lambda e: (e[0], e[1]))
-    fn = StepFunction()
+    """Outstanding bytes over time: highest data sent minus highest acked.
+
+    One merge of the data events (by time) with the ACK events (by
+    shifted time); a data event goes first on a tie.  Within a run of
+    same-time, same-kind events the order cannot matter: the level
+    moves one way only and only the run's last value is kept.
+    """
+    sent = sorted(zip(data.time, data.end))
+    acked_at = sorted(zip(acks.shifted, acks.value))
+    n_sent, n_acked = len(sent), len(acked_at)
+    times: list[int] = []
+    values: list[int] = []
     spans = []
     snd_max = 0
     acked = 0
     open_since: int | None = None
-    for time_us, _, kind, value in events:
-        if kind == "data":
-            snd_max = max(snd_max, value)
+    i = j = 0
+    time_us = 0
+    while i < n_sent or j < n_acked:
+        if j == n_acked or (i < n_sent and sent[i][0] <= acked_at[j][0]):
+            time_us, value = sent[i]
+            i += 1
+            if value > snd_max:
+                snd_max = value
         else:
-            acked = max(acked, value)
-        outstanding = max(snd_max - acked, 0)
-        fn.add(time_us, outstanding)
+            time_us, value = acked_at[j]
+            j += 1
+            if value > acked:
+                acked = value
+        outstanding = snd_max - acked if snd_max > acked else 0
+        if times and times[-1] == time_us:
+            values[-1] = outstanding
+        else:
+            times.append(time_us)
+            values.append(outstanding)
         if outstanding > 0 and open_since is None:
             open_since = time_us
         elif outstanding == 0 and open_since is not None:
             spans.append((open_since, time_us))
             open_since = None
-    if open_since is not None and events:
-        spans.append((open_since, events[-1][0] + 1))
-    return fn, TimeRangeSet(spans)
+    if open_since is not None:
+        spans.append((open_since, time_us + 1))
+    return StepFunction.from_columns(times, values), TimeRangeSet(spans)
 
 
-def _advertised_window(acks: list[TracePacket]) -> StepFunction:
-    fn = StepFunction(initial=65535)
-    for ack in sorted(acks, key=lambda a: a.effective_time_us):
-        fn.add(ack.effective_time_us, ack.window)
-    return fn
+def _advertised_window(acks: AckColumns) -> StepFunction:
+    """The advertised window at each shifted ACK time (last ACK wins)."""
+    shifted = acks.shifted
+    order = sorted(range(len(shifted)), key=shifted.__getitem__)
+    steps = dict(zip(
+        map(shifted.__getitem__, order), map(acks.window.__getitem__, order)
+    ))
+    return StepFunction.from_columns(
+        list(steps), list(steps.values()), initial=65535
+    )
 
 
-def _loss_series(labeling: LabelingResult) -> tuple[list, list, list]:
+def _loss_series(
+    labeling: LabelingResult, data: DataColumns
+) -> tuple[list, list, list]:
     """(upstream, downstream, reordering) span lists from the labels."""
     upstream: list[tuple] = []
     downstream: list[tuple] = []
     reordering: list[tuple] = []
-    for label in labeling.labels:
-        packet = label.packet
-        if label.kind == KIND_REORDERING:
-            reordering.append((packet.timestamp_us, packet.timestamp_us + 1))
+    times = data.time
+    for position, kind, trigger, recovery in labeling.events:
+        time_us = times[position]
+        if kind == KIND_REORDERING:
+            reordering.append((time_us, time_us + 1))
             continue
-        if not label.is_retransmission:
-            continue
-        start = label.trigger_time_us
-        if start is None:
-            start = packet.timestamp_us
-        end = label.recovery_time_us
+        start = trigger if trigger is not None else time_us
+        end = recovery
         if end is None or end <= start:
-            end = max(packet.timestamp_us, start + 1)
-        target = upstream if label.kind == KIND_UPSTREAM else downstream
+            end = max(time_us, start + 1)
+        target = upstream if kind == KIND_UPSTREAM else downstream
         target.append((
             start,
             end,
-            SeriesEventData(packets=1, bytes=packet.payload_len,
-                            refs=[packet.index]),
+            SeriesEventData(packets=1, bytes=data.length[position],
+                            refs=[data.index[position]]),
         ))
     return upstream, downstream, reordering
 
@@ -612,9 +634,6 @@ class FlightCycle:
     start_us: int
     last_data_us: int
     end_us: int
-    packets: int
-    bytes: int
-    peak_outstanding: int
     acked_us: int | None
     next_start_us: int | None
     # The last ACK observed before the next flight began: a next flight
@@ -623,9 +642,8 @@ class FlightCycle:
 
 
 def _flight_cycles(
-    connection: Connection,
-    data: list[TracePacket],
-    acks: list[TracePacket],
+    data: DataColumns,
+    acks: AckColumns,
     rtt_us: int,
     gap_threshold_us: int | None = None,
 ) -> list[FlightCycle]:
@@ -636,41 +654,29 @@ def _flight_cycles(
         if gap_threshold_us is not None
         else flight_gap_threshold_us(rtt_us)
     )
-    flights = group_flights(data, threshold)
+    times, ends = data.time, data.end
+    flights = group_flights(times, threshold)
     # Per-flight ACK shifting may locally perturb the time order; sort
     # so the bisect lookups below stay correct.
-    pairs = sorted(
-        (a.effective_time_us, connection.relative_ack(a)) for a in acks
-    )
+    pairs = sorted(zip(acks.shifted, acks.value))
     ack_times = [t for t, _ in pairs]
-    ack_values = [v for _, v in pairs]
-    # ack_values is non-decreasing in a sane trace; enforce monotonicity
-    # so bisect works even through reordered captures.
-    running = 0
-    monotone = []
-    for value in ack_values:
-        running = max(running, value)
-        monotone.append(running)
+    # Relative ACKs are non-decreasing in a sane trace; the running
+    # maximum makes them monotone through reordered captures too, so
+    # the first covering ACK is one bisect.
+    monotone = list(accumulate((v for _, v in pairs), max))
+    n_acks = len(ack_times)
 
     cycles: list[FlightCycle] = []
-    for i, flight in enumerate(flights):
-        start = flight[0].timestamp_us
-        last_data = flight[-1].timestamp_us
-        next_start = (
-            flights[i + 1][0].timestamp_us if i + 1 < len(flights) else None
-        )
+    for i, (first, stop) in enumerate(flights):
+        start = times[first]
+        last_data = times[stop - 1]
+        next_start = times[flights[i + 1][0]] if i + 1 < len(flights) else None
         end = next_start if next_start is not None else last_data + rtt_us
-        flight_end_seq = max(
-            connection.relative_seq(p) + p.payload_len for p in flight
+        flight_end_seq = max(ends[first:stop])
+        covering = bisect.bisect_left(
+            monotone, flight_end_seq, bisect.bisect_left(ack_times, last_data)
         )
-        acked_us = _first_ack_covering(
-            ack_times, monotone, last_data, flight_end_seq
-        )
-        peak = max(
-            flight_end_seq
-            - _ack_value_at(ack_times, monotone, p.timestamp_us)
-            for p in flight
-        )
+        acked_us = ack_times[covering] if covering < n_acks else None
         last_ack_before_next = None
         if next_start is not None:
             idx = bisect.bisect_right(ack_times, next_start) - 1
@@ -681,9 +687,6 @@ def _flight_cycles(
                 start_us=start,
                 last_data_us=last_data,
                 end_us=end,
-                packets=len(flight),
-                bytes=sum(p.payload_len for p in flight),
-                peak_outstanding=peak,
                 acked_us=acked_us,
                 next_start_us=next_start,
                 last_ack_before_next_us=last_ack_before_next,
@@ -692,27 +695,8 @@ def _flight_cycles(
     return cycles
 
 
-def _first_ack_covering(
-    ack_times: list[int], ack_values: list[int], after_us: int, seq: int
-) -> int | None:
-    start = bisect.bisect_left(ack_times, after_us)
-    for i in range(start, len(ack_times)):
-        if ack_values[i] >= seq:
-            return ack_times[i]
-    return None
-
-
-def _ack_value_at(
-    ack_times: list[int], ack_values: list[int], time_us: int
-) -> int:
-    idx = bisect.bisect_right(ack_times, time_us) - 1
-    if idx < 0:
-        return 0
-    return ack_values[idx]
-
-
 def _bandwidth_limited(
-    data: list[TracePacket],
+    data: DataColumns,
     byte_time: float,
     config: SeriesConfig,
     min_duration_us: int = 20_000,
@@ -732,17 +716,19 @@ def _bandwidth_limited(
         ):
             spans.append((run_start, end_us))
 
-    for prev, curr in zip(data, data[1:]):
-        gap = curr.timestamp_us - prev.timestamp_us
-        expected = curr.wire_len * byte_time
-        if gap <= expected * config.bandwidth_slack:
+    times = data.time
+    slack = config.bandwidth_slack
+    for previous, time_us, wire in zip(
+        times, islice(times, 1, None), islice(data.wire, 1, None)
+    ):
+        if time_us - previous <= wire * byte_time * slack:
             if run_start is None:
-                run_start = prev.timestamp_us
+                run_start = previous
                 run_packets = 1
             run_packets += 1
         else:
-            commit(prev.timestamp_us)
+            commit(previous)
             run_start = None
             run_packets = 0
-    commit(data[-1].timestamp_us if data else 0)
+    commit(times[-1] if times else 0)
     return TimeRangeSet(spans)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import BinaryIO
 
-from repro.analysis.ackshift import AckShiftStats, shift_acks
+from repro.analysis.ackshift import AckShiftStats, shift_acks, unshift_acks
 from repro.analysis.budget import (
     DegradationSummary,
     ResourceBudget,
@@ -126,6 +126,8 @@ def analyze_connection(
     with tracer.span("analysis.ack_shift", cat="analysis"):
         if enable_ack_shift and config.sniffer_location != "sender":
             shift_stats = shift_acks(connection)
+        else:
+            unshift_acks(connection)
     with tracer.span("analysis.label", cat="analysis"):
         labeling = label_connection(connection)
     series_args: dict = {}  # the span reads it at exit, once filled
@@ -326,12 +328,13 @@ def _restore_capture_order(report: TdatReport) -> None:
     Streaming ingest yields flows in *close* order; the buffered path
     iterates them in first-packet order.  Reports must not depend on
     the execution mode, so streaming results are put back in capture
-    order (every connection holds its packets, so the order is exact).
+    order (every connection holds its packets' capture indices, so the
+    order is exact).
     """
     report.analyses = dict(
         sorted(
             report.analyses.items(),
-            key=lambda item: item[1].connection.packets[0].index,
+            key=lambda item: item[1].connection.packets.index[0],
         )
     )
 

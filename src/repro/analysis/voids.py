@@ -17,7 +17,9 @@ analysis period (see ``analyze_connection(exclude_voids=True)``).
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from repro.analysis.profile import Connection
 from repro.core.timeranges import TimeRangeSet
@@ -45,34 +47,38 @@ def find_capture_voids(connection: Connection) -> CaptureVoidReport:
     are phantom bytes; the void window spans from the last packet seen
     before the phantom range to the first packet seen after it.
     """
-    data = connection.data_packets()
-    acks = connection.ack_packets()
+    data, acks = connection.data, connection.acks
     if not data or not acks:
         return CaptureVoidReport(detected=False)
 
-    highest_ack = max(connection.relative_ack(a) for a in acks)
+    highest_ack = max(acks.value)
     if highest_ack <= 0:
         return CaptureVoidReport(detected=False)
-    spans = []
-    for packet in data:
-        seq = connection.relative_seq(packet)
-        spans.append((seq, seq + packet.payload_len))
-    phantom = TimeRangeSet(spans).complement((0, highest_ack))
+    phantom = TimeRangeSet(list(zip(data.seq, data.end))).complement(
+        (0, highest_ack)
+    )
     if not phantom:
         return CaptureVoidReport(detected=False)
 
     # Map each phantom byte range to the time window it must have been
     # transmitted in: between the last seen packet below it and the
-    # first seen packet above it.
-    events = sorted(
-        (connection.relative_seq(p), p.timestamp_us) for p in data
-    )
+    # first seen packet above it.  With the packets sorted by sequence
+    # those are a prefix maximum and a suffix minimum of their times,
+    # each found by one bisect per hole.
+    events = sorted(zip(data.seq, data.time))
+    seqs = [seq for seq, _ in events]
+    latest_below = list(accumulate((t for _, t in events), max))
+    earliest_above = list(accumulate((t for _, t in reversed(events)), min))
+    earliest_above.reverse()
+    packets = connection.packets
     windows = []
     for hole in phantom:
-        before = [t for seq, t in events if seq < hole.start]
-        after = [t for seq, t in events if seq >= hole.end]
-        start_us = max(before) if before else connection.packets[0].timestamp_us
-        end_us = min(after) if after else connection.packets[-1].timestamp_us
+        below = bisect.bisect_left(seqs, hole.start)
+        above = bisect.bisect_left(seqs, hole.end)
+        start_us = latest_below[below - 1] if below else packets.time[0]
+        end_us = (
+            earliest_above[above] if above < len(seqs) else packets.time[-1]
+        )
         if end_us > start_us:
             windows.append((start_us, end_us))
     return CaptureVoidReport(

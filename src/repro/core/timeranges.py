@@ -326,7 +326,9 @@ def _sweep(spans: list[tuple]) -> tuple[list[int], list[int], list | None]:
     ``ValueError``.  The payload column is None if no span has data.
     """
     spans.sort(key=itemgetter(0))
-    keep = any(len(span) > 2 and span[2] is not None for span in spans)
+    keep = max(map(len, spans), default=0) > 2 and any(
+        len(span) > 2 and span[2] is not None for span in spans
+    )
     starts: list[int] = []
     ends: list[int] = []
     payload: list | None = [] if keep else None

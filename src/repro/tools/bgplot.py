@@ -121,15 +121,14 @@ def render_time_sequence(
     — the view the paper's Figures 5-8 are drawn in.
     """
     conn = analysis.connection
-    data = conn.data_packets()
+    data, acks = conn.data, conn.acks
     if not data:
         return "(no data packets)"
     if window is None:
-        window = (data[0].timestamp_us, data[-1].timestamp_us + 1)
+        window = (data.time[0], data.time[-1] + 1)
     start, end = window
     span = max(end - start, 1)
-    max_seq = max(conn.relative_seq(p) + p.payload_len for p in data)
-    max_seq = max(max_seq, 1)
+    max_seq = max(max(data.end), 1)
     grid = [[" "] * width for _ in range(height)]
 
     def plot(t_us: int, seq: int, char: str, only_blank: bool = False) -> None:
@@ -144,16 +143,14 @@ def render_time_sequence(
         grid[y][x] = char
 
     retx_times = {
-        l.packet.timestamp_us for l in analysis.labeling.retransmissions()
+        l.timestamp_us for l in analysis.labeling.retransmissions()
     }
-    for packet in data:
-        char = "R" if packet.timestamp_us in retx_times else "."
-        plot(packet.timestamp_us, conn.relative_seq(packet), char)
+    for time_us, seq in zip(data.time, data.seq):
+        plot(time_us, seq, "R" if time_us in retx_times else ".")
     # ACKs trail just below the data line; draw them into free cells so
     # the data points stay visible at coarse resolutions.
-    for packet in conn.ack_packets():
-        plot(packet.timestamp_us, conn.relative_ack(packet), "a",
-             only_blank=True)
+    for time_us, value in zip(acks.time, acks.value):
+        plot(time_us, value, "a", only_blank=True)
 
     lines = [
         f"time-sequence [{start / 1e6:.3f}s .. {end / 1e6:.3f}s], "
@@ -179,8 +176,12 @@ def sequence_points_csv(analysis: ConnectionAnalysis) -> str:
     """CSV of the time-sequence graph (data and ACK points)."""
     conn = analysis.connection
     lines = ["kind,time_us,relative_seq"]
-    for packet in conn.data_packets():
-        lines.append(f"data,{packet.timestamp_us},{conn.relative_seq(packet)}")
-    for packet in conn.ack_packets():
-        lines.append(f"ack,{packet.timestamp_us},{conn.relative_ack(packet)}")
+    lines.extend(
+        f"data,{time_us},{seq}"
+        for time_us, seq in zip(conn.data.time, conn.data.seq)
+    )
+    lines.extend(
+        f"ack,{time_us},{value}"
+        for time_us, value in zip(conn.acks.time, conn.acks.value)
+    )
     return "\n".join(lines)

@@ -12,11 +12,15 @@ finally had it contiguously, and whether retransmissions were involved.
 from __future__ import annotations
 
 import bisect
+from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import itemgetter
 
 from repro.analysis.profile import Connection
 from repro.bgp.messages import BgpMessage, UpdateMessage, encode_message
+from repro.core.timeranges import TimeRangeSet
 from repro.tools.pcap2bgp import reconstruct_stream
+from repro.wire.pcap import PcapRecord
 
 
 @dataclass
@@ -40,33 +44,38 @@ class CorrelatedMessage:
         return self.end_seq - self.start_seq
 
 
-def correlate_messages(connection: Connection) -> list[CorrelatedMessage]:
-    """Align every reconstructed message with its carrying packets."""
-    stream = reconstruct_stream(connection)
+def correlate_messages(
+    connection: Connection, records: Sequence[PcapRecord]
+) -> list[CorrelatedMessage]:
+    """Align every reconstructed message with its carrying packets.
+
+    ``records`` is the capture the connection was built from; the BGP
+    stream is reassembled from its payloads.
+    """
+    stream = reconstruct_stream(connection, records)
     if stream.decode_error is not None:
         raise ValueError(f"stream does not decode: {stream.decode_error}")
 
+    columns = connection.data
+    # (seq, time, length) of every data packet, in sequence order.
     data = sorted(
-        connection.data_packets(), key=lambda p: connection.relative_seq(p)
+        zip(columns.seq, columns.time, columns.length), key=itemgetter(0)
     )
-    starts = [connection.relative_seq(p) for p in data]
-    from repro.core.timeranges import TimeRangeSet
+    starts = [seq for seq, _, _ in data]
 
     # Bytes that crossed the tap more than once: retransmitted stream
     # content, independent of how the resends were re-segmented (a
     # go-back-N recovery coalesces holes into fresh MSS boundaries).
     seen = TimeRangeSet()
     retx_coverage = TimeRangeSet()
-    for packet in connection.data_packets():
-        seq = connection.relative_seq(packet)
-        end = seq + packet.payload_len
+    for seq, end in zip(columns.seq, columns.end):
         for dup in seen.clip(seq, end):
             retx_coverage.add(dup)
         seen.add_span(seq, end)
 
-    max_payload = max((p.payload_len for p in data), default=0)
+    max_payload = max(columns.length, default=0)
 
-    def covering_packets(start: int, end: int):
+    def covering_times(start: int, end: int):
         # Any packet whose [seq, seq+len) overlaps [start, end) counts;
         # walk back past duplicates and boundary-spanning segments.
         index = bisect.bisect_right(starts, start) - 1
@@ -75,12 +84,11 @@ def correlate_messages(connection: Connection) -> list[CorrelatedMessage]:
         index = max(index, 0)
         found = []
         while index < len(data):
-            seq = starts[index]
+            seq, time_us, length = data[index]
             if seq >= end:
                 break
-            packet = data[index]
-            if seq + packet.payload_len > start:
-                found.append(packet)
+            if seq + length > start:
+                found.append(time_us)
             index += 1
         return found
 
@@ -90,10 +98,7 @@ def correlate_messages(connection: Connection) -> list[CorrelatedMessage]:
     # Delivery is judged by the receiver's cumulative-ACK frontier: the
     # tap may capture bytes the receiver never got (downstream losses),
     # so capture completion is not delivery.
-    ack_events = sorted(
-        (a.timestamp_us, connection.relative_ack(a))
-        for a in connection.ack_packets()
-    )
+    ack_events = sorted(zip(connection.acks.time, connection.acks.value))
     frontier_times: list[int] = []
     frontier_values: list[int] = []
     best = 0
@@ -115,9 +120,8 @@ def correlate_messages(connection: Connection) -> list[CorrelatedMessage]:
         length = len(encode_message(timed.message))
         start, end = offset, offset + length
         offset = end
-        packets = covering_packets(start, end)
         first_attempt = min(
-            (p.timestamp_us for p in packets), default=timed.timestamp_us
+            covering_times(start, end), default=timed.timestamp_us
         )
         delivered = delivery_time(end, timed.timestamp_us)
         correlated.append(
@@ -134,11 +138,13 @@ def correlate_messages(connection: Connection) -> list[CorrelatedMessage]:
 
 
 def delayed_updates(
-    connection: Connection, min_delay_us: int = 500_000
+    connection: Connection,
+    records: Sequence[PcapRecord],
+    min_delay_us: int = 500_000,
 ) -> list[CorrelatedMessage]:
     """Table III extraction: UPDATEs delayed beyond ``min_delay_us``."""
     return [
         c
-        for c in correlate_messages(connection)
+        for c in correlate_messages(connection, records)
         if isinstance(c.message, UpdateMessage) and c.delay_us >= min_delay_us
     ]

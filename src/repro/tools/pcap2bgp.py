@@ -13,6 +13,7 @@ receiver behind the tap could have had it.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO
@@ -21,7 +22,8 @@ from repro.analysis.profile import Connection, Trace
 from repro.bgp.messages import BgpError, BgpMessage, MessageDecoder, UpdateMessage
 from repro.bgp.mrt import MrtRecord, write_mrt
 from repro.core.health import STAGE_BGP, TraceHealth
-from repro.wire.pcap import PcapRecord
+from repro.wire import frames
+from repro.wire.pcap import PcapRecord, read_pcap
 
 
 @dataclass
@@ -52,10 +54,15 @@ class StreamResult:
 
 def reconstruct_stream(
     connection: Connection,
+    records: Sequence[PcapRecord],
     resync: bool = True,
     health: TraceHealth | None = None,
 ) -> StreamResult:
     """Reassemble the data direction of one connection into messages.
+
+    The connection's columns carry no payloads; each data segment's
+    bytes are cut from ``records``, the capture it was built from (its
+    ``index`` column holds positions in that list).
 
     With ``resync`` (the default) a malformed BGP message costs exactly
     that message: the decoder scans forward for the next marker and
@@ -102,15 +109,17 @@ def reconstruct_stream(
                     detail=f"{connection.key}: {exc}",
                 )
 
-    for packet in connection.data_packets():
-        seq = connection.relative_seq(packet)
-        end = seq + packet.payload_len
+    data = connection.data
+    for index, seq, end, time_us in zip(
+        data.index, data.seq, data.end, data.time
+    ):
         if end <= next_seq:
             continue  # pure retransmission of old data
+        payload = _payload(records[index])
         if seq > next_seq:
-            pending.setdefault(seq, packet.payload)
+            pending.setdefault(seq, payload)
             continue
-        feed(packet.payload[next_seq - seq :], packet.timestamp_us)
+        feed(payload[next_seq - seq :], time_us)
         next_seq = end
         # Drain any stashed segments that are now contiguous.
         progressed = True
@@ -124,7 +133,7 @@ def reconstruct_stream(
                     progressed = True
                 elif stash_seq <= next_seq:
                     del pending[stash_seq]
-                    feed(payload[next_seq - stash_seq :], packet.timestamp_us)
+                    feed(payload[next_seq - stash_seq :], time_us)
                     next_seq = stash_end
                     progressed = True
                     break
@@ -154,6 +163,13 @@ def reconstruct_stream(
     )
 
 
+def _payload(record: PcapRecord) -> bytes:
+    """The TCP payload of one already-decoded capture record."""
+    data = record.data
+    fields = frames.decode_fields(data)
+    return data[fields[9] : fields[10]]
+
+
 class StreamingPcap2Bgp:
     """Online reconstruction: feed captured frames as they arrive.
 
@@ -175,12 +191,10 @@ class StreamingPcap2Bgp:
 
     def feed(self, record: PcapRecord) -> list[TimedMessage]:
         """Process one captured frame; returns messages it completed."""
-        from repro.wire import frames as _frames
-
         self.frames_consumed += 1
         try:
-            parsed = _frames.parse_frame(record.data)
-        except (_frames.FrameError, ValueError):
+            parsed = frames.parse_frame(record.data)
+        except (frames.FrameError, ValueError):
             self.skipped_frames += 1
             return []
         if not parsed.tcp.payload and not parsed.tcp.is_syn:
@@ -265,12 +279,12 @@ def pcap_to_bgp(
     health: TraceHealth | None = None,
 ) -> dict[tuple, StreamResult]:
     """Reconstruct every connection's BGP stream from a capture."""
-    if isinstance(source, Trace):
-        trace = source
+    if isinstance(source, list):
+        records = source
+        trace = Trace.from_pcap(records, health=health)
     else:
-        trace = Trace.from_pcap(
-            source, health=health, tolerant=health is not None
-        )
+        records = read_pcap(source, tolerant=health is not None, health=health)
+        trace = Trace.from_records(records, health=health)
     results: dict[tuple, StreamResult] = {}
     for connection in trace:
         if connection.profile is None:
@@ -278,7 +292,7 @@ def pcap_to_bgp(
         if connection.profile.total_data_packets < min_data_packets:
             continue
         results[connection.key] = reconstruct_stream(
-            connection, resync=resync, health=health
+            connection, records, resync=resync, health=health
         )
     return results
 

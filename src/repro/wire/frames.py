@@ -132,43 +132,52 @@ _OPTIONS_CACHE_LIMIT = 4096
 def parse_packet(data: bytes, verify_checksums: bool = False) -> PacketFields:
     """Decode a frame straight to :class:`PacketFields`.
 
-    The fast path fuses the three layer decoders into one pass of
-    precompiled-struct reads over the common shape (Ethernet II +
-    20-byte IPv4 header + TCP); anything else — other ethertypes, IP
-    options, damage, checksum verification — falls back to
-    :func:`parse_frame`, so failures raise the exact same
-    :class:`FrameError` and exotic-but-valid frames decode through the
-    reference path.  For every frame the fast path accepts, the result
-    is field-identical to the fallback's.
+    A view of :func:`decode_fields` with rendered addresses and the
+    payload sliced out; with ``verify_checksums`` the layered
+    :func:`parse_frame` decodes instead.
     """
-    if not verify_checksums:
-        fields = _parse_packet_fast(data)
-        if fields is not None:
-            return fields
-    parsed = parse_frame(data, verify_checksums=verify_checksums)
-    tcp = parsed.tcp
+    if verify_checksums:
+        parsed = parse_frame(data, verify_checksums=True)
+        tcp = parsed.tcp
+        return PacketFields(
+            parsed.ipv4.src, tcp.src_port, parsed.ipv4.dst, tcp.dst_port,
+            tcp.seq, tcp.ack, tcp.flags, tcp.window,
+            parsed.ipv4.identification, tcp.payload,
+            tcp.mss_option, tcp.wscale_option,
+        )
+    (
+        src, src_port, dst, dst_port, seq, ack, flags, window, ip_id,
+        start, end, mss, wscale,
+    ) = decode_fields(data)
     return PacketFields(
-        parsed.ipv4.src,
-        tcp.src_port,
-        parsed.ipv4.dst,
-        tcp.dst_port,
-        tcp.seq,
-        tcp.ack,
-        tcp.flags,
-        tcp.window,
-        parsed.ipv4.identification,
-        tcp.payload,
-        tcp.mss_option,
-        tcp.wscale_option,
+        int_to_ip(src), src_port, int_to_ip(dst), dst_port, seq, ack,
+        flags, window, ip_id, data[start:end], mss, wscale,
     )
 
 
-def _parse_packet_fast(data: bytes) -> PacketFields | None:
-    """One-pass decode of the common frame shape; None means fall back."""
+def int_to_ip(address: int) -> str:
+    """A 32-bit address as a dotted quad."""
+    return ip.bytes_to_ip(address.to_bytes(4, "big"))
+
+
+def decode_fields(data: bytes) -> tuple:
+    """Decode a frame to one plain tuple of integers.
+
+    ``(src, src_port, dst, dst_port, seq, ack, flags, window, ip_id,
+    payload_start, payload_end, mss_option, wscale_option)``: the
+    addresses are 32-bit integers and the payload is
+    ``data[payload_start:payload_end]``, so no per-layer object, string
+    or payload copy is made.  The common shape (Ethernet II + 20-byte
+    IPv4 header + TCP) decodes in one pass of precompiled-struct reads;
+    anything else — other ethertypes, IP options, damage — goes through
+    :func:`parse_frame`, so failures raise the exact same
+    :class:`FrameError` and exotic-but-valid frames decode through the
+    reference path with identical fields.
+    """
     n = len(data)
     # 54 = Ethernet(14) + minimal IPv4(20) + minimal TCP(20).
     if n < 54 or data[12] != 0x08 or data[13] != 0x00 or data[14] != 0x45:
-        return None
+        return _decode_layered(data)
     (
         _version_ihl,
         _tos,
@@ -178,14 +187,12 @@ def _parse_packet_fast(data: bytes) -> PacketFields | None:
         _ttl,
         protocol,
         _ip_checksum,
-        src_raw,
-        dst_raw,
-    ) = ip._HEADER.unpack_from(data, 14)
-    if protocol != ip.PROTO_TCP:
-        return None
+        src,
+        dst,
+    ) = _IPV4_INTS.unpack_from(data, 14)
     ip_end = 14 + total_length
-    if total_length < 40 or ip_end > n:
-        return None
+    if protocol != ip.PROTO_TCP or total_length < 40 or ip_end > n:
+        return _decode_layered(data)
     (
         src_port,
         dst_port,
@@ -199,7 +206,7 @@ def _parse_packet_fast(data: bytes) -> PacketFields | None:
     ) = tcpw._HEADER.unpack_from(data, 34)
     header_len = (offset_field >> 4) * 4
     if header_len < tcpw.BASE_HEADER_LEN or header_len > total_length - 20:
-        return None
+        return _decode_layered(data)
     if header_len == tcpw.BASE_HEADER_LEN:
         mss = wscale = None
     else:
@@ -209,22 +216,38 @@ def _parse_packet_fast(data: bytes) -> PacketFields | None:
             try:
                 options = tcpw._parse_options(raw_options)
             except tcpw.TcpError:
-                return None
+                return _decode_layered(data)
             if len(_OPTIONS_CACHE) >= _OPTIONS_CACHE_LIMIT:
                 _OPTIONS_CACHE.clear()
             _OPTIONS_CACHE[raw_options] = options
         mss, wscale = options[0], options[1]
-    return PacketFields(
-        ip.bytes_to_ip(src_raw),
-        src_port,
-        ip.bytes_to_ip(dst_raw),
-        dst_port,
-        seq,
-        ack,
-        flags,
-        window,
-        ip_id,
-        data[34 + header_len : ip_end],
-        mss,
-        wscale,
+    return (
+        src, src_port, dst, dst_port, seq, ack, flags, window, ip_id,
+        34 + header_len, ip_end, mss, wscale,
+    )
+
+
+#: the IPv4 header with both addresses read as integers.
+_IPV4_INTS = struct.Struct("!BBHHHBBHII")
+
+
+def _decode_layered(data: bytes) -> tuple:
+    """:func:`decode_fields` through the per-layer decoders."""
+    parsed = parse_frame(data)
+    tcp = parsed.tcp
+    end = 14 + int.from_bytes(data[16:18], "big")
+    return (
+        int.from_bytes(ip.ip_to_bytes(parsed.ipv4.src), "big"),
+        tcp.src_port,
+        int.from_bytes(ip.ip_to_bytes(parsed.ipv4.dst), "big"),
+        tcp.dst_port,
+        tcp.seq,
+        tcp.ack,
+        tcp.flags,
+        tcp.window,
+        parsed.ipv4.identification,
+        end - len(tcp.payload),
+        end,
+        tcp.mss_option,
+        tcp.wscale_option,
     )

@@ -1,8 +1,9 @@
 """Test-only oracle: the per-packet linger sweep of ``iter_connections``.
 
 This is the original streaming ingest of
-:mod:`repro.analysis.profile`, kept verbatim apart from this docstring
-and the imports: on every decoded packet it rescans every open flow
+:mod:`repro.analysis.profile`, kept verbatim apart from this docstring,
+the imports and the per-record decode, which now yields the shared
+ingest row: on every decoded packet it rescans every open flow
 for one whose close has lingered out, which costs O(open flows) per
 packet.  It is slow but obviously right, and the differential property
 in ``test_linger_oracle.py`` replays generated packet schedules against
@@ -17,15 +18,16 @@ from pathlib import Path
 from typing import BinaryIO
 
 from repro.analysis.budget import POLICY_FINALIZE_IDLE, StateLedger
+from repro.analysis.columns import ROW_FLAGS, ROW_LENGTH, ROW_SRC
 from repro.analysis.profile import (
     Connection,
     FlowKey,
-    _packet_from_fields,
-    canonical_key,
+    _decode_record,
+    _flow_key,
 )
 from repro.core.health import STAGE_FRAME, TraceHealth
-from repro.wire import frames
 from repro.wire.pcap import PcapReader, PcapRecord
+from repro.wire.tcpw import FIN, RST
 
 
 @dataclass
@@ -97,24 +99,11 @@ def iter_connections(
         for index, record in enumerate(records):
             if not reader_counts:
                 health.records_read += 1
-            try:
-                fields = frames.parse_packet(record.data)
-            except (frames.FrameError, ValueError) as exc:
-                health.record(
-                    STAGE_FRAME, "undecodable-frame",
-                    timestamp_us=record.timestamp_us,
-                    bytes_lost=record.captured_length,
-                    detail=str(exc),
-                    benign=True,
-                )
+            decoded = _decode_record(index, record, health)
+            if decoded is None:
                 continue
-            health.frames_decoded += 1
-            key = canonical_key(
-                fields.src_ip,
-                fields.src_port,
-                fields.dst_ip,
-                fields.dst_port,
-            )
+            flow_id, row = decoded
+            key = _flow_key(flow_id)
             # Sweep flows whose close has lingered long enough.
             now = record.timestamp_us
             for other_key in list(open_flows):
@@ -134,13 +123,13 @@ def iter_connections(
                 health.record(
                     STAGE_FRAME, "packet-after-close",
                     timestamp_us=record.timestamp_us,
-                    bytes_lost=len(fields.payload),
+                    bytes_lost=row[ROW_LENGTH],
                     detail=f"{key}: flow already finalized and emitted",
                     benign=True,
                 )
                 continue
             if ledger is not None and not ledger.admit(
-                key, len(fields.payload), fields.flags, now
+                key, row[ROW_LENGTH], row[ROW_FLAGS], now
             ):
                 # A capped connection sheds this packet, but its clock
                 # must keep running so the linger sweep stays honest.
@@ -149,16 +138,15 @@ def iter_connections(
                     flow.connection.complete = False
                     flow.last_ts_us = now
                 continue
-            packet = _packet_from_fields(index, record, fields)
             flow = open_flows.get(key)
             if flow is None:
                 flow = _OpenFlow(connection=Connection(key))
                 open_flows[key] = flow
-            flow.connection.add(packet)
+            flow.connection.add(row)
             flow.last_ts_us = record.timestamp_us
-            if packet.is_fin:
-                flow.fin_from.add(packet.src_ip)
-            if packet.is_rst:
+            if row[ROW_FLAGS] & FIN:
+                flow.fin_from.add(row[ROW_SRC])
+            if row[ROW_FLAGS] & RST:
                 flow.saw_rst = True
             if ledger is not None:
                 for victim_key, policy in ledger.plan_evictions(

@@ -100,7 +100,7 @@ def _run(ingest, records, budget):
     health = TraceHealth()
     ledger = StateLedger(budget, health=health) if budget else None
     connections = [
-        (c.key, [p.index for p in c.packets], c.complete)
+        (c.key, list(c.packets.index), c.complete)
         for c in ingest(
             records, health=health, linger_us=LINGER_US, ledger=ledger
         )

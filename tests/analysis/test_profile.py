@@ -45,12 +45,11 @@ class TestConnectionBasics:
 
     def test_relative_sequences(self):
         conn = TraceBuilder().handshake().data(20_000, 0, 1400).build()
-        packet = conn.data_packets()[0]
-        assert conn.relative_seq(packet) == 0
+        assert conn.data.seq[0] == 0
         conn2 = (
             TraceBuilder().handshake().data(20_000, 0, 100).ack(21_000, 100).build()
         )
-        assert conn2.relative_ack(conn2.ack_packets()[-1]) == 100
+        assert conn2.acks.value[-1] == 100
 
     def test_profile_counts(self):
         conn = (

@@ -78,5 +78,5 @@ class TestIterConnections:
             if connection.profile is None:
                 continue
             # Every streamed flow carries its whole packet history.
-            assert connection.packets[0].index <= connection.packets[-1].index
+            assert connection.packets.index[0] <= connection.packets.index[-1]
             assert connection.profile.total_data_packets > 0

@@ -74,7 +74,7 @@ class TestIncrementalRenderer:
         )
         renderer.extend(reversed(analyses))  # worst-case arrival order
         indices = [
-            a.connection.packets[0].index for a in renderer.connections()
+            a.connection.packets.index[0] for a in renderer.connections()
         ]
         assert indices == sorted(indices)
 
