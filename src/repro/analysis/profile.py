@@ -37,7 +37,7 @@ from repro.bgp.messages import MARKER as BGP_MARKER
 from repro.core.health import STAGE_FRAME, TraceHealth
 from repro.wire import frames
 from repro.wire.ip import ip_to_bytes
-from repro.wire.pcap import PcapReader, PcapRecord, read_pcap
+from repro.wire.pcap import PcapReader, PcapRecord
 from repro.wire.tcpw import ACK, FIN, RST, SYN
 
 FlowKey = tuple[str, int, str, int]
@@ -353,46 +353,23 @@ class Trace:
     ) -> "Trace":
         """Parse a pcap file (or pre-read records) into connections.
 
+        A drain of :func:`iter_connections` that holds every flow until
+        the capture ends, so connections are in first-packet order.
         With ``tolerant=True`` the pcap layer survives structural
         damage (see :class:`~repro.wire.pcap.PcapReader`); either way,
         undecodable frames are skipped and accounted in ``health``.
         """
-        if isinstance(source, list):
-            trace = cls.from_records(source, health=health)
-            trace.health.records_read += len(source)
-            return trace
-        health = health if health is not None else TraceHealth()
-        records = read_pcap(source, tolerant=tolerant, health=health)
-        return cls.from_records(records, health=health)
-
-    @classmethod
-    def from_records(
-        cls, records: list[PcapRecord], health: TraceHealth | None = None
-    ) -> "Trace":
-        """Connections of records already read (and counted) elsewhere.
-
-        A connection's ``index`` column holds positions in ``records``,
-        which is how :mod:`repro.tools.pcap2bgp` finds the payloads the
-        columns leave out.
-        """
         trace = cls(health=health)
         health = trace.health
-        connections = trace.connections
-        by_flow: dict[int, Connection] = {}
-        for index, record in enumerate(records):
-            decoded = _decode_record(index, record, health)
-            if decoded is None:
-                trace.skipped_frames += 1
-                continue
-            flow, row = decoded
-            connection = by_flow.get(flow)
-            if connection is None:
-                connection = by_flow[flow] = Connection(_flow_key(flow))
-                connections[connection.key] = connection
-            connection.rows.append(row)
-        trace.total_records = len(records)
-        for connection in connections.values():
-            connection.finalize()
+        read, decoded = health.records_read, health.frames_decoded
+        for connection in iter_connections(
+            source, health=health, tolerant=tolerant, linger_us=None
+        ):
+            trace.connections[connection.key] = connection
+        trace.total_records = health.records_read - read
+        trace.skipped_frames = trace.total_records - (
+            health.frames_decoded - decoded
+        )
         return trace
 
     def __len__(self) -> int:
@@ -407,8 +384,7 @@ def _decode_record(
 ) -> tuple[int, tuple] | None:
     """Decode one record to its flow id and row; ``None`` if undecodable.
 
-    The one per-record step the buffered and streaming ingests share:
-    an undecodable frame becomes a benign ``undecodable-frame`` issue in
+    An undecodable frame becomes a benign ``undecodable-frame`` issue in
     ``health``, a decoded one counts in ``health.frames_decoded``.  The
     flow id is an integer, the same for both directions of a flow;
     :func:`_flow_key` renders it once per connection.
@@ -493,21 +469,25 @@ def iter_connections(
     source: BinaryIO | str | Path | list[PcapRecord],
     health: TraceHealth | None = None,
     tolerant: bool = False,
-    linger_us: int = DEFAULT_LINGER_US,
+    linger_us: int | None = DEFAULT_LINGER_US,
     *,
     ledger: StateLedger | None = None,
 ) -> Iterator[Connection]:
-    """Stream finalized connections out of a capture, flow by flow.
+    """Turn a capture into finalized connections: the one ingest loop.
 
-    The buffered path (:meth:`Trace.from_pcap`) holds every parsed
-    frame of every connection until the file ends; this iterator
-    finalizes and yields each connection as soon as its flow has closed
-    (FINs from both sides or an RST) and stayed quiet for more than
-    ``linger_us``, so peak memory is bounded by the *open* flows, not
-    the whole capture.  Per-connection results are identical to the
-    buffered path for captures whose flows close cleanly; a packet
-    arriving for an already-emitted flow is dropped and accounted in
-    ``health`` rather than resurrecting the connection.
+    A flow is finalized and yielded once it has closed (FINs from both
+    sides or an RST) and stayed quiet for more than ``linger_us``, so
+    peak memory is bounded by the *open* flows, not the whole capture.
+    A packet arriving for an already-emitted flow is dropped and
+    accounted in ``health`` as a benign ``packet-after-close`` issue
+    rather than resurrecting the connection.  ``linger_us=None`` holds
+    every flow until the capture ends, which is what
+    :meth:`Trace.from_pcap` drains.  Flows still open at the end are
+    yielded in first-seen order.
+
+    Records from a path or file are counted in ``health.records_read``
+    by the :class:`~repro.wire.pcap.PcapReader`; a list of records is
+    counted here, one by one as it is consumed.
 
     Cost per packet is independent of the number of open flows: closed
     flows wait in a heap ordered by their last packet time, so a packet
@@ -529,94 +509,93 @@ def iter_connections(
     reader: PcapReader | None = None
     if isinstance(source, list):
         records: Iterator[PcapRecord] = iter(source)
-        reader_counts = False
     else:
         reader = PcapReader(source, tolerant=tolerant, health=health)
         records = iter(reader)
-        reader_counts = True
+    lingers = linger_us is not None
     heappush, heappop = heapq.heappush, heapq.heappop
-    keys: dict[int, FlowKey] = {}  # the open flows' keys by flow id
-    open_flows: dict[FlowKey, _OpenFlow] = {}
+    by_id: dict[int, _OpenFlow] = {}  # the open flows by flow id
+    open_flows: dict[FlowKey, _OpenFlow] = {}  # the same, for the ledger
     emitted: set[int] = set()
-    # (last_ts_us, order, key) of every closable flow, pushed whenever
-    # such a flow's clock moves.  An entry is live while its flow is
-    # still open with that last_ts_us; the rest are skipped when popped.
-    lingering: list[tuple[int, int, FlowKey]] = []
+    # (last_ts_us, order, flow_id) of every closable flow, pushed
+    # whenever such a flow's clock moves.  An entry is live while its
+    # flow is still open with that last_ts_us; the rest are skipped
+    # when popped.  Always empty when nothing lingers.
+    lingering: list[tuple[int, int, int]] = []
     try:
         for index, record in enumerate(records):
-            if not reader_counts:
+            if reader is None:
                 health.records_read += 1
             decoded = _decode_record(index, record, health)
             if decoded is None:
                 continue
             flow_id, row = decoded
-            key = keys.get(flow_id)
-            if key is None:  # a new flow, or one already emitted
-                key = _flow_key(flow_id)
+            flow = by_id.get(flow_id)
             # Release flows whose close has lingered long enough.
             now = record.timestamp_us
-            cutoff = now - linger_us
-            if lingering and lingering[0][0] < cutoff:
-                due: dict[int, FlowKey] = {}
+            if lingering and lingering[0][0] < now - linger_us:
+                cutoff = now - linger_us
+                due: dict[int, _OpenFlow] = {}
                 while lingering and lingering[0][0] < cutoff:
-                    last_ts_us, order, other_key = heappop(lingering)
-                    flow = open_flows.get(other_key)
+                    last_ts_us, order, other_id = heappop(lingering)
+                    other = by_id.get(other_id)
                     if (
-                        flow is not None
-                        and flow.last_ts_us == last_ts_us
-                        and other_key != key
+                        other is not None
+                        and other.last_ts_us == last_ts_us
+                        and other_id != flow_id
                     ):
-                        due[order] = other_key
+                        due[order] = other
                 for order in sorted(due):
-                    other_key = due[order]
-                    flow = open_flows.pop(other_key)
-                    del keys[flow.flow_id]
-                    emitted.add(flow.flow_id)
+                    other = due[order]
+                    del by_id[other.flow_id]
+                    del open_flows[other.connection.key]
+                    emitted.add(other.flow_id)
                     if ledger is not None:
-                        ledger.discharge(other_key)
-                    flow.connection.finalize()
-                    yield flow.connection
+                        ledger.discharge(other.connection.key)
+                    other.connection.finalize()
+                    yield other.connection
+            if flow is not None:
+                key = flow.connection.key
+            else:  # a new flow, or one already emitted
+                key = _flow_key(flow_id)
+                if flow_id in emitted:
+                    health.record(
+                        STAGE_FRAME, "packet-after-close",
+                        timestamp_us=record.timestamp_us,
+                        bytes_lost=row[ROW_LENGTH],
+                        detail=f"{key}: flow already finalized and emitted",
+                        benign=True,
+                    )
+                    continue
             flags = row[ROW_FLAGS]
-            if flow_id in emitted:
-                health.record(
-                    STAGE_FRAME, "packet-after-close",
-                    timestamp_us=record.timestamp_us,
-                    bytes_lost=row[ROW_LENGTH],
-                    detail=f"{key}: flow already finalized and emitted",
-                    benign=True,
-                )
-                continue
             if ledger is not None and not ledger.admit(
                 key, row[ROW_LENGTH], flags, now
             ):
                 # A capped connection sheds this packet, but its clock
                 # must keep running so the linger sweep stays honest.
-                flow = open_flows.get(key)
                 if flow is not None:
                     flow.connection.complete = False
                     flow.last_ts_us = now
-                    if flow.closable:
-                        heappush(lingering, (now, flow.order, key))
+                    if lingers and flow.closable:
+                        heappush(lingering, (now, flow.order, flow_id))
                 continue
-            flow = open_flows.get(key)
             if flow is None:
                 flow = _OpenFlow(Connection(key), order=index, flow_id=flow_id)
-                open_flows[key] = flow
-                keys[flow_id] = key
+                by_id[flow_id] = open_flows[key] = flow
             flow.connection.rows.append(row)
             flow.last_ts_us = now
             if flags & FIN:
                 flow.fin_from.add(row[ROW_SRC])
             if flags & RST:
                 flow.saw_rst = True
-            if flow.closable:
-                heappush(lingering, (now, flow.order, key))
+            if lingers and flow.closable:
+                heappush(lingering, (now, flow.order, flow_id))
             if ledger is not None:
                 for victim_key, policy in ledger.plan_evictions(
                     open_flows, key, now
                 ):
                     victim = open_flows.pop(victim_key)
-                    del keys[victim.flow_id]
+                    del by_id[victim.flow_id]
                     emitted.add(victim.flow_id)
                     if policy == POLICY_FINALIZE_IDLE:
                         # Early render: complete only if the flow had

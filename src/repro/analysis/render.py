@@ -29,7 +29,7 @@ import json
 from typing import Iterable
 
 from repro.analysis.budget import DegradationSummary
-from repro.analysis.tdat import ConnectionAnalysis, TdatReport
+from repro.analysis.tdat import ConnectionAnalysis, TdatReport, capture_order
 from repro.core.health import TraceHealth
 
 
@@ -95,12 +95,21 @@ def report_payload(report: TdatReport) -> dict:
     capture order, the ``health`` ledger, and ``degradation`` whenever
     a budget was in force.
     """
+    return _payload(report, report.health, report.degradation)
+
+
+def _payload(
+    analyses: Iterable[ConnectionAnalysis],
+    health: TraceHealth,
+    degradation: DegradationSummary | None,
+) -> dict:
+    """The one report payload builder, for whole and rendered reports."""
     payload = {
-        "connections": [analysis_to_dict(a) for a in report],
-        "health": report.health.to_dict(),
+        "connections": [analysis_to_dict(a) for a in analyses],
+        "health": health.to_dict(),
     }
-    if report.degradation is not None:
-        payload["degradation"] = report.degradation.to_dict()
+    if degradation is not None:
+        payload["degradation"] = degradation.to_dict()
     return payload
 
 
@@ -202,26 +211,11 @@ class ReportRenderer:
     def connections(self) -> list[ConnectionAnalysis]:
         """The accumulated analyses in capture (first-packet) order.
 
-        Streaming ingest yields flows in *close* order; reports must
-        not depend on the execution mode, so snapshots are re-sorted
-        the same way :func:`~repro.analysis.tdat.analyze_pcap` restores
-        capture order.
+        Streaming ingest yields flows in *close* order; snapshots are
+        sorted with the key :func:`~repro.analysis.tdat.analyze_pcap`
+        orders its reports by, so they match it.
         """
-        return sorted(
-            self._analyses, key=lambda a: a.connection.packets.index[0]
-        )
-
-    def report_dict(self) -> dict:
-        """The current report payload (same shape as ``tdat --json``)."""
-        payload = {
-            "connections": [
-                analysis_to_dict(a) for a in self.connections()
-            ],
-            "health": self.health.to_dict(),
-        }
-        if self.degradation is not None:
-            payload["degradation"] = self.degradation.to_dict()
-        return payload
+        return sorted(self._analyses, key=capture_order)
 
     def render_report(self) -> tuple[str, bytes]:
         """``(etag, body)`` of the current report, cached by version."""
@@ -229,7 +223,7 @@ class ReportRenderer:
         cached = self._report_cache
         if cached is not None and cached[0] == version:
             return cached[1], cached[2]
-        payload = self.report_dict()
+        payload = _payload(self.connections(), self.health, self.degradation)
         etag = f'"{payload_digest(payload)}"'
         body = _encode_body(payload)
         self._report_cache = (version, etag, body)

@@ -9,6 +9,7 @@ TCP connection in a capture and returns a structured report.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import BinaryIO
@@ -30,9 +31,9 @@ from repro.analysis.detectors import (
 from repro.analysis.factors import FactorReport, classify
 from repro.analysis.labeling import LabelingResult, label_connection
 from repro.analysis.profile import (
+    DEFAULT_LINGER_US,
     Connection,
     FlowKey,
-    Trace,
     iter_connections,
 )
 from repro.analysis.series import (
@@ -169,19 +170,6 @@ def analyze_connection(
     )
 
 
-def _record_analysis_failure(
-    health: TraceHealth, connection: Connection, summary: str
-) -> None:
-    """Account one contained per-connection analysis crash."""
-    profile = connection.profile
-    health.record(
-        STAGE_ANALYSIS, "connection-analysis-failed",
-        timestamp_us=profile.start_time_us if profile else None,
-        bytes_lost=profile.total_data_bytes if profile else 0,
-        detail=f"{connection.key}: {summary}",
-    )
-
-
 def _analyze_connection_task(
     item: tuple[Connection, tuple[int, int] | None]
 ) -> ConnectionAnalysis:
@@ -194,9 +182,149 @@ def _analyze_connection_task(
     return analyze_connection(connection, window=window, config=task_context())
 
 
+def _series_config(
+    config: SeriesConfig | None, sniffer_location: str | None
+) -> SeriesConfig:
+    """The run's series config: ``config``, or one at ``sniffer_location``.
+
+    Both entry points resolve their config here.  When both are given
+    and disagree this raises :class:`ValueError` instead of silently
+    preferring one.
+    """
+    if config is None:
+        return SeriesConfig(
+            sniffer_location=sniffer_location or SNIFFER_AT_RECEIVER
+        )
+    if sniffer_location not in (None, config.sniffer_location):
+        raise ValueError(
+            f"sniffer_location={sniffer_location!r} disagrees with "
+            f"config.sniffer_location={config.sniffer_location!r}"
+        )
+    return config
+
+
+def _new_report(
+    health: TraceHealth | None,
+    strict: bool,
+    budget: ResourceBudget | None,
+    ledger: StateLedger | None = None,
+) -> tuple[TdatReport, StateLedger | None]:
+    """An empty report and its ledger (``ledger``, or one for a bounded
+    ``budget``, or none), the report carrying the ledger's summary."""
+    report = TdatReport(
+        health=health if health is not None else TraceHealth(strict=strict)
+    )
+    if ledger is None and budget is not None and budget.bounded:
+        ledger = StateLedger(budget, health=report.health)
+    if ledger is not None:
+        report.degradation = ledger.summary
+    return report, ledger
+
+
+def capture_order(analysis: ConnectionAnalysis) -> int:
+    """Sort key: the capture index of the connection's first packet.
+
+    Streaming ingest yields flows in *close* order.  Reports must not
+    depend on the execution mode, so every report lists its analyses
+    in this order; it is exact, since every connection holds its
+    packets' capture indices.
+    """
+    return analysis.connection.packets.index[0]
+
+
+def _contain_failure(
+    report: TdatReport,
+    connection: Connection,
+    strict: bool,
+    summary: str,
+    cause: BaseException,
+) -> None:
+    """The one rule for a crashed per-connection analysis.
+
+    Strict runs raise :class:`~repro.core.health.IngestError` naming
+    the connection, chained from ``cause``.  Otherwise the blast
+    radius stays one connection: it is skipped and what was lost is
+    recorded as a ``connection-analysis-failed`` issue.
+    """
+    if strict:
+        raise IngestError(
+            f"{connection.key}: analysis crashed: {summary}"
+        ) from cause
+    report.skipped_connections += 1
+    profile = connection.profile
+    report.health.record(
+        STAGE_ANALYSIS, "connection-analysis-failed",
+        timestamp_us=profile.start_time_us if profile else None,
+        bytes_lost=profile.total_data_bytes if profile else 0,
+        detail=f"{connection.key}: {summary}",
+    )
+
+
+def _analyses(
+    source: BinaryIO | str | Path | list[PcapRecord],
+    report: TdatReport,
+    *,
+    config: SeriesConfig,
+    windows: dict[FlowKey, tuple[int, int]] | None,
+    min_data_packets: int,
+    strict: bool,
+    ledger: StateLedger | None,
+    linger_us: int | None,
+    pool: WorkPool | None = None,
+) -> Iterator[ConnectionAnalysis]:
+    """The one analysis driver: yield each connection's analysis.
+
+    Ingests ``source`` through :func:`iter_connections`, skips
+    connections with fewer than ``min_data_packets`` data segments
+    (counted in ``report.skipped_connections``), looks up each one's
+    window and runs :func:`analyze_connection` on it: serially, each
+    connection as soon as ingest finalizes it, or, when ``pool`` has
+    more than one worker, all eligible connections as one batch.
+    Crashes are contained per connection (:func:`_contain_failure`).
+    """
+    connections = iter_connections(
+        source, health=report.health, tolerant=not strict,
+        linger_us=linger_us, ledger=ledger,
+    )
+
+    def eligible():
+        for connection in connections:
+            profile = connection.profile
+            if profile is None or profile.total_data_packets < min_data_packets:
+                report.skipped_connections += 1
+                continue
+            yield connection, windows.get(connection.key) if windows else None
+
+    if pool is not None and pool.workers > 1:
+        items = list(eligible())
+        outcomes = pool.map(_analyze_connection_task, items, context=config)
+        for (connection, _), outcome in zip(items, outcomes):
+            if outcome.ok:
+                yield outcome.value
+                continue
+            error = outcome.error
+            _contain_failure(
+                report, connection, strict, str(error),
+                RuntimeError(error.traceback or str(error)),
+            )
+        return
+    for connection, window in eligible():
+        try:
+            analysis = analyze_connection(
+                connection, window=window, config=config
+            )
+        except Exception as exc:
+            _contain_failure(
+                report, connection, strict, f"{type(exc).__name__}: {exc}",
+                exc,
+            )
+            continue
+        yield analysis
+
+
 def analyze_pcap(
     source: BinaryIO | str | Path | list[PcapRecord],
-    sniffer_location: str = SNIFFER_AT_RECEIVER,
+    sniffer_location: str | None = None,
     windows: dict[FlowKey, tuple[int, int]] | None = None,
     config: SeriesConfig | None = None,
     min_data_packets: int = 2,
@@ -212,27 +340,34 @@ def analyze_pcap(
     ``windows`` optionally restricts each connection's analysis period
     (e.g. to the MCT-determined table-transfer extent).  Connections
     with fewer than ``min_data_packets`` data segments are skipped.
+    ``sniffer_location`` (default ``"receiver"``) and ``config`` may
+    both be given only when they agree.
 
     The default discipline is graceful degradation: structurally
     damaged pcap regions are skipped with resynchronization, frames and
     connections that defeat their decoders are dropped, and everything
     lost is accounted in the report's :class:`TraceHealth`.  With
     ``strict=True`` the original fail-fast behaviour is restored:
-    damaged pcap structure or a crashed per-connection analysis raises
-    instead of degrading (undecodable individual frames remain benign
-    skips — real captures always contain some ARP/LLDP).
+    damaged pcap structure raises, and a crashed per-connection
+    analysis raises :class:`~repro.core.health.IngestError` instead of
+    degrading (undecodable individual frames remain benign skips —
+    real captures always contain some ARP/LLDP).
 
-    Two execution knobs, both result-preserving:
+    Two execution knobs:
 
     * ``streaming=True`` finalizes and analyzes each flow as it closes
-      instead of parsing the whole capture first, bounding ingest
-      memory by the *open* flows (see
+      instead of holding every flow to the end of the capture,
+      bounding ingest memory by the *open* flows (see
       :func:`~repro.analysis.profile.iter_connections` and
-      :func:`iter_analyze_pcap` for the incremental form);
+      :func:`iter_analyze_pcap` for the incremental form).  The one
+      difference in results: a packet arriving after its flow closed
+      and lingered out is dropped as a benign ``packet-after-close``
+      issue instead of extending the connection;
     * ``workers=N`` (or an explicit ``pool``) fans the per-connection
       pipeline runs of a multi-connection capture out across worker
-      processes.  Analyses come back in the same order the serial path
-      produces, so reports are identical.
+      processes.  Reports are identical.
+
+    Either way analyses are listed in capture order (:func:`capture_order`).
 
     ``budget`` bounds the live analysis state itself (see
     :class:`~repro.analysis.budget.ResourceBudget`): ingest is forced
@@ -243,136 +378,23 @@ def analyze_pcap(
     trace fits the budget the report is byte-identical to an
     unbudgeted streaming run.
     """
-    if config is None:
-        config = SeriesConfig(sniffer_location=sniffer_location)
-    if health is None:
-        health = TraceHealth(strict=strict)
-    report = TdatReport(health=health)
-    ledger: StateLedger | None = None
-    if budget is not None and budget.bounded:
-        ledger = StateLedger(budget, health=health)
-        report.degradation = ledger.summary
-    bounded = streaming or ledger is not None
-    if pool is None:
-        pool = WorkPool(workers=workers)
-    parallel = pool.workers > 1
-
-    if bounded and not parallel:
-        for analysis in _analyze_stream(
-            source, report, windows=windows, config=config,
-            min_data_packets=min_data_packets, strict=strict, health=health,
-            ledger=ledger,
-        ):
-            report.analyses[analysis.key] = analysis
-        _restore_capture_order(report)
-        return report
-
-    if bounded:
-        # Parallel + streaming: ingest incrementally (bounded by open
-        # flows, and by the ledger when a budget is set), then batch
-        # the eligible connections through the pool.
-        connections = iter_connections(
-            source, health=health, tolerant=not strict, ledger=ledger,
-        )
-    else:
-        connections = iter(Trace.from_pcap(
-            source, health=health, tolerant=not strict,
-        ))
-
-    eligible: list[tuple[Connection, tuple[int, int] | None]] = []
-    for connection in connections:
-        if connection.profile is None or (
-            connection.profile.total_data_packets < min_data_packets
-        ):
-            report.skipped_connections += 1
-            continue
-        window = windows.get(connection.key) if windows else None
-        eligible.append((connection, window))
-
-    if not parallel:
-        for connection, window in eligible:
-            try:
-                report.analyses[connection.key] = analyze_connection(
-                    connection, window=window, config=config
-                )
-            except Exception as exc:
-                if strict:
-                    raise
-                # Contain the blast radius to one connection: record
-                # what was lost and keep analyzing the rest.
-                report.skipped_connections += 1
-                _record_analysis_failure(
-                    health, connection, f"{type(exc).__name__}: {exc}"
-                )
-    else:
-        outcomes = pool.map(_analyze_connection_task, eligible, context=config)
-        for (connection, _), outcome in zip(eligible, outcomes):
-            if outcome.ok:
-                report.analyses[connection.key] = outcome.value
-                continue
-            if strict:
-                raise IngestError(
-                    f"{connection.key}: analysis crashed in worker: "
-                    f"{outcome.error}"
-                )
-            report.skipped_connections += 1
-            _record_analysis_failure(health, connection, str(outcome.error))
-    if bounded:
-        _restore_capture_order(report)
-    return report
-
-
-def _restore_capture_order(report: TdatReport) -> None:
-    """Reorder analyses to first-appearance order of their connections.
-
-    Streaming ingest yields flows in *close* order; the buffered path
-    iterates them in first-packet order.  Reports must not depend on
-    the execution mode, so streaming results are put back in capture
-    order (every connection holds its packets' capture indices, so the
-    order is exact).
-    """
-    report.analyses = dict(
-        sorted(
-            report.analyses.items(),
-            key=lambda item: item[1].connection.packets.index[0],
-        )
+    config = _series_config(config, sniffer_location)
+    report, ledger = _new_report(health, strict, budget)
+    analyses = _analyses(
+        source, report, config=config, windows=windows,
+        min_data_packets=min_data_packets, strict=strict, ledger=ledger,
+        linger_us=(
+            DEFAULT_LINGER_US if streaming or ledger is not None else None
+        ),
+        pool=pool if pool is not None else WorkPool(workers=workers),
     )
-
-
-def _analyze_stream(
-    source: BinaryIO | str | Path | list[PcapRecord],
-    report: TdatReport,
-    windows: dict[FlowKey, tuple[int, int]] | None,
-    config: SeriesConfig,
-    min_data_packets: int,
-    strict: bool,
-    health: TraceHealth,
-    ledger: StateLedger | None = None,
-):
-    """Yield analyses one flow at a time, updating ``report`` counters."""
-    for connection in iter_connections(
-        source, health=health, tolerant=not strict, ledger=ledger,
-    ):
-        if connection.profile is None or (
-            connection.profile.total_data_packets < min_data_packets
-        ):
-            report.skipped_connections += 1
-            continue
-        window = windows.get(connection.key) if windows else None
-        try:
-            yield analyze_connection(connection, window=window, config=config)
-        except Exception as exc:
-            if strict:
-                raise
-            report.skipped_connections += 1
-            _record_analysis_failure(
-                health, connection, f"{type(exc).__name__}: {exc}"
-            )
+    report.analyses = {a.key: a for a in sorted(analyses, key=capture_order)}
+    return report
 
 
 def iter_analyze_pcap(
     source: BinaryIO | str | Path | list[PcapRecord],
-    sniffer_location: str = SNIFFER_AT_RECEIVER,
+    sniffer_location: str | None = None,
     windows: dict[FlowKey, tuple[int, int]] | None = None,
     config: SeriesConfig | None = None,
     min_data_packets: int = 2,
@@ -380,7 +402,7 @@ def iter_analyze_pcap(
     health: TraceHealth | None = None,
     budget: ResourceBudget | None = None,
     ledger: StateLedger | None = None,
-):
+) -> Iterator[ConnectionAnalysis]:
     """The incremental form of :func:`analyze_pcap`.
 
     Yields each connection's :class:`ConnectionAnalysis` the moment its
@@ -393,15 +415,10 @@ def iter_analyze_pcap(
     can construct the :class:`~repro.analysis.budget.StateLedger`
     itself and pass it as ``ledger`` (which overrides ``budget``).
     """
-    if config is None:
-        config = SeriesConfig(sniffer_location=sniffer_location)
-    if health is None:
-        health = TraceHealth(strict=strict)
-    if ledger is None and budget is not None and budget.bounded:
-        ledger = StateLedger(budget, health=health)
-    throwaway = TdatReport(health=health)
-    yield from _analyze_stream(
-        source, throwaway, windows=windows, config=config,
-        min_data_packets=min_data_packets, strict=strict, health=health,
-        ledger=ledger,
+    config = _series_config(config, sniffer_location)
+    report, ledger = _new_report(health, strict, budget, ledger)
+    return _analyses(
+        source, report, config=config, windows=windows,
+        min_data_packets=min_data_packets, strict=strict, ledger=ledger,
+        linger_us=DEFAULT_LINGER_US,
     )

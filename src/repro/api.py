@@ -66,7 +66,7 @@ class AnalysisRequest:
     """
 
     source: BinaryIO | str | Path | list[PcapRecord]
-    sniffer_location: str = SNIFFER_AT_RECEIVER
+    sniffer_location: str | None = None  # None → config's, or "receiver"
     windows: dict[FlowKey, tuple[int, int]] | None = None
     config: SeriesConfig | None = None
     min_data_packets: int = 2

@@ -281,10 +281,13 @@ def pcap_to_bgp(
     """Reconstruct every connection's BGP stream from a capture."""
     if isinstance(source, list):
         records = source
-        trace = Trace.from_pcap(records, health=health)
     else:
         records = read_pcap(source, tolerant=health is not None, health=health)
-        trace = Trace.from_records(records, health=health)
+        if health is not None:
+            # The reader counted these records; the drain below counts
+            # the records it is handed, so they would count twice.
+            health.records_read -= len(records)
+    trace = Trace.from_pcap(records, health=health)
     results: dict[tuple, StreamResult] = {}
     for connection in trace:
         if connection.profile is None:

@@ -21,9 +21,10 @@ class FrameError(ValueError):
 class PacketFields(NamedTuple):
     """The analyzer-facing fields of one Ethernet/IPv4/TCP frame.
 
-    :func:`parse_packet` produces these without materializing the
-    intermediate per-layer dataclasses; the field values are identical
-    to what :func:`parse_frame` would expose through ``ParsedFrame``.
+    :func:`parse_packet` renders these from :func:`decode_fields`
+    without materializing the per-layer dataclasses or verifying
+    checksums; the field values are identical to what
+    :func:`parse_frame` exposes through ``ParsedFrame``.
     """
 
     src_ip: str
@@ -129,22 +130,12 @@ _OPTIONS_CACHE: dict[bytes, tuple] = {}
 _OPTIONS_CACHE_LIMIT = 4096
 
 
-def parse_packet(data: bytes, verify_checksums: bool = False) -> PacketFields:
+def parse_packet(data: bytes) -> PacketFields:
     """Decode a frame straight to :class:`PacketFields`.
 
     A view of :func:`decode_fields` with rendered addresses and the
-    payload sliced out; with ``verify_checksums`` the layered
-    :func:`parse_frame` decodes instead.
+    payload sliced out.
     """
-    if verify_checksums:
-        parsed = parse_frame(data, verify_checksums=True)
-        tcp = parsed.tcp
-        return PacketFields(
-            parsed.ipv4.src, tcp.src_port, parsed.ipv4.dst, tcp.dst_port,
-            tcp.seq, tcp.ack, tcp.flags, tcp.window,
-            parsed.ipv4.identification, tcp.payload,
-            tcp.mss_option, tcp.wscale_option,
-        )
     (
         src, src_port, dst, dst_port, seq, ack, flags, window, ip_id,
         start, end, mss, wscale,

@@ -6,9 +6,12 @@ while the reader still had a zero-copy scanner beside the streaming
 walk and the series layer a numpy backend beside the python one.  A
 change to either layer must leave every report byte-identical: over a
 clean capture, over each fault operator, nanosecond timestamps, a
-mid-record truncation, the streaming ingest path, and one connection
-long enough (4,201 data+ACK events) that the numpy backend used to
-produce its series.
+mid-record truncation, and one connection long enough (4,201 data+ACK
+events) that the numpy backend used to produce its series.  Each
+digest holds in every execution mode: buffered or streaming ingest,
+serial or parallel analysis.  The one mode difference, a packet
+arriving after its flow closed and lingered out, is pinned by
+:func:`test_straggler_after_close`.
 """
 
 import io
@@ -20,7 +23,7 @@ from repro.analysis.tdat import analyze_pcap
 from repro.faults.fuzz import clean_trace_bytes
 from repro.faults.mangle import OPERATORS, mangle
 from repro.faults.stress import connection_flood
-from repro.wire.pcap import read_pcap, records_to_bytes
+from repro.wire.pcap import PcapRecord, read_pcap, records_to_bytes
 
 CLEAN_SHA256 = (
     "b59d7e82565346aa30d05dd1d3dde5f9a3325dedfb9d5523c3666ca75f3574a4"
@@ -31,6 +34,19 @@ TRUNCATED_SHA256 = (
 LONG_CONNECTION_SHA256 = (
     "9110d96e9fc39635298daef1918ab13a763ca5410eeca2bd12204709340656c3"
 )
+STRAGGLER_BUFFERED_SHA256 = (
+    "303d9773bc6770a5ae26b89952936f57a395ac354f165e12e8c78e924a75c04d"
+)
+STRAGGLER_STREAMING_SHA256 = (
+    "9e62f071617c0b561d9a83f6bfb87a8a368041894dcfd6f8800c6be2b4108e23"
+)
+
+#: the execution modes besides the default (buffered, serial).
+MODES = {
+    "streaming": {"streaming": True},
+    "workers": {"workers": 2},
+    "streaming-workers": {"streaming": True, "workers": 2},
+}
 
 MANGLED_SHA256 = {
     ("corrupt-payload", 3):
@@ -87,10 +103,6 @@ def test_clean_capture(clean_blob):
     assert report_digest(clean_blob) == CLEAN_SHA256
 
 
-def test_streaming_clean_capture(clean_blob):
-    assert report_digest(clean_blob, streaming=True) == CLEAN_SHA256
-
-
 def test_nanosecond_magic(clean_blob):
     records = read_pcap(io.BytesIO(clean_blob), tolerant=True)
     nano = records_to_bytes(records, nanosecond=True)
@@ -115,3 +127,68 @@ def test_long_connection():
     """One flow of 2,100 ACKed segments: 4,201 series events."""
     blob = records_to_bytes(connection_flood(1, 2_100, 200))
     assert report_digest(blob) == LONG_CONNECTION_SHA256
+
+
+def golden_case(clean_blob: bytes, case: str) -> tuple[bytes, str]:
+    """The capture and pinned digest of one golden test, by name."""
+    if case == "clean":
+        return clean_blob, CLEAN_SHA256
+    if case == "nanosecond":
+        records = read_pcap(io.BytesIO(clean_blob), tolerant=True)
+        return records_to_bytes(records, nanosecond=True), CLEAN_SHA256
+    if case == "truncated":
+        return clean_blob[:-11], TRUNCATED_SHA256
+    if case == "long-connection":
+        blob = records_to_bytes(connection_flood(1, 2_100, 200))
+        return blob, LONG_CONNECTION_SHA256
+    operator, seed = case.rsplit("-", 1)
+    return (
+        mangle(clean_blob, [operator], seed=int(seed)),
+        MANGLED_SHA256[operator, int(seed)],
+    )
+
+
+GOLDEN_CASES = ["clean", "nanosecond", "truncated", "long-connection"] + [
+    f"{operator}-{seed}" for operator, seed in sorted(MANGLED_SHA256)
+]
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+@pytest.mark.parametrize("case", GOLDEN_CASES)
+def test_golden_digest_in_every_mode(clean_blob, case, mode):
+    blob, digest = golden_case(clean_blob, case)
+    assert report_digest(blob, **MODES[mode]) == digest
+
+
+@pytest.mark.parametrize("mode", ["default"] + sorted(MODES))
+def test_straggler_after_close(mode):
+    """Each flow's last record re-sent 10 s apart, after both closed.
+
+    Buffered ingest holds every flow to the end of the capture, so
+    both stragglers extend their connections.  Streaming ingest has
+    released the first flow (closed and quiet past the linger) by the
+    time its straggler arrives, so that one is dropped as a benign
+    ``packet-after-close`` issue.  The second straggler is its own
+    flow's next packet, which never releases its own flow.
+    """
+    records = list(connection_flood(2, 6, 200))
+    end = records[-1].timestamp_us
+    records += [
+        PcapRecord(end + 10_000_000, records[-1].data),
+        PcapRecord(end + 20_000_000, records[-2].data),
+    ]
+    kwargs = MODES.get(mode, {})
+    report = analyze_pcap(io.BytesIO(records_to_bytes(records)), **kwargs)
+    first, second = report
+    digest = render.payload_digest(render.report_payload(report))
+    assert second.connection.profile.duration_us == 27_000_000
+    if kwargs.get("streaming"):
+        assert digest == STRAGGLER_STREAMING_SHA256
+        assert first.connection.profile.duration_us == 17_000_000
+        assert [i.kind for i in report.health.issues] == [
+            "packet-after-close"
+        ]
+    else:
+        assert digest == STRAGGLER_BUFFERED_SHA256
+        assert first.connection.profile.duration_us == 37_000_001
+        assert report.health.ok

@@ -9,6 +9,7 @@ from repro.analysis.tdat import analyze_pcap
 from repro.bgp.messages import UpdateMessage
 from repro.bgp.mrt import read_mrt
 from repro.bgp.table import generate_table
+from repro.core.health import TraceHealth
 from repro.core.units import seconds
 from repro.netsim.link import WindowLoss
 from repro.netsim.simulator import Simulator
@@ -70,6 +71,13 @@ class TestPcap2Bgp:
         expected = len(lossy_capture["table"].to_updates())
         assert len(result.updates()) == expected
         assert result.decode_error is None
+
+    @pytest.mark.parametrize("source", ["path", "records"])
+    def test_counts_each_record_once(self, clean_capture, source):
+        health = TraceHealth()
+        results = pcap2bgp.pcap_to_bgp(clean_capture[source], health=health)
+        assert len(results) == 1
+        assert health.records_read == len(clean_capture["records"])
 
     def test_message_timestamps_monotone(self, clean_capture):
         (result,) = pcap2bgp.pcap_to_bgp(clean_capture["records"]).values()
