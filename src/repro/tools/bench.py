@@ -9,8 +9,8 @@ comparable performance record across commits:
   byte-identity check between the two reports and an optional
   ``--assert-speedup`` gate;
 * ``ingest`` — per-stage packets/sec over a capture: pcap record
-  reading, frame decoding (the fused decoder against the layered
-  one), and the full ``analyze_pcap`` pipeline, with a ``--baseline``
+  reading, frame decoding (``frames.parse_packet``), and the full
+  ``analyze_pcap`` pipeline, with a ``--baseline``
   / ``--max-regression`` gate over the history;
 * ``obs-overhead`` — the observability subsystem's cost: an
   obs-enabled serial campaign vs. disabled samples plus the no-op
@@ -415,19 +415,11 @@ def _run_ingest(args) -> int:
         def read():
             read_pcap(corpus, tolerant=True)
 
-        def parse_fast():
-            parse = frames.parse_packet
+        def parse():
+            parse_packet = frames.parse_packet
             for record in records:
                 try:
-                    parse(record.data)
-                except frames.FrameError:
-                    pass
-
-        def parse_reference():
-            parse = frames.parse_frame
-            for record in records:
-                try:
-                    parse(record.data)
+                    parse_packet(record.data)
                 except frames.FrameError:
                     pass
 
@@ -437,27 +429,14 @@ def _run_ingest(args) -> int:
         def rate(fn) -> float:
             return round(count / _best_of(args.repeat, fn), 1)
 
-        fast_s = _best_of(args.repeat, parse_fast)
-        ref_s = _best_of(args.repeat, parse_reference)
         stages = {
             "read": {"pps": rate(read)},
-            "parse": {
-                "fast_pps": round(count / fast_s, 1),
-                "reference_pps": round(count / ref_s, 1),
-                "ratio": round(ref_s / fast_s, 3),
-            },
+            "parse": {"pps": rate(parse)},
             "analyze": {"pps": rate(analyze)},
         }
         lines = [f"ingest: {count} records"]
         for name, stage in stages.items():
-            if "pps" in stage:
-                lines.append(f"  {name}: {stage['pps']:.0f} pkts/s")
-            else:
-                lines.append(
-                    f"  {name}: {stage['fast_pps']:.0f} pkts/s fused, "
-                    f"{stage['reference_pps']:.0f} layered "
-                    f"({stage['ratio']:.2f}x)"
-                )
+            lines.append(f"  {name}: {stage['pps']:.0f} pkts/s")
             _status(args, lines[-1])
     finally:
         if tmp_ctx is not None:

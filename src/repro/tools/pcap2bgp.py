@@ -23,6 +23,7 @@ from repro.bgp.messages import BgpError, BgpMessage, MessageDecoder, UpdateMessa
 from repro.bgp.mrt import MrtRecord, write_mrt
 from repro.core.health import STAGE_BGP, TraceHealth
 from repro.wire import frames
+from repro.wire.tcpw import SYN
 from repro.wire.pcap import PcapRecord, read_pcap
 
 
@@ -52,6 +53,59 @@ class StreamResult:
         return [m for m in self.messages if isinstance(m.message, UpdateMessage)]
 
 
+class _Reassembler:
+    """One direction of a BGP session's TCP stream, in stream order.
+
+    Segments arrive by relative sequence number, in any order and
+    possibly repeated; the bytes each one makes contiguous go through
+    one :class:`MessageDecoder`, and the messages they complete are
+    stamped with that segment's capture time.  The first
+    :class:`BgpError` (only a ``resync=False`` decoder raises) ends the
+    decoding; the stream is still reassembled and counted.
+    """
+
+    def __init__(self, resync: bool, on_issue) -> None:
+        self.decoder = MessageDecoder(resync=resync, on_issue=on_issue)
+        self.next_seq = 0
+        self.pending: dict[int, bytes] = {}  # rel_seq -> bytes not yet contiguous
+        self.stream_bytes = 0
+        self.timestamp_us = 0  # capture time of the last contiguous bytes
+        self.error: str | None = None  # the BgpError that ended decoding
+
+    def add(self, seq: int, payload: bytes, timestamp_us: int) -> list[TimedMessage]:
+        """Take one segment; returns the messages it completed."""
+        out: list[TimedMessage] = []
+        pending = self.pending
+        pending.setdefault(seq, payload)
+        # Drain the stash while it continues the stream.
+        while pending:
+            first = min(pending)
+            if first > self.next_seq:
+                break
+            stashed = pending.pop(first)
+            end = first + len(stashed)
+            if end <= self.next_seq:
+                continue  # pure retransmission of old data
+            data = stashed[self.next_seq - first :]
+            self.next_seq = end
+            self.timestamp_us = timestamp_us
+            self.stream_bytes += len(data)
+            if self.error is None:
+                try:
+                    for message in self.decoder.feed(data):
+                        out.append(TimedMessage(timestamp_us, message))
+                except BgpError as exc:
+                    self.error = str(exc)
+        return out
+
+    def missing_bytes(self) -> int:
+        """Stashed bytes beyond a hole that never filled."""
+        return sum(
+            max(0, seq + len(payload) - max(self.next_seq, seq))
+            for seq, payload in self.pending.items()
+        )
+
+
 def reconstruct_stream(
     connection: Connection,
     records: Sequence[PcapRecord],
@@ -71,11 +125,7 @@ def reconstruct_stream(
     stream, preserved in ``decode_error`` — the legacy fail-fast mode.
     """
     messages: list[TimedMessage] = []
-    pending: dict[int, bytes] = {}  # rel_seq -> payload not yet contiguous
-    next_seq = 0
-    stream_bytes = 0
     error: str | None = None
-    current_time = 0
 
     def on_issue(kind: str, bytes_lost: int, detail: str) -> None:
         nonlocal error
@@ -84,69 +134,34 @@ def reconstruct_stream(
         if health is not None:
             health.record(
                 STAGE_BGP, kind,
-                timestamp_us=current_time,
+                timestamp_us=stream.timestamp_us,
                 bytes_lost=bytes_lost,
                 detail=f"{connection.key}: {detail}",
             )
 
-    decoder = MessageDecoder(resync=resync, on_issue=on_issue)
-
-    def feed(data: bytes, timestamp: int) -> None:
-        nonlocal stream_bytes, error, current_time
-        stream_bytes += len(data)
-        current_time = timestamp
-        if error is not None and not resync:
-            return
-        try:
-            for message in decoder.feed(data):
-                messages.append(TimedMessage(timestamp, message))
-        except BgpError as exc:
-            error = str(exc)
-            if health is not None:
-                health.record(
-                    STAGE_BGP, "stream-desynchronized",
-                    timestamp_us=timestamp,
-                    detail=f"{connection.key}: {exc}",
-                )
-
+    stream = _Reassembler(resync, on_issue)
     data = connection.data
     for index, seq, end, time_us in zip(
         data.index, data.seq, data.end, data.time
     ):
-        if end <= next_seq:
-            continue  # pure retransmission of old data
-        payload = _payload(records[index])
-        if seq > next_seq:
-            pending.setdefault(seq, payload)
-            continue
-        feed(payload[next_seq - seq :], time_us)
-        next_seq = end
-        # Drain any stashed segments that are now contiguous.
-        progressed = True
-        while progressed:
-            progressed = False
-            for stash_seq in sorted(pending):
-                payload = pending[stash_seq]
-                stash_end = stash_seq + len(payload)
-                if stash_end <= next_seq:
-                    del pending[stash_seq]
-                    progressed = True
-                elif stash_seq <= next_seq:
-                    del pending[stash_seq]
-                    feed(payload[next_seq - stash_seq :], time_us)
-                    next_seq = stash_end
-                    progressed = True
-                    break
-    missing = sum(
-        max(0, seq + len(payload) - max(next_seq, seq))
-        for seq, payload in pending.items()
-    )
+        if end <= stream.next_seq:
+            continue  # pure retransmission: no payload to cut
+        messages += stream.add(seq, _payload(records[index]), time_us)
+        if stream.error is not None and error is None:
+            error = stream.error
+            if health is not None:
+                health.record(
+                    STAGE_BGP, "stream-desynchronized",
+                    timestamp_us=stream.timestamp_us,
+                    detail=f"{connection.key}: {error}",
+                )
+    missing = stream.missing_bytes()
     if missing > 0 and health is not None:
         # Capture drops left sequence holes that never filled: the
         # stashed segments beyond them could not be decoded.
         health.record(
             STAGE_BGP, "stream-hole",
-            timestamp_us=current_time,
+            timestamp_us=stream.timestamp_us,
             bytes_lost=missing,
             detail=f"{connection.key}: {missing} stream bytes never arrived",
             benign=True,
@@ -155,11 +170,11 @@ def reconstruct_stream(
         sender_ip=connection.sender_ip or "0.0.0.0",
         receiver_ip=connection.receiver_ip or "0.0.0.0",
         messages=messages,
-        stream_bytes=stream_bytes,
+        stream_bytes=stream.stream_bytes,
         missing_bytes=missing,
         decode_error=error,
-        resync_events=decoder.resync_count,
-        skipped_bytes=decoder.bytes_skipped,
+        resync_events=stream.decoder.resync_count,
+        skipped_bytes=stream.decoder.bytes_skipped,
     )
 
 
@@ -183,7 +198,8 @@ class StreamingPcap2Bgp:
     def __init__(self, on_message=None, resync: bool = True) -> None:
         self.on_message = on_message
         self.resync = resync
-        self._flows: dict[tuple, dict] = {}
+        self._flows: dict[tuple, _Reassembler] = {}
+        self._isns: dict[tuple, int] = {}
         self.messages: list[tuple[tuple, TimedMessage]] = []
         self.frames_consumed = 0
         self.skipped_frames = 0
@@ -192,80 +208,40 @@ class StreamingPcap2Bgp:
     def feed(self, record: PcapRecord) -> list[TimedMessage]:
         """Process one captured frame; returns messages it completed."""
         self.frames_consumed += 1
+        data = record.data
         try:
-            parsed = frames.parse_frame(record.data)
-        except (frames.FrameError, ValueError):
+            (
+                src, src_port, dst, dst_port, seq, _ack, flags, _window,
+                _ip_id, start, end, _mss, _wscale,
+            ) = frames.decode_fields(data)
+        except frames.FrameError:
             self.skipped_frames += 1
             return []
-        if not parsed.tcp.payload and not parsed.tcp.is_syn:
+        syn = flags & SYN
+        if start == end and not syn:
             return []
-        flow = parsed.flow
-        state = self._flows.get(flow)
-        if state is None:
-            state = {
-                "isn": None,
-                "next_seq": 0,
-                "pending": {},
-                "decoder": MessageDecoder(
-                    resync=self.resync, on_issue=self._count_resync
-                ),
-                "dead": False,
-            }
-            self._flows[flow] = state
-        if parsed.tcp.is_syn:
-            state["isn"] = parsed.tcp.seq
+        flow = (frames.int_to_ip(src), src_port, frames.int_to_ip(dst), dst_port)
+        stream = self._flows.get(flow)
+        if stream is None:
+            stream = self._flows[flow] = _Reassembler(
+                self.resync, self._count_resync
+            )
+        if syn:
+            self._isns[flow] = seq
             return []
-        if state["dead"] or not parsed.tcp.payload:
+        if stream.error is not None:
             return []
-        if state["isn"] is None:
-            state["isn"] = parsed.tcp.seq - 1
-        rel = (parsed.tcp.seq - state["isn"] - 1) & 0xFFFFFFFF
-        return self._ingest(flow, state, rel, parsed.tcp.payload,
-                            record.timestamp_us)
+        isn = self._isns.setdefault(flow, seq - 1)
+        rel = (seq - isn - 1) & 0xFFFFFFFF
+        out = stream.add(rel, bytes(data[start:end]), record.timestamp_us)
+        for timed in out:
+            self.messages.append((flow, timed))
+            if self.on_message is not None:
+                self.on_message(flow, timed)
+        return out
 
     def _count_resync(self, kind: str, bytes_lost: int, detail: str) -> None:
         self.resync_events += 1
-
-    def _ingest(self, flow, state, seq, payload, timestamp):
-        out: list[TimedMessage] = []
-
-        def feed_bytes(data: bytes) -> None:
-            if state["dead"]:
-                return
-            try:
-                for message in state["decoder"].feed(data):
-                    timed = TimedMessage(timestamp, message)
-                    out.append(timed)
-                    self.messages.append((flow, timed))
-                    if self.on_message is not None:
-                        self.on_message(flow, timed)
-            except BgpError:
-                state["dead"] = True
-
-        end = seq + len(payload)
-        if end <= state["next_seq"]:
-            return out  # pure retransmission
-        if seq > state["next_seq"]:
-            state["pending"].setdefault(seq, payload)
-            return out
-        feed_bytes(payload[state["next_seq"] - seq:])
-        state["next_seq"] = end
-        progressed = True
-        while progressed and not state["dead"]:
-            progressed = False
-            for stash_seq in sorted(state["pending"]):
-                stashed = state["pending"][stash_seq]
-                stash_end = stash_seq + len(stashed)
-                if stash_end <= state["next_seq"]:
-                    del state["pending"][stash_seq]
-                    progressed = True
-                elif stash_seq <= state["next_seq"]:
-                    del state["pending"][stash_seq]
-                    feed_bytes(stashed[state["next_seq"] - stash_seq:])
-                    state["next_seq"] = stash_end
-                    progressed = True
-                    break
-        return out
 
     def flows(self) -> list[tuple]:
         """The flow 4-tuples seen so far."""

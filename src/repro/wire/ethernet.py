@@ -1,4 +1,4 @@
-"""Ethernet II frame encoding and decoding.
+"""Ethernet II frame encoding (captures decode in ``frames.decode_fields``).
 
 Only what a BGP monitoring capture needs: Ethernet II framing with the
 IPv4 ethertype.  MAC addresses are carried as 6-byte ``bytes`` values.
@@ -21,7 +21,7 @@ class EthernetError(ValueError):
 
 @dataclass(frozen=True)
 class EthernetFrame:
-    """A decoded Ethernet II frame."""
+    """An Ethernet II frame to encode."""
 
     dst_mac: bytes
     src_mac: bytes
@@ -33,14 +33,6 @@ class EthernetFrame:
         if len(self.dst_mac) != 6 or len(self.src_mac) != 6:
             raise EthernetError("MAC addresses must be 6 bytes")
         return _HEADER.pack(self.dst_mac, self.src_mac, self.ethertype) + self.payload
-
-
-def decode(data: bytes) -> EthernetFrame:
-    """Parse wire bytes into an :class:`EthernetFrame`."""
-    if len(data) < HEADER_LEN:
-        raise EthernetError(f"frame too short: {len(data)} bytes")
-    dst, src, ethertype = _HEADER.unpack_from(data)
-    return EthernetFrame(dst, src, ethertype, data[HEADER_LEN:])
 
 
 def mac_from_ip(ip: str) -> bytes:

@@ -1,14 +1,15 @@
 """Full-frame composition: TCP header -> IPv4 -> Ethernet and back.
 
 The sniffer serializes simulated segments through :func:`build_frame`
-so captures contain genuine protocol bytes; the analyzer's front end
-recovers them with :func:`parse_frame`.
+(the layer codecs' encode halves) so captures contain genuine protocol
+bytes.  Every captured frame is read back by one decoder,
+:func:`decode_fields`, which reads the three headers straight out of
+the frame bytes; :func:`parse_packet` is its string-rendered view.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from repro.wire import ethernet, ip, tcpw
@@ -22,9 +23,7 @@ class PacketFields(NamedTuple):
     """The analyzer-facing fields of one Ethernet/IPv4/TCP frame.
 
     :func:`parse_packet` renders these from :func:`decode_fields`
-    without materializing the per-layer dataclasses or verifying
-    checksums; the field values are identical to what
-    :func:`parse_frame` exposes through ``ParsedFrame``.
+    without materializing per-layer objects or verifying checksums.
     """
 
     src_ip: str
@@ -39,33 +38,6 @@ class PacketFields(NamedTuple):
     payload: bytes
     mss_option: int | None
     wscale_option: int | None
-
-
-@dataclass(frozen=True)
-class ParsedFrame:
-    """A fully decoded Ethernet/IPv4/TCP frame."""
-
-    eth: ethernet.EthernetFrame
-    ipv4: ip.Ipv4Header
-    tcp: tcpw.TcpHeader
-
-    @property
-    def src_ip(self) -> str:
-        return self.ipv4.src
-
-    @property
-    def dst_ip(self) -> str:
-        return self.ipv4.dst
-
-    @property
-    def flow(self) -> tuple[str, int, str, int]:
-        """The (src_ip, src_port, dst_ip, dst_port) 4-tuple."""
-        return (
-            self.ipv4.src,
-            self.tcp.src_port,
-            self.ipv4.dst,
-            self.tcp.dst_port,
-        )
 
 
 def build_frame(
@@ -91,36 +63,6 @@ def build_frame(
         payload=ip_bytes,
     )
     return frame.encode()
-
-
-def parse_frame(data: bytes, verify_checksums: bool = False) -> ParsedFrame:
-    """Decode a captured Ethernet frame down to the TCP layer.
-
-    Raises :class:`FrameError` for non-IPv4 or non-TCP frames so callers
-    can skip them (real captures contain ARP, LLDP, ...).  Any decode
-    failure on arbitrary damaged bytes — truncated headers, bad IHL,
-    mangled options — also surfaces as :class:`FrameError`, never as a
-    lower-level exception, so tolerant ingest can treat "one bad frame"
-    uniformly.
-    """
-    try:
-        eth = ethernet.decode(data)
-        if eth.ethertype != ethernet.ETHERTYPE_IPV4:
-            raise FrameError(f"not IPv4 (ethertype 0x{eth.ethertype:04x})")
-        ipv4 = ip.decode(eth.payload, verify_checksum=verify_checksums)
-        if ipv4.protocol != ip.PROTO_TCP:
-            raise FrameError(f"not TCP (protocol {ipv4.protocol})")
-        tcp = tcpw.decode(
-            ipv4.payload,
-            src_ip=ipv4.src,
-            dst_ip=ipv4.dst,
-            verify_checksum=verify_checksums,
-        )
-    except FrameError:
-        raise
-    except (ValueError, IndexError, struct.error) as exc:
-        raise FrameError(f"undecodable frame: {exc}") from exc
-    return ParsedFrame(eth=eth, ipv4=ipv4, tcp=tcp)
 
 
 # TCP option blocks repeat across a capture (usually empty, an MSS on
@@ -152,23 +94,44 @@ def int_to_ip(address: int) -> str:
 
 
 def decode_fields(data: bytes) -> tuple:
-    """Decode a frame to one plain tuple of integers.
+    """Decode an Ethernet II / IPv4 / TCP frame to one plain tuple of integers.
 
     ``(src, src_port, dst, dst_port, seq, ack, flags, window, ip_id,
     payload_start, payload_end, mss_option, wscale_option)``: the
     addresses are 32-bit integers and the payload is
     ``data[payload_start:payload_end]``, so no per-layer object, string
-    or payload copy is made.  The common shape (Ethernet II + 20-byte
-    IPv4 header + TCP) decodes in one pass of precompiled-struct reads;
-    anything else — other ethertypes, IP options, damage — goes through
-    :func:`parse_frame`, so failures raise the exact same
-    :class:`FrameError` and exotic-but-valid frames decode through the
-    reference path with identical fields.
+    or payload copy is made.  This is the only frame decoder: the
+    common shape (20-byte IPv4 header, no IP options) passes one
+    combined guard, anything else is checked layer by layer before the
+    same unpacks (IP options are skipped).  Checksums are not verified.
+
+    Raises :class:`FrameError` for frames that are not IPv4/TCP (real
+    captures contain ARP, LLDP, ...) and for any damage: truncated
+    headers, bad IHL, an inconsistent total length, a bad data offset,
+    mangled options.  Its message names the first check that failed,
+    outermost layer first; ``undecodable-frame`` health details carry it.
     """
     n = len(data)
     # 54 = Ethernet(14) + minimal IPv4(20) + minimal TCP(20).
-    if n < 54 or data[12] != 0x08 or data[13] != 0x00 or data[14] != 0x45:
-        return _decode_layered(data)
+    if n >= 54 and data[12] == 0x08 and data[13] == 0x00 and data[14] == 0x45:
+        tcp_start = 34
+    else:
+        if n < 14:
+            raise FrameError(f"undecodable frame: frame too short: {n} bytes")
+        ethertype = (data[12] << 8) | data[13]
+        if ethertype != ethernet.ETHERTYPE_IPV4:
+            raise FrameError(f"not IPv4 (ethertype 0x{ethertype:04x})")
+        if n < 34:
+            raise FrameError(
+                f"undecodable frame: IPv4 packet too short: {n - 14} bytes"
+            )
+        version = data[14] >> 4
+        ihl = (data[14] & 0x0F) * 4
+        if version != 4:
+            raise FrameError(f"undecodable frame: not IPv4 (version={version})")
+        if ihl < 20 or n - 14 < ihl:
+            raise FrameError(f"undecodable frame: bad IHL {ihl}")
+        tcp_start = 14 + ihl
     (
         _version_ihl,
         _tos,
@@ -182,8 +145,18 @@ def decode_fields(data: bytes) -> tuple:
         dst,
     ) = _IPV4_INTS.unpack_from(data, 14)
     ip_end = 14 + total_length
-    if protocol != ip.PROTO_TCP or total_length < 40 or ip_end > n:
-        return _decode_layered(data)
+    segment_length = ip_end - tcp_start
+    if protocol != ip.PROTO_TCP or segment_length < 20 or ip_end > n:
+        if segment_length < 0 or ip_end > n:
+            raise FrameError(
+                f"undecodable frame: total length {total_length} "
+                f"inconsistent with {n - 14} bytes"
+            )
+        if protocol != ip.PROTO_TCP:
+            raise FrameError(f"not TCP (protocol {protocol})")
+        raise FrameError(
+            f"undecodable frame: TCP segment too short: {segment_length} bytes"
+        )
     (
         src_port,
         dst_port,
@@ -194,51 +167,30 @@ def decode_fields(data: bytes) -> tuple:
         window,
         _tcp_checksum_value,
         _urgent,
-    ) = tcpw._HEADER.unpack_from(data, 34)
+    ) = tcpw._HEADER.unpack_from(data, tcp_start)
     header_len = (offset_field >> 4) * 4
-    if header_len < tcpw.BASE_HEADER_LEN or header_len > total_length - 20:
-        return _decode_layered(data)
-    if header_len == tcpw.BASE_HEADER_LEN:
+    if header_len < 20 or header_len > segment_length:
+        raise FrameError(f"undecodable frame: bad data offset {header_len}")
+    payload_start = tcp_start + header_len
+    if header_len == 20:
         mss = wscale = None
     else:
-        raw_options = data[54 : 34 + header_len]
+        raw_options = data[tcp_start + 20 : payload_start]
         options = _OPTIONS_CACHE.get(raw_options)
         if options is None:
             try:
                 options = tcpw._parse_options(raw_options)
-            except tcpw.TcpError:
-                return _decode_layered(data)
+            except tcpw.TcpError as exc:
+                raise FrameError(f"undecodable frame: {exc}") from exc
             if len(_OPTIONS_CACHE) >= _OPTIONS_CACHE_LIMIT:
                 _OPTIONS_CACHE.clear()
             _OPTIONS_CACHE[raw_options] = options
         mss, wscale = options[0], options[1]
     return (
         src, src_port, dst, dst_port, seq, ack, flags, window, ip_id,
-        34 + header_len, ip_end, mss, wscale,
+        payload_start, ip_end, mss, wscale,
     )
 
 
 #: the IPv4 header with both addresses read as integers.
 _IPV4_INTS = struct.Struct("!BBHHHBBHII")
-
-
-def _decode_layered(data: bytes) -> tuple:
-    """:func:`decode_fields` through the per-layer decoders."""
-    parsed = parse_frame(data)
-    tcp = parsed.tcp
-    end = 14 + int.from_bytes(data[16:18], "big")
-    return (
-        int.from_bytes(ip.ip_to_bytes(parsed.ipv4.src), "big"),
-        tcp.src_port,
-        int.from_bytes(ip.ip_to_bytes(parsed.ipv4.dst), "big"),
-        tcp.dst_port,
-        tcp.seq,
-        tcp.ack,
-        tcp.flags,
-        tcp.window,
-        parsed.ipv4.identification,
-        end - len(tcp.payload),
-        end,
-        tcp.mss_option,
-        tcp.wscale_option,
-    )

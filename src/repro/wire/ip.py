@@ -1,8 +1,9 @@
-"""IPv4 header encoding and decoding (no options, no fragmentation).
+"""IPv4 header encoding (no options, no fragmentation) and address helpers.
 
 BGP sessions between routers never fragment in practice (MSS keeps TCP
-segments under the MTU), so this codec supports exactly what the
-captures contain: 20-byte headers, protocol TCP, valid checksums.
+segments under the MTU), so the simulator emits exactly this:
+20-byte headers, protocol TCP, valid checksums.  Captured frames are
+decoded by ``repro.wire.frames.decode_fields``.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import struct
 from dataclasses import dataclass, field
 
 PROTO_TCP = 6
+PROTO_UDP = 17
 HEADER_LEN = 20
 
 _HEADER = struct.Struct("!BBHHHBBH4s4s")
@@ -74,7 +76,7 @@ def checksum(data: bytes | bytearray | memoryview) -> int:
 
 @dataclass(frozen=True)
 class Ipv4Header:
-    """A decoded (or to-be-encoded) IPv4 header plus payload."""
+    """An IPv4 header plus payload to encode."""
 
     src: str
     dst: str
@@ -109,42 +111,3 @@ class Ipv4Header:
         csum = checksum(header)
         return header[:10] + struct.pack("!H", csum) + header[12:] + self.payload
 
-
-def decode(data: bytes, verify_checksum: bool = True) -> Ipv4Header:
-    """Parse wire bytes into an :class:`Ipv4Header`."""
-    if len(data) < HEADER_LEN:
-        raise IpError(f"IPv4 packet too short: {len(data)} bytes")
-    (
-        version_ihl,
-        tos,
-        total_length,
-        identification,
-        _flags_fragment,
-        ttl,
-        protocol,
-        header_checksum,
-        src_raw,
-        dst_raw,
-    ) = _HEADER.unpack_from(data)
-    version = version_ihl >> 4
-    ihl = (version_ihl & 0x0F) * 4
-    if version != 4:
-        raise IpError(f"not IPv4 (version={version})")
-    if ihl < HEADER_LEN or len(data) < ihl:
-        raise IpError(f"bad IHL {ihl}")
-    if total_length < ihl or total_length > len(data):
-        raise IpError(
-            f"total length {total_length} inconsistent with {len(data)} bytes"
-        )
-    if verify_checksum and checksum(data[:ihl]) != 0:
-        raise IpError("IPv4 header checksum mismatch")
-    return Ipv4Header(
-        src=bytes_to_ip(src_raw),
-        dst=bytes_to_ip(dst_raw),
-        payload=data[ihl:total_length],
-        ttl=ttl,
-        protocol=protocol,
-        identification=identification,
-        dscp=tos >> 2,
-        header_checksum=header_checksum,
-    )

@@ -1,4 +1,4 @@
-"""TCP header encoding and decoding (with MSS and window-scale options).
+"""TCP header encoding and option parsing (MSS, window scale, SACK).
 
 The codec is deliberately complete enough for analysis tools to consume
 captures produced by the simulator with off-the-shelf software: real
@@ -38,7 +38,7 @@ class TcpError(ValueError):
 
 @dataclass(frozen=True)
 class TcpHeader:
-    """A decoded (or to-be-encoded) TCP segment."""
+    """A TCP segment to encode."""
 
     src_port: int
     dst_port: int
@@ -123,55 +123,6 @@ def _tcp_checksum(src_ip: str, dst_ip: str, segment: bytes) -> int:
         + struct.pack("!BBH", 0, 6, len(segment))
     )
     return checksum(pseudo + segment)
-
-
-def decode(data: bytes, src_ip: str = "", dst_ip: str = "",
-           verify_checksum: bool = False) -> TcpHeader:
-    """Parse wire bytes into a :class:`TcpHeader`.
-
-    Checksum verification needs the IP endpoints for the pseudo-header
-    and is off by default (sniffers frequently capture segments whose
-    checksums are offloaded to hardware on real systems).
-    """
-    if len(data) < BASE_HEADER_LEN:
-        raise TcpError(f"TCP segment too short: {len(data)} bytes")
-    (
-        src_port,
-        dst_port,
-        seq,
-        ack,
-        offset_field,
-        flags,
-        window,
-        checksum_value,
-        urgent,
-    ) = _HEADER.unpack_from(data)
-    header_len = (offset_field >> 4) * 4
-    if header_len < BASE_HEADER_LEN or header_len > len(data):
-        raise TcpError(f"bad data offset {header_len}")
-    if verify_checksum:
-        if not src_ip or not dst_ip:
-            raise TcpError("checksum verification requires IP endpoints")
-        if _tcp_checksum(src_ip, dst_ip, data) != 0:
-            raise TcpError("TCP checksum mismatch")
-    mss, wscale, sack_permitted, sack_blocks = _parse_options(
-        data[BASE_HEADER_LEN:header_len]
-    )
-    return TcpHeader(
-        src_port=src_port,
-        dst_port=dst_port,
-        seq=seq,
-        ack=ack,
-        flags=flags,
-        window=window,
-        payload=data[header_len:],
-        mss_option=mss,
-        wscale_option=wscale,
-        sack_permitted=sack_permitted,
-        sack_blocks=sack_blocks,
-        urgent=urgent,
-        checksum_value=checksum_value,
-    )
 
 
 def _parse_options(

@@ -360,7 +360,7 @@ class CampaignJournal:
         offset = 0
         valid_end = 0
         while offset < len(raw):
-            frame_end = self._parse_frame(raw, offset, health)
+            frame_end = self._read_journal_frame(raw, offset, health)
             if frame_end is None:
                 break
             offset = frame_end
@@ -396,7 +396,7 @@ class CampaignJournal:
                 benign=True,
             )
 
-    def _parse_frame(
+    def _read_journal_frame(
         self, raw: bytes, offset: int, health: TraceHealth | None
     ) -> int | None:
         """Consume one frame at ``offset``; None when the tail is torn.

@@ -69,8 +69,7 @@ class TestDamagedCaptures:
 
         acks_only = []
         for record in records:
-            parsed = frames.parse_frame(record.data)
-            if not parsed.tcp.payload:
+            if not frames.parse_packet(record.data).payload:
                 acks_only.append(record)
         report = analyze_pcap(acks_only, min_data_packets=2)
         # A capture with no data segments has nothing to analyze, but

@@ -13,6 +13,8 @@ from repro.wire import frames
 from repro.wire.pcap import read_pcap
 from repro.workloads.scenarios import MonitoringSetup, RouterParams
 
+from tests.wire.frame_oracle import parse_frame
+
 
 def run_simple_setup(table_size=300, **router_kw):
     sim = Simulator()
@@ -33,8 +35,8 @@ class TestSnifferCapture:
         assert len(records) > 20
         directions = set()
         for record in records:
-            parsed = frames.parse_frame(record.data)
-            directions.add((parsed.src_ip, parsed.dst_ip))
+            fields = frames.parse_packet(record.data)
+            directions.add((fields.src_ip, fields.dst_ip))
         assert ("10.1.0.1", "10.255.0.1") in directions  # data
         assert ("10.255.0.1", "10.1.0.1") in directions  # ACKs
 
@@ -49,7 +51,7 @@ class TestSnifferCapture:
         assert stamps == sorted(stamps)
         # Every frame parses down to TCP with checksums intact.
         for record in records[:50]:
-            parsed = frames.parse_frame(record.data, verify_checksums=True)
+            parsed = parse_frame(record.data, verify_checksums=True)
             assert parsed.tcp.src_port in (40000, 179)
 
     def test_transfer_completes_and_archives(self):
@@ -65,9 +67,9 @@ class TestSnifferCapture:
 
         payloads = []
         for record in setup.sniffer.sorted_records():
-            parsed = frames.parse_frame(record.data)
-            if parsed.src_ip == "10.1.0.1" and parsed.tcp.payload:
-                payloads.append((parsed.tcp.seq, parsed.tcp.payload))
+            fields = frames.parse_packet(record.data)
+            if fields.src_ip == "10.1.0.1" and fields.payload:
+                payloads.append((fields.seq, fields.payload))
         # No loss in this scenario: dedupe by seq and order.
         seen = {}
         for seq, payload in payloads:
@@ -124,8 +126,8 @@ class TestSnifferCapture:
         setup.run(until_us=seconds(300))
         flows = set()
         for record in setup.sniffer.sorted_records():
-            parsed = frames.parse_frame(record.data)
-            flows.add(parsed.flow)
+            fields = frames.parse_packet(record.data)
+            flows.add(fields[:4])
         # 3 connections x 2 directions.
         assert len(flows) == 6
         total_updates = sum(len(t.to_updates()) for t in tables.values())
@@ -146,7 +148,7 @@ class TestSnifferUnit:
         tap._observe(pkt, 0)
         tap._observe(pkt, 1)
         ids = [
-            frames.parse_frame(r.data).ipv4.identification for r in tap.records
+            frames.parse_packet(r.data).ip_id for r in tap.records
         ]
         assert ids == [0, 1]
 

@@ -10,7 +10,12 @@ from repro.core.units import seconds
 from repro.netsim.link import WindowLoss
 from repro.netsim.simulator import Simulator
 from repro.tools.pcap2bgp import StreamingPcap2Bgp, pcap_to_bgp
+from repro.wire import frames
+from repro.wire.pcap import PcapRecord
+from repro.wire.tcpw import SYN
 from repro.workloads.scenarios import MonitoringSetup, RouterParams
+
+ROUTER_IP = "10.65.0.1"
 
 
 def make_capture(loss=False, table_size=3_000, seed=65):
@@ -20,7 +25,7 @@ def make_capture(loss=False, table_size=3_000, seed=65):
     setup.add_router(
         RouterParams(
             name="r1",
-            ip="10.65.0.1",
+            ip=ROUTER_IP,
             table=table,
             downstream_loss=(
                 WindowLoss([(seconds(0.03), seconds(0.3))]) if loss else None
@@ -32,21 +37,58 @@ def make_capture(loss=False, table_size=3_000, seed=65):
     return setup.sniffer.sorted_records(), table
 
 
+def swap_two_data_segments(records):
+    """The capture with two data segments' frames exchanged (network
+    reordering: each record keeps its timestamp)."""
+    data = [
+        i for i, record in enumerate(records)
+        if frames.parse_packet(record.data).payload
+        and frames.parse_packet(record.data).src_ip == ROUTER_IP
+    ]
+    i, j = data[len(data) // 3], data[len(data) // 3 + 1]
+    swapped = list(records)
+    swapped[i] = PcapRecord(records[i].timestamp_us, records[j].data)
+    swapped[j] = PcapRecord(records[j].timestamp_us, records[i].data)
+    return swapped
+
+
+def assert_streaming_matches_offline(case):
+    """Online and offline give the data direction's messages with the
+    same completion times, in the same order."""
+    records, table = make_capture(loss=case == "lossy")
+    if case == "swapped":
+        records = swap_two_data_segments(records)
+    elif case == "no-syn":  # the capture started mid-connection
+        records = [
+            record for record in records
+            if not frames.parse_packet(record.data).flags & SYN
+        ]
+    stream = StreamingPcap2Bgp()
+    for record in records:
+        stream.feed(record)
+    streamed = [
+        (timed.timestamp_us, type(timed.message).__name__)
+        for flow, timed in stream.messages
+        if flow[0] == ROUTER_IP
+    ]
+    (offline,) = [
+        result for result in pcap_to_bgp(records).values()
+        if result.sender_ip == ROUTER_IP
+    ]
+    assert streamed == [
+        (timed.timestamp_us, type(timed.message).__name__)
+        for timed in offline.messages
+    ]
+    assert len(offline.updates()) == len(table.to_updates())
+
+
 class TestStreaming:
     def test_streaming_matches_offline(self):
-        records, table = make_capture()
-        stream = StreamingPcap2Bgp()
-        for record in records:
-            stream.feed(record)
-        offline = pcap_to_bgp(records)
-        offline_updates = sum(
-            len(result.updates()) for result in offline.values()
-        )
-        streamed_updates = sum(
-            1 for _, timed in stream.messages
-            if isinstance(timed.message, UpdateMessage)
-        )
-        assert streamed_updates == offline_updates == len(table.to_updates())
+        assert_streaming_matches_offline("clean")
+
+    @pytest.mark.parametrize("case", ["lossy", "swapped", "no-syn"])
+    def test_streaming_matches_offline_despite(self, case):
+        assert_streaming_matches_offline(case)
 
     def test_streaming_handles_retransmissions(self):
         records, table = make_capture(loss=True)
@@ -83,8 +125,6 @@ class TestStreaming:
         assert first_emit_index < len(records) // 2
 
     def test_garbage_frames_counted(self):
-        from repro.wire.pcap import PcapRecord
-
         stream = StreamingPcap2Bgp()
         stream.feed(PcapRecord(timestamp_us=0, data=b"\x01" * 30))
         assert stream.skipped_frames == 1

@@ -15,6 +15,8 @@ from repro.netsim.link import WindowLoss
 from repro.netsim.simulator import Simulator
 from repro.tools import bgplot, pcap2bgp, tcptrace_lite
 from repro.tools.tdat_cli import main
+from repro.wire import frames
+from repro.wire.pcap import PcapRecord
 from repro.workloads.scenarios import MonitoringSetup, RouterParams
 
 
@@ -78,6 +80,39 @@ class TestPcap2Bgp:
         results = pcap2bgp.pcap_to_bgp(clean_capture[source], health=health)
         assert len(results) == 1
         assert health.records_read == len(clean_capture["records"])
+
+    @pytest.mark.parametrize("resync", [True, False])
+    def test_damage_reported_at_feeding_segment(self, clean_capture, resync):
+        """A smashed marker is reported at the capture time of the segment
+        that fed it; a hole at the time of the last contiguous bytes."""
+        records = list(clean_capture["records"])
+        starts = [
+            i for i, record in enumerate(records)
+            if frames.parse_packet(record.data).payload[:16] == b"\xff" * 16
+            and frames.parse_packet(record.data).src_ip == "10.1.0.1"
+        ]
+        hit, cut = starts[3], starts[-2]
+        data = bytearray(records[hit].data)
+        data[-len(frames.parse_packet(records[hit].data).payload)] = 0
+        records[hit] = PcapRecord(records[hit].timestamp_us, bytes(data))
+        del records[cut]
+        health = TraceHealth()
+        (result,) = pcap2bgp.pcap_to_bgp(
+            records, resync=resync, health=health
+        ).values()
+        kinds: dict = {}
+        for issue in health.issues:
+            kinds.setdefault(issue.kind, issue)
+        first = "bad-marker" if resync else "stream-desynchronized"
+        assert kinds[first].timestamp_us == records[hit].timestamp_us
+        assert result.decode_error.startswith(
+            "bad-marker: " if resync else "stream desynchronized"
+        )
+        if not resync:
+            assert [i.kind for i in health.issues].count(first) == 1
+        hole = kinds["stream-hole"]
+        assert hole.benign and hole.bytes_lost == result.missing_bytes > 0
+        assert hole.timestamp_us == records[cut - 1].timestamp_us
 
     def test_message_timestamps_monotone(self, clean_capture):
         (result,) = pcap2bgp.pcap_to_bgp(clean_capture["records"]).values()

