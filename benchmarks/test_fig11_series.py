@@ -48,7 +48,7 @@ def run_scenario():
 
 
 def build_figure(records):
-    report = analyze_pcap(records, min_data_packets=2)
+    report = analyze_pcap(records)
     analysis = next(iter(report))
     panel = render_panel(analysis.series, names=PANEL_SERIES, width=100)
     csv = series_to_csv(analysis.series, names=PANEL_SERIES)

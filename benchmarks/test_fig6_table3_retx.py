@@ -42,7 +42,7 @@ def build_table(records):
     from repro.analysis.profile import Trace
     from repro.tools.correlate import delayed_updates
 
-    report = analyze_pcap(records, min_data_packets=2)
+    report = analyze_pcap(records)
     analysis = next(iter(report))
     retx = analysis.labeling.retransmissions()
     # Per-update wire-to-delivery delay, message-to-packet correlated —

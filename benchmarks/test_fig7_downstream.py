@@ -35,7 +35,7 @@ def run_scenario():
 
 
 def build_figure(setup, handle):
-    report = analyze_pcap(setup.sniffer.sorted_records(), min_data_packets=2)
+    report = analyze_pcap(setup.sniffer.sorted_records())
     analysis = next(iter(report))
     labeling = analysis.labeling
     down = labeling.count(KIND_DOWNSTREAM)

@@ -49,7 +49,7 @@ def capture(flavor=None, timer_ms=None, single_loss=False, seed=5):
     )
     setup.start()
     sim.run(until_us=seconds(300))
-    report = Pipeline().analyze(setup.sniffer.sorted_records(), min_data_packets=2)
+    report = Pipeline().analyze(setup.sniffer.sorted_records())
     return next(iter(report))
 
 

@@ -44,6 +44,7 @@ from repro.core.timeranges import TimeRange, TimeRangeSet
 SNIFFER_AT_RECEIVER = "receiver"
 SNIFFER_AT_SENDER = "sender"
 SNIFFER_IN_MIDDLE = "middle"
+SNIFFER_LOCATIONS = (SNIFFER_AT_RECEIVER, SNIFFER_AT_SENDER, SNIFFER_IN_MIDDLE)
 
 #: All series the generator can emit (the paper's "34 internal series";
 #: ours are enumerated here for discoverability).

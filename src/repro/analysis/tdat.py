@@ -38,6 +38,7 @@ from repro.analysis.profile import (
 )
 from repro.analysis.series import (
     SNIFFER_AT_RECEIVER,
+    SNIFFER_LOCATIONS,
     ConnectionSeries,
     SeriesConfig,
     generate_series,
@@ -47,6 +48,10 @@ from repro.core.health import IngestError, STAGE_ANALYSIS, TraceHealth
 from repro.exec.pool import WorkPool, task_context
 from repro.obs import get_obs
 from repro.wire.pcap import PcapRecord
+
+#: Connections with fewer data segments than this are skipped (and
+#: counted in ``TdatReport.skipped_connections``).
+MIN_DATA_PACKETS = 2
 
 
 @dataclass
@@ -182,25 +187,18 @@ def _analyze_connection_task(
     return analyze_connection(connection, window=window, config=task_context())
 
 
-def _series_config(
-    config: SeriesConfig | None, sniffer_location: str | None
-) -> SeriesConfig:
-    """The run's series config: ``config``, or one at ``sniffer_location``.
+def check_sniffer_location(location: str) -> None:
+    """Raise unless ``location`` is one of :data:`SNIFFER_LOCATIONS`.
 
-    Both entry points resolve their config here.  When both are given
-    and disagree this raises :class:`ValueError` instead of silently
-    preferring one.
+    Anything else raises :class:`ValueError` naming the three
+    locations, instead of being analyzed as if the sniffer sat in the
+    middle.
     """
-    if config is None:
-        return SeriesConfig(
-            sniffer_location=sniffer_location or SNIFFER_AT_RECEIVER
-        )
-    if sniffer_location not in (None, config.sniffer_location):
+    if location not in SNIFFER_LOCATIONS:
         raise ValueError(
-            f"sniffer_location={sniffer_location!r} disagrees with "
-            f"config.sniffer_location={config.sniffer_location!r}"
+            f"sniffer_location must be one of "
+            f"{', '.join(SNIFFER_LOCATIONS)}; got {location!r}"
         )
-    return config
 
 
 def _new_report(
@@ -266,7 +264,6 @@ def _analyses(
     *,
     config: SeriesConfig,
     windows: dict[FlowKey, tuple[int, int]] | None,
-    min_data_packets: int,
     strict: bool,
     ledger: StateLedger | None,
     linger_us: int | None,
@@ -275,7 +272,7 @@ def _analyses(
     """The one analysis driver: yield each connection's analysis.
 
     Ingests ``source`` through :func:`iter_connections`, skips
-    connections with fewer than ``min_data_packets`` data segments
+    connections with fewer than :data:`MIN_DATA_PACKETS` data segments
     (counted in ``report.skipped_connections``), looks up each one's
     window and runs :func:`analyze_connection` on it: serially, each
     connection as soon as ingest finalizes it, or, when ``pool`` has
@@ -290,7 +287,7 @@ def _analyses(
     def eligible():
         for connection in connections:
             profile = connection.profile
-            if profile is None or profile.total_data_packets < min_data_packets:
+            if profile is None or profile.total_data_packets < MIN_DATA_PACKETS:
                 report.skipped_connections += 1
                 continue
             yield connection, windows.get(connection.key) if windows else None
@@ -324,10 +321,8 @@ def _analyses(
 
 def analyze_pcap(
     source: BinaryIO | str | Path | list[PcapRecord],
-    sniffer_location: str | None = None,
+    sniffer_location: str = SNIFFER_AT_RECEIVER,
     windows: dict[FlowKey, tuple[int, int]] | None = None,
-    config: SeriesConfig | None = None,
-    min_data_packets: int = 2,
     strict: bool = False,
     health: TraceHealth | None = None,
     workers: int = 1,
@@ -339,9 +334,9 @@ def analyze_pcap(
 
     ``windows`` optionally restricts each connection's analysis period
     (e.g. to the MCT-determined table-transfer extent).  Connections
-    with fewer than ``min_data_packets`` data segments are skipped.
-    ``sniffer_location`` (default ``"receiver"``) and ``config`` may
-    both be given only when they agree.
+    with fewer than :data:`MIN_DATA_PACKETS` data segments are skipped.
+    ``sniffer_location`` is one of :data:`SNIFFER_LOCATIONS`
+    (:func:`check_sniffer_location`).
 
     The default discipline is graceful degradation: structurally
     damaged pcap regions are skipped with resynchronization, frames and
@@ -378,11 +373,11 @@ def analyze_pcap(
     trace fits the budget the report is byte-identical to an
     unbudgeted streaming run.
     """
-    config = _series_config(config, sniffer_location)
+    check_sniffer_location(sniffer_location)
     report, ledger = _new_report(health, strict, budget)
     analyses = _analyses(
-        source, report, config=config, windows=windows,
-        min_data_packets=min_data_packets, strict=strict, ledger=ledger,
+        source, report, windows=windows, strict=strict, ledger=ledger,
+        config=SeriesConfig(sniffer_location=sniffer_location),
         linger_us=(
             DEFAULT_LINGER_US if streaming or ledger is not None else None
         ),
@@ -394,10 +389,8 @@ def analyze_pcap(
 
 def iter_analyze_pcap(
     source: BinaryIO | str | Path | list[PcapRecord],
-    sniffer_location: str | None = None,
+    sniffer_location: str = SNIFFER_AT_RECEIVER,
     windows: dict[FlowKey, tuple[int, int]] | None = None,
-    config: SeriesConfig | None = None,
-    min_data_packets: int = 2,
     strict: bool = False,
     health: TraceHealth | None = None,
     budget: ResourceBudget | None = None,
@@ -415,10 +408,10 @@ def iter_analyze_pcap(
     can construct the :class:`~repro.analysis.budget.StateLedger`
     itself and pass it as ``ledger`` (which overrides ``budget``).
     """
-    config = _series_config(config, sniffer_location)
+    check_sniffer_location(sniffer_location)
     report, ledger = _new_report(health, strict, budget, ledger)
     return _analyses(
-        source, report, config=config, windows=windows,
-        min_data_packets=min_data_packets, strict=strict, ledger=ledger,
+        source, report, windows=windows, strict=strict, ledger=ledger,
+        config=SeriesConfig(sniffer_location=sniffer_location),
         linger_us=DEFAULT_LINGER_US,
     )

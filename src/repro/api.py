@@ -1,10 +1,11 @@
 """The stable entry point: one facade over the whole T-DAT pipeline.
 
 Everything the repo can do — analyze a capture, reconstruct BGP
-streams, run a measurement campaign — is reachable through a
-:class:`Pipeline` carrying the execution knobs (``workers``,
-``strict``, ``streaming``, ``seed``) once, instead of threading them
-through every call::
+streams, run a measurement campaign, serve analyses over HTTP — is
+reachable through a :class:`Pipeline` that carries the execution knobs
+(``workers``, ``strict``, ``streaming``, ``budget``, the pool's
+supervision and ``obs``) once, instead of threading them through
+every call::
 
     from repro.api import Pipeline
 
@@ -12,13 +13,10 @@ through every call::
     report = pipe.analyze("trace.pcap")
     result = pipe.campaign("ISP_A-Quagga", transfers=10)
 
-Requests can also be built as data and executed later (the CLI and the
-benchmark harness do this)::
-
-    from repro.api import AnalysisRequest, CampaignRequest, Pipeline
-
-    req = CampaignRequest(name="RV", transfers=8, seed=3)
-    result = Pipeline(workers=2).run(req)
+A knob is declared once, on the :class:`Pipeline`; the methods take
+only what names the work (a capture and its sniffer location, a
+campaign and its size).  ``tdat`` builds one pipeline per command from
+its flags.
 
 The engine modules (``repro.analysis.tdat``, ``repro.workloads.campaign``,
 ``repro.tools.pcap2bgp``, ``repro.exec.pool``) stay importable for code
@@ -35,7 +33,6 @@ from pathlib import Path
 from typing import Any, BinaryIO, Iterator
 
 from repro.analysis.budget import ResourceBudget
-from repro.analysis.profile import FlowKey
 from repro.analysis.series import SNIFFER_AT_RECEIVER, SeriesConfig
 from repro.analysis.tdat import (
     ConnectionAnalysis,
@@ -55,78 +52,15 @@ from repro.workloads.campaign import (
     run_campaign,
 )
 
-@dataclass
-class AnalysisRequest:
-    """One capture to analyze, plus the knobs that shape the run.
-
-    ``budget`` bounds the live analysis state
-    (:class:`~repro.analysis.budget.ResourceBudget`).  For ``strict``,
-    ``streaming``, ``workers`` and ``budget``, ``None`` inherits the
-    :class:`Pipeline` default.
-    """
-
-    source: BinaryIO | str | Path | list[PcapRecord]
-    sniffer_location: str | None = None  # None → config's, or "receiver"
-    windows: dict[FlowKey, tuple[int, int]] | None = None
-    config: SeriesConfig | None = None
-    min_data_packets: int = 2
-    strict: bool | None = None  # None → inherit from the Pipeline
-    streaming: bool | None = None
-    workers: int | None = None
-    budget: ResourceBudget | None = None
-
-
-@dataclass
-class CampaignRequest:
-    """One campaign to run: a registry name or an explicit config."""
-
-    name: str | None = None
-    config: CampaignConfig | None = None
-    seed: int | None = None
-    transfers: int | None = None
-    strict: bool | None = None
-    workers: int | None = None
-    overrides: dict[str, Any] = field(default_factory=dict)
-    # Supervision: journal completed episodes under ``checkpoint_dir``
-    # and, with ``resume=True``, skip the ones already journaled there.
-    checkpoint_dir: str | Path | None = None
-    resume: bool = False
-
-    def resolve(self) -> CampaignConfig:
-        """Build the concrete :class:`CampaignConfig` this request names."""
-        if (self.name is None) == (self.config is None):
-            raise ValueError(
-                "CampaignRequest needs exactly one of `name` or `config`"
-            )
-        if self.config is not None:
-            config = self.config
-            if self.seed is not None or self.transfers is not None:
-                changes = {}
-                if self.seed is not None:
-                    changes["seed"] = self.seed
-                if self.transfers is not None:
-                    changes["transfers"] = self.transfers
-                config = replace(config, **changes)
-        else:
-            kwargs: dict[str, Any] = {}
-            if self.seed is not None:
-                kwargs["seed"] = self.seed
-            if self.transfers is not None:
-                kwargs["transfers"] = self.transfers
-            config = campaign_config(self.name, **kwargs)
-        if self.overrides:
-            config = replace(config, **self.overrides)
-        return config
-
 
 @dataclass
 class ServeRequest:
     """Run the analysis service (:mod:`repro.serve`).
 
     ``port=0`` binds an ephemeral port (the server's ``port`` attribute
-    holds the real one after startup).  ``budget``/``strict`` default
-    to the pipeline's own knobs and become the default for every
-    session the server creates; a client can still override both per
+    holds the real one after startup).  Every session the server
+    creates defaults to ``sniffer_location`` and to the pipeline's own
+    ``budget`` and ``strict``; a client can override all three per
     session in ``POST /sessions``.
     """
 
@@ -134,45 +68,39 @@ class ServeRequest:
     port: int = 8321
     max_sessions: int = 64
     sniffer_location: str = SNIFFER_AT_RECEIVER
-    min_data_packets: int = 2
-    strict: bool | None = None  # None → inherit from the Pipeline
-    budget: ResourceBudget | None = None
     trace_requests: bool = False
     drain_timeout: float = 30.0
 
 
 @dataclass
 class Pipeline:
-    """Execution context shared by every request run through it.
+    """Execution context shared by every call made through it.
 
     ``workers=0`` means "use every available CPU".  One
     :class:`~repro.exec.pool.WorkPool` is built lazily and reused, so a
     campaign and its follow-up analyses share worker processes.
 
     The supervision knobs flow into that pool: ``task_timeout`` bounds
-    each task's execution wall clock (queue wait exempt),
+    each task's execution wall clock (queue wait exempt), and
     ``max_retries`` re-runs transient failures (crashed workers,
-    timeouts, retryable task errors) with the same seed, and
-    ``checkpoint_dir`` journals completed campaign episodes so an
-    interrupted run can be resumed (see :class:`CampaignRequest.resume`).
+    timeouts, retryable task errors) with the same seed.
 
-    ``obs`` turns on observability for every request run through this
-    pipeline: pass an :class:`~repro.obs.Observability` (to keep a
-    handle on the tracer for exports), or simply ``obs=True`` to build
-    a fresh one.  Campaign results then carry the merged metrics as
-    ``result.metrics``, and ``pipeline.obs.tracer`` holds the spans.
-    Left at ``None`` (the default), every instrumentation point in the
-    engine dispatches through the shared no-op context.
+    ``obs`` turns on observability for every analysis and campaign run
+    through this pipeline: pass an :class:`~repro.obs.Observability`
+    (to keep a handle on the tracer for exports), or simply
+    ``obs=True`` to build a fresh one.  Campaign results then carry the
+    merged metrics as ``result.metrics``, and ``pipeline.obs.tracer``
+    holds the spans.  Left at ``None`` (the default), every
+    instrumentation point in the engine dispatches through the shared
+    no-op context.
     """
 
     workers: int = 1
     strict: bool = False
     streaming: bool = False
     budget: ResourceBudget | None = None
-    seed: int | None = None
     task_timeout: float | None = None
     max_retries: int = 0
-    checkpoint_dir: str | Path | None = None
     obs: Observability | bool | None = None
     _pool: WorkPool | None = field(  # guarded-by: _pool_lock
         default=None, repr=False, compare=False
@@ -196,39 +124,39 @@ class Pipeline:
     def pool(self) -> WorkPool:
         with self._pool_lock:
             if self._pool is None:
-                self._pool = self._make_pool(self.workers)
+                self._pool = self._make_pool()
             return self._pool
 
-    def _make_pool(self, workers: int) -> WorkPool:
+    def _make_pool(self) -> WorkPool:
         return WorkPool(
-            workers=workers,
+            workers=self.workers,
             task_timeout=self.task_timeout,
             max_retries=self.max_retries,
         )
 
     @contextmanager
-    def _lease_pool(self, workers: int):
-        """Check the shared pool out for one request.
+    def _lease_pool(self):
+        """Check the shared pool out for one call.
 
         A :class:`~repro.exec.pool.WorkPool` supervises one ``map`` at
         a time — its per-map stats and worker bookkeeping are not
         reentrant — so the lazily-built shared pool must never be
-        handed to two overlapping requests.  The first concurrent
-        caller (and any request overriding ``workers``) leases the
-        shared pool; everyone who finds it already leased gets a
-        private pool for the duration of the call instead of racing
-        one supervisor.  This is what lets server-driven analyses and
-        direct ``analyze()`` calls overlap safely on one pipeline.
+        handed to two overlapping calls.  The first concurrent caller
+        leases the shared pool; everyone who finds it already leased
+        gets a private pool for the duration of the call instead of
+        racing one supervisor.  This is what lets server-driven
+        analyses and direct ``analyze()`` calls overlap safely on one
+        pipeline.
         """
         with self._pool_lock:
-            shared = workers == self.workers and not self._pool_leased
+            shared = not self._pool_leased
             if shared:
                 self._pool_leased = True
                 if self._pool is None:
-                    self._pool = self._make_pool(self.workers)
+                    self._pool = self._make_pool()
                 pool = self._pool
         if not shared:
-            pool = self._make_pool(workers)
+            pool = self._make_pool()
         try:
             yield pool
         finally:
@@ -242,45 +170,48 @@ class Pipeline:
     def analyze(
         self,
         source: BinaryIO | str | Path | list[PcapRecord],
-        **knobs,
+        sniffer_location: str = SNIFFER_AT_RECEIVER,
     ) -> TdatReport:
-        """Run T-DAT over every connection of a capture."""
-        return self.run(AnalysisRequest(source=source, **knobs))
+        """Run T-DAT over every connection of a capture.
+
+        The pipeline's observability context (if any) is ambient for
+        the duration of the call.
+        """
+        with use_obs(self.obs or None), self._lease_pool() as pool:
+            return analyze_pcap(
+                source,
+                sniffer_location=sniffer_location,
+                strict=self.strict,
+                streaming=self.streaming,
+                pool=pool,
+                budget=self.budget,
+            )
 
     def iter_analyze(
         self,
         source: BinaryIO | str | Path | list[PcapRecord],
-        **knobs,
+        sniffer_location: str = SNIFFER_AT_RECEIVER,
     ) -> Iterator[ConnectionAnalysis]:
         """Yield each connection's analysis as its flow closes."""
-        request = AnalysisRequest(source=source, **knobs)
         return iter_analyze_pcap(
-            request.source,
-            sniffer_location=request.sniffer_location,
-            windows=request.windows,
-            config=request.config,
-            min_data_packets=request.min_data_packets,
-            strict=self._knob(request.strict, self.strict),
-            budget=self._knob(request.budget, self.budget),
+            source,
+            sniffer_location=sniffer_location,
+            strict=self.strict,
+            budget=self.budget,
         )
 
     def extract_bgp(
-        self,
-        source: BinaryIO | str | Path | list[PcapRecord],
-        min_data_packets: int = 1,
-        health: TraceHealth | None = None,
+        self, source: BinaryIO | str | Path | list[PcapRecord]
     ) -> dict[tuple, StreamResult]:
         """Reconstruct per-connection BGP message streams (pcap2bgp)."""
-        if health is None and not self.strict:
-            health = TraceHealth()
         return pcap_to_bgp(
-            source, min_data_packets=min_data_packets, health=health
+            source, health=None if self.strict else TraceHealth()
         )
 
     # ------------------------------------------------------------------ #
     # The analysis service                                               #
     # ------------------------------------------------------------------ #
-    def build_server(self, request: ServeRequest | None = None, **knobs):
+    def build_server(self, request: ServeRequest | None = None):
         """Construct (but do not run) an analysis service.
 
         The returned :class:`~repro.serve.AnalysisServer` hosts
@@ -295,40 +226,30 @@ class Pipeline:
         from repro.serve import AnalysisServer, SessionManager
         from repro.serve.http import server_observability
 
-        if request is None:
-            request = ServeRequest(**knobs)
-        elif knobs:
-            request = replace(request, **knobs)
-        obs = self.obs or server_observability()
+        request = request if request is not None else ServeRequest()
         manager = SessionManager(
             max_sessions=request.max_sessions,
-            budget=self._knob(request.budget, self.budget),
+            budget=self.budget,
             sniffer_location=request.sniffer_location,
-            min_data_packets=request.min_data_packets,
-            strict=self._knob(request.strict, self.strict),
+            strict=self.strict,
         )
         return AnalysisServer(
             manager,
             host=request.host,
             port=request.port,
-            obs=obs,
+            obs=self.obs or server_observability(),
             trace_requests=request.trace_requests,
             drain_timeout=request.drain_timeout,
         )
 
-    def serve(
-        self,
-        request: ServeRequest | None = None,
-        on_ready=None,
-        **knobs,
-    ) -> bool:
+    def serve(self, request: ServeRequest | None = None, on_ready=None) -> bool:
         """Run the analysis service until it drains; blocking.
 
         Returns ``True`` when the drain was initiated by a signal
         (``tdat serve`` maps that to exit code 7), ``False`` for a
         programmatic ``POST /shutdown``.
         """
-        return self.build_server(request, **knobs).run(on_ready=on_ready)
+        return self.build_server(request).run(on_ready=on_ready)
 
     # ------------------------------------------------------------------ #
     # Campaigns                                                          #
@@ -336,69 +257,43 @@ class Pipeline:
     def campaign(
         self,
         name_or_config: str | CampaignConfig,
-        **knobs,
+        *,
+        seed: int | None = None,
+        transfers: int | None = None,
+        overrides: dict[str, Any] | None = None,
+        checkpoint_dir: str | Path | None = None,
+        resume: bool = False,
     ) -> CampaignResult:
-        """Run a campaign by registry name or explicit config."""
-        if isinstance(name_or_config, CampaignConfig):
-            request = CampaignRequest(config=name_or_config, **knobs)
-        else:
-            request = CampaignRequest(name=name_or_config, **knobs)
-        return self.run(request)
+        """Run a campaign by registry name or explicit config.
 
-    # ------------------------------------------------------------------ #
-    # Dispatch                                                           #
-    # ------------------------------------------------------------------ #
-    def run(self, request: AnalysisRequest | CampaignRequest | ServeRequest):
-        """Execute a request built elsewhere (CLI, benchmarks, tests).
-
-        The pipeline's observability context (if any) is ambient for
-        the duration of the request, so every engine layer it touches
-        records into the same registry and tracer.
+        ``seed`` and ``transfers`` replace the config's own when given,
+        then ``overrides`` replaces any other config fields.  A name
+        outside the registry raises :class:`ValueError`.  With
+        ``checkpoint_dir`` completed episodes are journaled there, and
+        ``resume=True`` skips the ones already journaled.
         """
-        with use_obs(self.obs or None):
-            if isinstance(request, AnalysisRequest):
-                workers = self._knob(request.workers, self.workers)
-                with self._lease_pool(workers) as pool:
-                    return analyze_pcap(
-                        request.source,
-                        sniffer_location=request.sniffer_location,
-                        windows=request.windows,
-                        config=request.config,
-                        min_data_packets=request.min_data_packets,
-                        strict=self._knob(request.strict, self.strict),
-                        streaming=self._knob(
-                            request.streaming, self.streaming
-                        ),
-                        pool=pool,
-                        budget=self._knob(request.budget, self.budget),
-                    )
-            if isinstance(request, CampaignRequest):
-                if request.seed is None and self.seed is not None:
-                    request = replace(request, seed=self.seed)
-                workers = self._knob(request.workers, self.workers)
-                checkpoint_dir = self._knob(
-                    request.checkpoint_dir, self.checkpoint_dir
-                )
-                with self._lease_pool(workers) as pool:
-                    return run_campaign(
-                        request.resolve(),
-                        strict=self._knob(request.strict, self.strict),
-                        pool=pool,
-                        checkpoint_dir=checkpoint_dir,
-                        resume_from=checkpoint_dir if request.resume else None,
-                    )
-            if isinstance(request, ServeRequest):
-                return self.serve(request)
-        raise TypeError(f"not a pipeline request: {request!r}")
-
-    @staticmethod
-    def _knob(value, default):
-        return default if value is None else value
+        sized = {
+            key: value
+            for key, value in (("seed", seed), ("transfers", transfers))
+            if value is not None
+        }
+        if isinstance(name_or_config, CampaignConfig):
+            config = replace(name_or_config, **sized)
+        else:
+            config = campaign_config(name_or_config, **sized)
+        if overrides:
+            config = replace(config, **overrides)
+        with use_obs(self.obs or None), self._lease_pool() as pool:
+            return run_campaign(
+                config,
+                strict=self.strict,
+                pool=pool,
+                checkpoint_dir=checkpoint_dir,
+                resume_from=checkpoint_dir if resume else None,
+            )
 
 
 __all__ = [
-    "AnalysisRequest",
-    "CampaignRequest",
     "ServeRequest",
     "Pipeline",
     "TdatReport",

@@ -388,7 +388,6 @@ class WorkPool:
         self,
         workers: int = 1,
         start_method: str | None = None,
-        chunksize: int = 1,
         task_timeout: float | None = None,
         max_retries: int = 0,
         retry_backoff_s: float = 0.05,
@@ -397,7 +396,6 @@ class WorkPool:
         chaos: Any = None,
     ) -> None:
         self.workers = max(1, int(workers))
-        self.chunksize = max(1, int(chunksize))  # kept for API compat
         if start_method is None:
             methods = multiprocessing.get_all_start_methods()
             start_method = "fork" if "fork" in methods else methods[0]

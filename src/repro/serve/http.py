@@ -23,7 +23,7 @@ the wait and tears sessions down immediately.
 ## Endpoints
 
 ========================================  =======================================
-``POST /sessions``                        create a session (JSON body: budget, knobs)
+``POST /sessions``                        create a session (JSON: budget, sniffer_location, strict)
 ``GET /sessions``                         list session statuses
 ``GET /sessions/<id>``                    one session's status
 ``POST /sessions/<id>/pcap``              upload a chunk of pcap bytes
@@ -46,6 +46,7 @@ import time
 from typing import Any, Callable
 
 from repro.analysis.budget import ResourceBudget
+from repro.analysis.tdat import check_sniffer_location
 from repro.obs import Observability, get_obs, use_obs
 from repro.serve.session import ServeError, SessionManager
 
@@ -476,11 +477,19 @@ class AnalysisServer:
                     overrides["budget"] = ResourceBudget(**budget_spec)
                 except TypeError as exc:
                     raise ServeError(400, f"bad budget: {exc}")
-            allowed = {"sniffer_location", "min_data_packets", "strict"}
-            unknown = set(spec) - allowed
+            unknown = set(spec) - {"sniffer_location", "strict"}
             if unknown:
                 raise ServeError(
                     400, f"unknown session options: {sorted(unknown)}"
+                )
+            if "sniffer_location" in spec:
+                try:
+                    check_sniffer_location(spec["sniffer_location"])
+                except ValueError as exc:
+                    raise ServeError(400, f"bad session spec: {exc}")
+            if not isinstance(spec.get("strict", False), bool):
+                raise ServeError(
+                    400, "bad session spec: strict must be true or false"
                 )
             overrides.update(spec)
         session = self.manager.create(**overrides)

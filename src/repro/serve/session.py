@@ -197,7 +197,6 @@ class AnalysisSession:
         *,
         budget: ResourceBudget | None = None,
         sniffer_location: str = SNIFFER_AT_RECEIVER,
-        min_data_packets: int = 2,
         strict: bool = False,
     ) -> None:
         self.id = session_id
@@ -217,10 +216,7 @@ class AnalysisSession:
         self.state = "open"  # guarded-by: lock
         self.error: str | None = None  # guarded-by: lock
         self._strict = strict
-        self._kwargs = dict(
-            sniffer_location=sniffer_location,
-            min_data_packets=min_data_packets,
-        )
+        self._sniffer_location = sniffer_location
         self._thread = threading.Thread(
             target=self._run, name=f"serve-{session_id}", daemon=True
         )
@@ -233,10 +229,10 @@ class AnalysisSession:
         try:
             stream = iter_analyze_pcap(
                 self.feeder,
+                sniffer_location=self._sniffer_location,
                 strict=self._strict,
                 health=self.renderer.health,
                 ledger=self._ledger,
-                **self._kwargs,
             )
             for analysis in stream:
                 with self.lock:

@@ -26,6 +26,9 @@ from repro.wire import frames
 from repro.wire.tcpw import SYN
 from repro.wire.pcap import PcapRecord, read_pcap
 
+#: Fewest data segments a connection needs to have a stream rebuilt.
+MIN_DATA_PACKETS = 1
+
 
 @dataclass
 class TimedMessage:
@@ -250,11 +253,14 @@ class StreamingPcap2Bgp:
 
 def pcap_to_bgp(
     source: BinaryIO | str | Path | list[PcapRecord],
-    min_data_packets: int = 1,
     resync: bool = True,
     health: TraceHealth | None = None,
 ) -> dict[tuple, StreamResult]:
-    """Reconstruct every connection's BGP stream from a capture."""
+    """Reconstruct every connection's BGP stream from a capture.
+
+    Connections without :data:`MIN_DATA_PACKETS` data segments carry
+    no stream and are left out.
+    """
     if isinstance(source, list):
         records = source
     else:
@@ -268,7 +274,7 @@ def pcap_to_bgp(
     for connection in trace:
         if connection.profile is None:
             continue
-        if connection.profile.total_data_packets < min_data_packets:
+        if connection.profile.total_data_packets < MIN_DATA_PACKETS:
             continue
         results[connection.key] = reconstruct_stream(
             connection, records, resync=resync, health=health

@@ -44,11 +44,7 @@ import json
 import sys
 
 from repro.analysis.render import analysis_to_dict, report_payload
-from repro.analysis.series import (
-    SNIFFER_AT_RECEIVER,
-    SNIFFER_AT_SENDER,
-    SNIFFER_IN_MIDDLE,
-)
+from repro.analysis.series import SNIFFER_AT_RECEIVER, SNIFFER_LOCATIONS
 from repro.api import Pipeline
 from repro.core.health import IngestError
 from repro.lint.cli import (
@@ -65,8 +61,6 @@ from repro.tools.report import duration_statistics, render_markdown
 from repro.wire.pcap import PcapError
 from repro.workloads.campaign import CAMPAIGNS
 from repro.workloads.checkpoint import CampaignInterrupted
-
-_LOCATIONS = [SNIFFER_AT_RECEIVER, SNIFFER_AT_SENDER, SNIFFER_IN_MIDDLE]
 
 EXIT_OK = 0
 EXIT_NOTHING = 1
@@ -227,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pcap", help="input pcap trace")
     p.add_argument(
         "--sniffer-location",
-        choices=_LOCATIONS,
+        choices=SNIFFER_LOCATIONS,
         default=SNIFFER_AT_RECEIVER,
         help="where the capture was taken (default: receiver)",
     )
@@ -306,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--sniffer-location",
-        choices=_LOCATIONS,
+        choices=SNIFFER_LOCATIONS,
         default=SNIFFER_AT_RECEIVER,
         help="default capture vantage for new sessions "
         "(default: receiver; clients can override per session)",

@@ -490,28 +490,11 @@ def run_episode(
         records = setup.sniffer.sorted_records()
         if pcap_out is not None:
             write_pcap(pcap_out, records)
-        report = analyze_pcap(
-            records, min_data_packets=2, strict=strict, health=health
-        )
-        transfer_extents = _transfer_extents(setup, records)
-        results: list[TransferRecord] = []
-        for handle in handles:
-            key = _connection_key(handle, setup)
-            if key not in report.analyses:
-                continue
-            analysis = report.get(key)
-            extent = transfer_extents.get(key)
-            window = (0, extent.end_us) if extent is not None else None
-            if window is not None:
-                # Re-run the pipeline clipped to the MCT window, as the
-                # paper's analysis period is the table-transfer extent.
-                from repro.analysis.tdat import analyze_connection
-
-                analysis = analyze_connection(
-                    analysis.connection, window=window
-                )
-            results.append(_make_record(spec, handle, analysis, extent))
-    return results
+        analyzed = _analyze_transfers(setup, handles, records, strict, health)
+        return [
+            _make_record(spec, handle, analysis, extent)
+            for handle, analysis, extent in analyzed
+        ]
 
 
 def _spec_budget(spec: EpisodeSpec) -> SimBudget | None:
@@ -560,6 +543,38 @@ def _transfer_extents(setup, records) -> dict[tuple, TableTransfer]:
             if transfer is not None:
                 extents[key] = transfer
     return extents
+
+
+def _analyze_transfers(
+    setup,
+    handles,
+    records,
+    strict: bool = False,
+    health: TraceHealth | None = None,
+) -> list[tuple]:
+    """Analyze each router's connection once, over its transfer extent.
+
+    The paper's analysis period is the table-transfer extent MCT finds
+    (section II-A), so the extents come first and one
+    :func:`analyze_pcap` run analyzes every connection clipped to
+    ``(0, extent.end_us)``; a connection without an extent is analyzed
+    whole.  A crashed analysis is contained like any other.  Returns
+    ``(handle, analysis, extent)`` for each handle whose connection
+    was analyzed, in handle order.
+    """
+    extents = _transfer_extents(setup, records)
+    report = analyze_pcap(
+        records,
+        windows={key: (0, extent.end_us) for key, extent in extents.items()},
+        strict=strict,
+        health=health,
+    )
+    analyzed = []
+    for handle in handles:
+        key = _connection_key(handle, setup)
+        if key in report.analyses:
+            analyzed.append((handle, report.get(key), extents.get(key)))
+    return analyzed
 
 
 def _make_record(
@@ -898,42 +913,6 @@ def run_zero_ack_bug_episode(
         tcp=TcpConfig(zero_ack_bug=True, zero_window_probe_delay_us=200_000),
     )
     handle = setup.add_router(params)
-    tracer = get_obs().tracer
-    with tracer.span(
-        "episode.simulate", cat="campaign", args={"episode": 10_000 + index}
-    ):
-        setup.start()
-        sim.run(
-            until_us=seconds(900),
-            budget=SimBudget(
-                max_events=config.sim_event_budget,
-                max_wall_s=config.sim_wall_budget_s,
-            )
-            if config.sim_event_budget is not None
-            or config.sim_wall_budget_s is not None
-            else None,
-        )
-    with tracer.span(
-        "episode.analyze", cat="campaign", args={"episode": 10_000 + index}
-    ):
-        records = setup.sniffer.sorted_records()
-        if pcap_out is not None:
-            write_pcap(pcap_out, records)
-        report = analyze_pcap(
-            records, min_data_packets=2, strict=strict, health=health
-        )
-        key = _connection_key(handle, setup)
-        if key not in report.analyses:
-            return None
-        extents = _transfer_extents(setup, records)
-        extent = extents.get(key)
-        analysis = report.get(key)
-        if extent is not None:
-            from repro.analysis.tdat import analyze_connection
-
-            analysis = analyze_connection(
-                analysis.connection, window=(0, extent.end_us)
-            )
     spec = EpisodeSpec(
         campaign=config.name,
         collector_kind=config.collector_kind,
@@ -945,7 +924,25 @@ def run_zero_ack_bug_episode(
         rtt_ms=9.0,
         collector_window=8 * 1400,
         rto_backoff_factor=2.0,
+        sim_event_budget=config.sim_event_budget,
+        sim_wall_budget_s=config.sim_wall_budget_s,
     )
+    tracer = get_obs().tracer
+    with tracer.span(
+        "episode.simulate", cat="campaign", args={"episode": spec.episode}
+    ):
+        setup.start()
+        sim.run(until_us=seconds(900), budget=_spec_budget(spec))
+    with tracer.span(
+        "episode.analyze", cat="campaign", args={"episode": spec.episode}
+    ):
+        records = setup.sniffer.sorted_records()
+        if pcap_out is not None:
+            write_pcap(pcap_out, records)
+        analyzed = _analyze_transfers(setup, [handle], records, strict, health)
+    if not analyzed:
+        return None
+    ((_, analysis, extent),) = analyzed
     return _make_record(spec, handle, analysis, extent)
 
 
@@ -1006,8 +1003,8 @@ def run_peer_group_episode(
     sim.schedule(seconds(fail_after_s), setup_v.collector.kill)
     sim.run(until_us=seconds(hold_time_s + 120))
 
-    report_q = analyze_pcap(setup_q.sniffer.sorted_records(), min_data_packets=2)
-    report_v = analyze_pcap(setup_v.sniffer.sorted_records(), min_data_packets=2)
+    report_q = analyze_pcap(setup_q.sniffer.sorted_records())
+    report_v = analyze_pcap(setup_v.sniffer.sorted_records())
     key_q = _connection_key(handle_q, setup_q)
     key_v = _connection_key(handle_v, setup_v)
     analysis_q = report_q.analyses.get(key_q)
@@ -1075,24 +1072,14 @@ def run_concurrency_sweep(
         setup.start()
         sim.run(until_us=seconds(900))
         records = setup.sniffer.sorted_records()
-        report = analyze_pcap(records, min_data_packets=2)
-        extents = _transfer_extents(setup, records)
-        bgp_ratios = []
-        tcp_ratios = []
-        for handle in handles:
-            key = _connection_key(handle, setup)
-            if key not in report.analyses:
-                continue
-            extent = extents.get(key)
-            analysis = report.get(key)
-            if extent is not None:
-                from repro.analysis.tdat import analyze_connection
-
-                analysis = analyze_connection(
-                    analysis.connection, window=(0, extent.end_us)
-                )
-            bgp_ratios.append(analysis.factors.ratios["bgp_receiver_app"])
-            tcp_ratios.append(analysis.factors.ratios["tcp_advertised_window"])
+        analyses = [
+            analysis
+            for _, analysis, _ in _analyze_transfers(setup, handles, records)
+        ]
+        bgp_ratios = [a.factors.ratios["bgp_receiver_app"] for a in analyses]
+        tcp_ratios = [
+            a.factors.ratios["tcp_advertised_window"] for a in analyses
+        ]
         results[k] = {
             "bgp_receiver_app": sum(bgp_ratios) / max(len(bgp_ratios), 1),
             "tcp_advertised_window": sum(tcp_ratios) / max(len(tcp_ratios), 1),

@@ -61,7 +61,7 @@ def run_scenario(flavor="newreno", loss=None, sender_model_factory=None,
     )
     setup.start()
     sim.run(until_us=seconds(600))
-    report = analyze_pcap(setup.sniffer.sorted_records(), min_data_packets=2)
+    report = analyze_pcap(setup.sniffer.sorted_records())
     return next(iter(report))
 
 

@@ -13,7 +13,7 @@ from repro.analysis.budget import (
     StateLedger,
 )
 from repro.analysis.tdat import analyze_pcap, iter_analyze_pcap
-from repro.api import AnalysisRequest, Pipeline
+from repro.api import Pipeline
 from repro.faults.stress import (
     ALLOWED_DEGRADATION_KINDS,
     analysis_fingerprint,
@@ -226,14 +226,10 @@ class TestApiKnobs:
         report = pipe.analyze(flood)
         assert report.degradation is not None
         assert report.degradation.degraded
-
-    def test_request_budget_overrides_pipeline_budget(self, flood):
-        pipe = Pipeline(budget=ResourceBudget(max_live_connections=24))
-        report = pipe.run(AnalysisRequest(
-            source=flood,
-            budget=ResourceBudget(max_live_connections=FLOOD_N * 2),
-        ))
-        assert not report.degradation.degraded
+        ample = Pipeline(
+            budget=ResourceBudget(max_live_connections=FLOOD_N * 2)
+        ).analyze(flood)
+        assert not ample.degradation.degraded
 
     def test_iter_analyze_accepts_budget(self, flood):
         pipe = Pipeline(budget=ResourceBudget(max_live_connections=24))

@@ -1,8 +1,8 @@
 """The one analysis driver behind ``analyze_pcap`` and ``iter_analyze_pcap``.
 
 Per-connection crash containment must follow one rule in every
-execution mode, and the series config must be resolved the same way by
-both entry points.
+execution mode, and both entry points must check the sniffer location
+the same way.
 """
 
 import io
@@ -10,9 +10,7 @@ import io
 import pytest
 
 from repro.analysis import render, tdat
-from repro.analysis.series import SeriesConfig
 from repro.analysis.tdat import analyze_pcap, iter_analyze_pcap
-from repro.api import Pipeline
 from repro.core.health import IngestError
 from repro.faults.fuzz import clean_trace_bytes
 from repro.faults.stress import connection_flood
@@ -82,30 +80,20 @@ def test_strict_incremental_crash_raises_ingest_error(flood_blob, crash_third):
     assert isinstance(caught.value.__cause__, ZeroDivisionError)
 
 
-def test_sniffer_location_and_config_must_agree():
+def test_sender_location_analysis_is_pinned():
     blob = clean_trace_bytes(table_prefixes=800, duration_s=60)
-    with pytest.raises(ValueError, match="sniffer_location"):
-        analyze_pcap(
-            io.BytesIO(blob), sniffer_location="sender", config=SeriesConfig()
-        )
-    with pytest.raises(ValueError, match="sniffer_location"):
-        iter_analyze_pcap(
-            io.BytesIO(blob), sniffer_location="sender", config=SeriesConfig()
-        )
-    with pytest.raises(ValueError, match="sniffer_location"):
-        Pipeline().analyze(
-            io.BytesIO(blob), sniffer_location="sender", config=SeriesConfig()
-        )
-    for kwargs in (
-        {"sniffer_location": "sender"},
-        {"config": SeriesConfig(sniffer_location="sender")},
-        {
-            "sniffer_location": "sender",
-            "config": SeriesConfig(sniffer_location="sender"),
-        },
-    ):
-        report = analyze_pcap(io.BytesIO(blob), **kwargs)
-        assert sum(a.ack_shift.shifted_flights for a in report) == 0
-        assert render.payload_digest(
-            render.report_payload(report)
-        ) == SENDER_SHA256
+    report = analyze_pcap(io.BytesIO(blob), sniffer_location="sender")
+    assert sum(a.ack_shift.shifted_flights for a in report) == 0
+    assert render.payload_digest(
+        render.report_payload(report)
+    ) == SENDER_SHA256
+
+
+@pytest.mark.parametrize("location", ["recever", "", None, "Receiver"])
+def test_unknown_sniffer_location_raises(location):
+    blob = clean_trace_bytes(table_prefixes=800, duration_s=60)
+    with pytest.raises(ValueError, match="receiver, sender, middle"):
+        analyze_pcap(io.BytesIO(blob), sniffer_location=location)
+    # Raised at the call, before any flow is read.
+    with pytest.raises(ValueError, match="receiver, sender, middle"):
+        iter_analyze_pcap(io.BytesIO(blob), sniffer_location=location)

@@ -114,7 +114,7 @@ class TestLinkJitter:
             link._jitter_rng = streams.stream(f"jitter-{link.name}")
         setup.start()
         sim.run(until_us=seconds(120))
-        report = analyze_pcap(setup.sniffer.sorted_records(), min_data_packets=2)
+        report = analyze_pcap(setup.sniffer.sorted_records())
         analysis = next(iter(report))
         profile = analysis.connection.profile
         assert 7_000 < profile.rtt_us < 16_000

@@ -41,7 +41,7 @@ class TestDamagedCaptures:
             damaged.append(PcapRecord(record.timestamp_us, bytes(data)))
         trace = Trace.from_pcap(damaged)
         assert trace.skipped_frames == corrupted
-        report = analyze_pcap(damaged, min_data_packets=2)
+        report = analyze_pcap(damaged)
         assert len(report) == 1  # analysis proceeds on the survivors
 
     def test_truncated_frames_skipped(self, records):
@@ -51,17 +51,17 @@ class TestDamagedCaptures:
         ]
         trace = Trace.from_pcap(damaged)
         assert trace.skipped_frames > 0
-        report = analyze_pcap(damaged, min_data_packets=2)
+        report = analyze_pcap(damaged)
         assert len(report) == 1
 
     def test_single_packet_connection_skipped(self, records):
         lonely = [records[len(records) // 2]]
-        report = analyze_pcap(lonely, min_data_packets=2)
+        report = analyze_pcap(lonely)
         assert len(report) == 0
         assert report.skipped_connections >= 0
 
     def test_empty_capture(self):
-        report = analyze_pcap([], min_data_packets=2)
+        report = analyze_pcap([])
         assert len(report) == 0
 
     def test_ack_only_capture(self, records):
@@ -71,7 +71,7 @@ class TestDamagedCaptures:
         for record in records:
             if not frames.parse_packet(record.data).payload:
                 acks_only.append(record)
-        report = analyze_pcap(acks_only, min_data_packets=2)
+        report = analyze_pcap(acks_only)
         # A capture with no data segments has nothing to analyze, but
         # must not crash.
         assert len(report) == 0
@@ -81,7 +81,7 @@ class TestDamagedCaptures:
         for record in records:
             doubled.append(record)
             doubled.append(record)
-        report = analyze_pcap(doubled, min_data_packets=2)
+        report = analyze_pcap(doubled)
         analysis = next(iter(report))
         # Every data packet appears twice: massive duplicate labeling,
         # but the pipeline completes and ratios stay in range.

@@ -29,7 +29,7 @@ def records():
 
 @pytest.fixture(scope="module")
 def buffered(records):
-    return analyze_pcap(records, min_data_packets=2)
+    return analyze_pcap(records)
 
 
 def _fingerprint(report):
@@ -57,14 +57,14 @@ class TestModeEquivalence:
         ],
     )
     def test_same_report_as_buffered(self, records, buffered, kwargs):
-        report = analyze_pcap(records, min_data_packets=2, **kwargs)
+        report = analyze_pcap(records, **kwargs)
         # Same connections, in the same (capture) order.
         assert list(report.analyses) == list(buffered.analyses)
         assert _fingerprint(report) == _fingerprint(buffered)
         assert report.skipped_connections == buffered.skipped_connections
 
     def test_iter_analyze_yields_every_connection(self, records, buffered):
-        keys = {a.key for a in iter_analyze_pcap(records, min_data_packets=2)}
+        keys = {a.key for a in iter_analyze_pcap(records)}
         assert keys == set(buffered.analyses)
 
 

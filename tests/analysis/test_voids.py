@@ -71,7 +71,7 @@ class TestVoidExclusionEndToEnd:
         setup.start()
         sim.run(until_us=seconds(120))
         assert setup.collector.updates_archived == len(table.to_updates())
-        report = analyze_pcap(setup.sniffer.sorted_records(), min_data_packets=2)
+        report = analyze_pcap(setup.sniffer.sorted_records())
         return next(iter(report)), setup
 
     def test_sniffer_drops_detected_and_excluded(self):

@@ -7,9 +7,9 @@ from pathlib import Path
 import pytest
 
 import repro.analysis
-from repro.api import AnalysisRequest, CampaignRequest, Pipeline
+from repro.api import Pipeline
 from repro.faults.fuzz import clean_trace_bytes
-from repro.workloads.campaign import CampaignConfig, isp_quagga_config
+from repro.workloads.campaign import isp_quagga_config
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 
@@ -44,8 +44,8 @@ class TestPipelineAnalyze:
         tuned = Pipeline(**knobs).analyze(clean_pcap)
         assert list(tuned.analyses) == list(base.analyses)
 
-    def test_request_object_form(self, clean_pcap):
-        report = Pipeline().run(AnalysisRequest(source=str(clean_pcap)))
+    def test_analyze_accepts_a_path_string(self, clean_pcap):
+        report = Pipeline().analyze(str(clean_pcap))
         assert len(report) == 1
 
     def test_workers_zero_means_all_cpus(self):
@@ -61,31 +61,66 @@ class TestPipelineAnalyze:
         streams = Pipeline().extract_bgp(clean_pcap)
         assert len(streams) == 1
 
-    def test_unknown_request_type_rejected(self):
-        with pytest.raises(TypeError, match="not a pipeline request"):
-            Pipeline().run(object())
+    @pytest.mark.parametrize("knob", ["workers", "streaming", "budget"])
+    def test_pipeline_knobs_are_not_call_arguments(self, clean_pcap, knob):
+        # A knob lives on the Pipeline only; passing it per call used
+        # to be accepted and, for iter_analyze, silently ignored.
+        with pytest.raises(TypeError, match=knob):
+            Pipeline().analyze(clean_pcap, **{knob: None})
+        with pytest.raises(TypeError, match=knob):
+            Pipeline().iter_analyze(clean_pcap, **{knob: None})
+
+    def test_misspelled_sniffer_location_raises(self, clean_pcap):
+        with pytest.raises(ValueError, match="receiver, sender, middle"):
+            Pipeline().analyze(clean_pcap, sniffer_location="recever")
+        with pytest.raises(ValueError, match="receiver, sender, middle"):
+            Pipeline().iter_analyze(clean_pcap, sniffer_location="recever")
 
 
-class TestCampaignRequest:
-    def test_resolve_by_name(self):
-        config = CampaignRequest(name="ISP_A-Quagga", seed=9, transfers=4).resolve()
-        assert isinstance(config, CampaignConfig)
-        assert (config.seed, config.transfers) == (9, 4)
+class TestPipelineCampaign:
+    @pytest.fixture
+    def run_campaign(self, monkeypatch):
+        """Capture the config and options ``run_campaign`` receives."""
+        calls = []
 
-    def test_resolve_explicit_config_with_overrides(self):
+        def fake(config, **options):
+            calls.append((config, options))
+            return "result"
+
+        monkeypatch.setattr("repro.api.run_campaign", fake)
+        return calls
+
+    def test_by_name_with_seed_and_transfers(self, run_campaign):
+        assert Pipeline().campaign(
+            "ISP_A-Quagga", seed=9, transfers=4
+        ) == "result"
+        ((config, options),) = run_campaign
+        assert (config.name, config.seed, config.transfers) == (
+            "ISP_A-Quagga", 9, 4,
+        )
+        assert options["checkpoint_dir"] is None
+        assert options["resume_from"] is None
+
+    def test_explicit_config_with_overrides(self, run_campaign, tmp_path):
         base = isp_quagga_config()
-        config = CampaignRequest(
-            config=base, transfers=2, overrides={"zero_bug_episodes": 0}
-        ).resolve()
+        Pipeline(strict=True).campaign(
+            base, transfers=2, overrides={"zero_bug_episodes": 0},
+            checkpoint_dir=tmp_path, resume=True,
+        )
+        ((config, options),) = run_campaign
         assert config.transfers == 2
         assert config.zero_bug_episodes == 0
+        assert config.seed == base.seed
         assert base.transfers != 2  # original untouched
+        assert options["strict"] is True
+        assert options["checkpoint_dir"] == options["resume_from"] == tmp_path
 
-    def test_needs_exactly_one_of_name_or_config(self):
-        with pytest.raises(ValueError):
-            CampaignRequest().resolve()
-        with pytest.raises(ValueError):
-            CampaignRequest(name="RV", config=isp_quagga_config()).resolve()
+    def test_needs_a_name_or_a_config(self, run_campaign):
+        with pytest.raises(ValueError, match="unknown campaign"):
+            Pipeline().campaign(None)
+        with pytest.raises(ValueError, match="unknown campaign"):
+            Pipeline().campaign("nope")
+        assert not run_campaign
 
 
 class TestDeprecationShims:

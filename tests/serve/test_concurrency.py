@@ -16,7 +16,7 @@ import threading
 
 from repro.analysis.render import ReportRenderer, payload_digest
 from repro.analysis.tdat import analyze_pcap
-from repro.api import AnalysisRequest, Pipeline
+from repro.api import Pipeline
 
 from tests.serve.helpers import flood_bytes, running_server
 
@@ -135,7 +135,7 @@ class TestPipelinePoolReuse:
 
         def run(slot: int) -> None:
             try:
-                report = pipeline.run(AnalysisRequest(io.BytesIO(data)))
+                report = pipeline.analyze(io.BytesIO(data))
                 results[slot] = [a.connection.key for a in report]
             except Exception as exc:  # noqa: BLE001 — surface to the test
                 errors.append(exc)
@@ -156,5 +156,5 @@ class TestPipelinePoolReuse:
         data = flood_bytes(4)
         pipeline = Pipeline(workers=2)
         with running_server(pipeline):
-            report = pipeline.run(AnalysisRequest(io.BytesIO(data)))
+            report = pipeline.analyze(io.BytesIO(data))
             assert len(report) == 4

@@ -62,6 +62,45 @@ class TestBasics:
             )
             assert status == 400 and "bad budget" in payload["error"]
 
+    def test_session_options_are_checked(self):
+        with running_server() as client:
+            for spec, error in (
+                ({"sniffer_location": "recever"}, "receiver, sender, middle"),
+                ({"sniffer_location": None}, "receiver, sender, middle"),
+                ({"strict": "no"}, "strict must be true or false"),
+                ({"strict": 1}, "strict must be true or false"),
+                ({"min_data_packets": 2}, "min_data_packets"),
+            ):
+                status, payload = client.json(
+                    "POST", "/sessions", json.dumps(spec).encode()
+                )
+                assert status == 400, spec
+                assert error in payload["error"], spec
+            # A refused spec creates nothing and uses up no session id.
+            status, payload = client.json("GET", "/sessions")
+            assert status == 200 and payload["sessions"] == []
+            sid = client.create_session(
+                {"sniffer_location": "sender", "strict": True}
+            )
+            assert sid == "s0001"
+
+    def test_session_sniffer_location_reaches_the_analysis(self):
+        data = flood_bytes(3)
+        with running_server() as client:
+            sid = client.create_session({"sniffer_location": "sender"})
+            client.upload(sid, data)
+            _, _, body = client.request("GET", f"/sessions/{sid}/report")
+
+        def one_shot(location: str) -> bytes:
+            report = analyze_pcap(io.BytesIO(data), sniffer_location=location)
+            renderer = ReportRenderer(health=report.health)
+            renderer.extend(list(report))
+            renderer.finish()
+            return renderer.render_report()[1]
+
+        assert body == one_shot("sender")
+        assert body != one_shot("receiver")
+
 
 class TestConditionalGet:
     def test_report_etag_and_304_contract(self):
@@ -153,10 +192,8 @@ class TestShutdown:
 
 class TestPipelineServeKnobs:
     def test_budget_knob_applies_to_every_session(self):
-        pipeline = Pipeline()
-        with running_server(
-            pipeline, budget=ResourceBudget(max_live_connections=4)
-        ) as client:
+        pipeline = Pipeline(budget=ResourceBudget(max_live_connections=4))
+        with running_server(pipeline) as client:
             sid = client.create_session()
             client.upload(sid, flood_bytes(24))
             status, payload = client.json("GET", f"/sessions/{sid}")

@@ -191,7 +191,7 @@ class TestSackRecovery:
         )
         setup.start()
         sim.run(until_us=seconds(300))
-        report = analyze_pcap(setup.sniffer.sorted_records(), min_data_packets=2)
+        report = analyze_pcap(setup.sniffer.sorted_records())
         analysis = next(iter(report))
         # Retransmissions are still labeled and losses attributed.
         assert analysis.labeling.retransmissions()

@@ -125,7 +125,7 @@ class TestAnalyzerScaling:
         )
         setup.start()
         sim.run(until_us=seconds(120))
-        report = analyze_pcap(setup.sniffer.sorted_records(), min_data_packets=2)
+        report = analyze_pcap(setup.sniffer.sorted_records())
         analysis = next(iter(report))
         profile = analysis.connection.profile
         # The analyzer recovered the true (scaled) window, not the raw
@@ -140,6 +140,6 @@ class TestAnalyzerScaling:
         setup.add_router(RouterParams(name="r1", ip="10.92.0.1", table=table))
         setup.start()
         sim.run(until_us=seconds(60))
-        report = analyze_pcap(setup.sniffer.sorted_records(), min_data_packets=2)
+        report = analyze_pcap(setup.sniffer.sorted_records())
         analysis = next(iter(report))
         assert analysis.connection.profile.max_advertised_window <= 65535

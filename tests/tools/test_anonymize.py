@@ -128,12 +128,12 @@ class TestPcapAnonymization:
 
     def test_analysis_survives_anonymization(self, capture):
         """Factor group ratios match on the stripped, anonymized trace."""
-        original = analyze_pcap(capture, min_data_packets=2)
+        original = analyze_pcap(capture)
         src = io.BytesIO(records_to_bytes(capture))
         dst = io.BytesIO()
         anonymize_pcap(src, dst, key=b"a-key", strip_payload=True)
         dst.seek(0)
-        anonymized = analyze_pcap(read_pcap(dst), min_data_packets=2)
+        anonymized = analyze_pcap(read_pcap(dst))
         (a,) = list(original)
         (b,) = list(anonymized)
         for x, y in zip(a.factors.group_vector, b.factors.group_vector):

@@ -196,7 +196,7 @@ class TestBgplot:
         assert wave == "█████·····"
 
     def test_time_sequence_plot(self, lossy_capture):
-        report = analyze_pcap(lossy_capture["records"], min_data_packets=2)
+        report = analyze_pcap(lossy_capture["records"])
         analysis = next(iter(report))
         plot = bgplot.render_time_sequence(
             analysis, width=60, height=12, window=(0, seconds(2))

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.analysis import tdat
+from repro.core.health import IngestError, TraceHealth
 from repro.workloads.campaign import (
     CLEAN,
     DOWNSTREAM_LOSS,
@@ -102,6 +104,31 @@ class TestEpisodes:
         assert any(
             r.factors.group_ratios["receiver"] > 0.2 for r in records
         )
+
+    def test_windowed_analysis_crash_is_contained(self, monkeypatch):
+        # Each connection is analyzed once, over its MCT extent, so a
+        # crash there is contained to its connection like any other.
+        spec = find_spec(isp_quagga_config(transfers=30), LOADED_COLLECTOR)
+        assert spec.concurrency > 1
+        analyze = tdat.analyze_connection
+        crashed = []
+
+        def crash_first_windowed(connection, window=None, **kwargs):
+            if window is not None and not crashed:
+                crashed.append(connection.key)
+                raise ZeroDivisionError("injected")
+            return analyze(connection, window=window, **kwargs)
+
+        monkeypatch.setattr(tdat, "analyze_connection", crash_first_windowed)
+        health = TraceHealth()
+        records = run_episode(spec, health=health)
+        assert len(records) == spec.concurrency - 1
+        (issue,) = health.issues
+        assert issue.kind == "connection-analysis-failed"
+        assert issue.detail == f"{crashed[0]}: ZeroDivisionError: injected"
+        crashed.clear()
+        with pytest.raises(IngestError, match="ZeroDivisionError"):
+            run_episode(spec, strict=True)
 
     def test_zero_ack_bug_episode(self):
         record = run_zero_ack_bug_episode(isp_quagga_config())

@@ -35,7 +35,7 @@ class TestResetStorm:
     def test_each_reset_is_a_new_connection(self):
         sim, setup, storm, table = self.run_storm(resets=3)
         assert storm.incarnations == 4  # initial + 3 resets
-        report = analyze_pcap(setup.sniffer.sorted_records(), min_data_packets=2)
+        report = analyze_pcap(setup.sniffer.sorted_records())
         assert len(report) == 4
         ports = {key[1] if key[3] == 179 else key[3] for key in report.analyses}
         assert len(ports) == 4

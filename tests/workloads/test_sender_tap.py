@@ -37,9 +37,7 @@ def run_sender_tap(nic_loss=None, path_loss=None, table_size=30_000, seed=75):
     setup.start()
     sim.run(until_us=seconds(300))
     report = analyze_pcap(
-        setup.sniffer.sorted_records(),
-        sniffer_location=SNIFFER_AT_SENDER,
-        min_data_packets=2,
+        setup.sniffer.sorted_records(), sniffer_location=SNIFFER_AT_SENDER
     )
     return next(iter(report)), setup, handle
 
