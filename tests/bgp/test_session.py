@@ -253,6 +253,7 @@ class TestCollector:
         sim.run(until_us=seconds(120))
         assert collector.updates_archived == len(rib.to_updates())
         assert len(collector.rib) == len(rib)
+        assert set(collector.rib) == set(rib)
         path = tmp_path / "archive.mrt"
         count = collector.write_archive(path)
         from repro.bgp.mrt import read_mrt
@@ -272,6 +273,7 @@ class TestCollector:
         sim.run(until_us=seconds(120))
         assert collector.updates_archived == 0
         assert len(collector.rib) == len(rib)
+        assert set(collector.rib) == set(rib)
 
     def test_slow_cpu_closes_window(self):
         sim = Simulator()
@@ -290,6 +292,7 @@ class TestCollector:
         sim.schedule(100_000, sample)
         sim.run(until_us=seconds(600))
         assert len(collector.rib) == len(rib)
+        assert set(collector.rib) == set(rib)
         # During the transfer the advertised window was squeezed.
         assert min(min_window) < 20_000
 

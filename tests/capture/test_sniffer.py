@@ -58,6 +58,7 @@ class TestSnifferCapture:
         sim, setup, handle, table = run_simple_setup()
         assert setup.collector.updates_archived == len(table.to_updates())
         assert len(setup.collector.rib) == len(table)
+        assert set(setup.collector.rib) == set(table)
 
     def test_bgp_payload_recoverable_from_capture(self):
         sim, setup, handle, table = run_simple_setup(table_size=100)

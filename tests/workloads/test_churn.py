@@ -115,6 +115,7 @@ class TestChurnGenerator:
         # Every churned prefix was re-announced after its withdrawal,
         # so the RIB converges back to the full table size.
         assert len(setup.collector.rib) == pytest.approx(len(table), abs=2)
+        assert set(setup.collector.rib.prefixes()) <= set(table.prefixes())
 
     def test_bad_rate_rejected(self):
         sim = Simulator()
