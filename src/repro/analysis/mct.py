@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.bgp.messages import Prefix, UpdateMessage
+from repro.bgp.messages import UpdateMessage
 from repro.core.units import seconds
 
 DEFAULT_IDLE_TIMEOUT_US = seconds(30)
@@ -54,7 +54,7 @@ def minimum_collection_time(
         return None
     if start_us is None:
         start_us = updates[0][0]
-    seen: set[Prefix] = set()
+    seen: set[int] = set()  # packed Prefix.key ints
     end_us = updates[0][0]
     total_updates = 0
     duplicates = 0
@@ -66,12 +66,11 @@ def minimum_collection_time(
             break
         previous_ts = ts
         total_updates += 1
-        new_prefixes = 0
-        for prefix in update.announced:
-            if prefix not in seen:
-                seen.add(prefix)
-                new_prefixes += 1
-        if update.announced and new_prefixes == 0:
+        announced = update.announced_keys
+        known = len(seen)
+        seen.update(announced)
+        new_prefixes = len(seen) - known
+        if announced and new_prefixes == 0:
             duplicates += 1
             if duplicates / max(total_updates, 1) > duplicate_tolerance:
                 ended_by = "duplicates"

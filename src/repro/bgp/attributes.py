@@ -180,9 +180,9 @@ class PathAttributes:
             elif type_code == NEXT_HOP:
                 next_hop = bytes_to_ip(body)
             elif type_code == MULTI_EXIT_DISC:
-                (med,) = struct.unpack("!I", body)
+                med = _decode_u32(body, "MULTI_EXIT_DISC")
             elif type_code == LOCAL_PREF:
-                (local_pref,) = struct.unpack("!I", body)
+                local_pref = _decode_u32(body, "LOCAL_PREF")
             # Unknown attributes are skipped (transitive pass-through).
         if as4_path:
             as_path = _merge_as4_path(as_path, as4_path)
@@ -197,6 +197,12 @@ def _encode_attribute(flags: int, type_code: int, body: bytes) -> bytes:
     else:
         header = struct.pack("!BBB", flags, type_code, len(body))
     return header + body
+
+
+def _decode_u32(body: bytes, name: str) -> int:
+    if len(body) != 4:
+        raise AttributeError_(f"{name} must be 4 bytes")
+    return int.from_bytes(body, "big")
 
 
 def _decode_as_path(body: bytes, wide: bool = False) -> tuple[AsPathSegment, ...]:

@@ -159,10 +159,7 @@ class BaseCollector:
     def _session_update(
         self, session: BgpSession, update: UpdateMessage, timestamp_us: int
     ) -> None:
-        if update.attributes is not None:
-            self.rib.announce(update.announced, update.attributes)
-        for prefix in update.withdrawn:
-            self.rib.withdraw(prefix)
+        self.rib.apply(update)
         if self.archives_mrt:
             self.archive.append(
                 MrtRecord(

@@ -21,8 +21,9 @@ from typing import BinaryIO
 from repro.bgp.messages import (
     BgpError,
     BgpMessage,
+    Prefix,
     decode_message,
-    decode_prefixes,
+    decode_nlri,
     encode_message,
 )
 from repro.core.units import US_PER_SECOND
@@ -172,7 +173,7 @@ def read_rib_snapshot(source: BinaryIO | str | Path) -> RibSnapshot:
             raise MrtError("truncated RIB entry")
         stop = 5 + (body[4] + 7) // 8
         try:
-            (prefix,) = decode_prefixes(body[4:stop])
+            (key,) = decode_nlri(body[4:stop])
         except BgpError as exc:
             raise MrtError(f"bad RIB entry prefix: {exc}") from exc
         offset = stop + 2  # skip entry count (always 1)
@@ -183,7 +184,7 @@ def read_rib_snapshot(source: BinaryIO | str | Path) -> RibSnapshot:
         )
         offset += 8
         attributes = PathAttributes.decode(body[offset : offset + attr_len])
-        entries.append((prefix, attributes))
+        entries.append((Prefix.from_key(key), attributes))
     return RibSnapshot(
         timestamp_us=seconds * US_PER_SECOND,
         collector_id=collector_id,

@@ -14,7 +14,7 @@ import random
 from bisect import bisect_right
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import accumulate, repeat, starmap
+from itertools import accumulate, repeat
 from operator import attrgetter
 
 from repro.bgp.attributes import PathAttributes
@@ -24,9 +24,10 @@ from repro.bgp.messages import (
     Prefix,
     UpdateMessage,
     encode_message,
+    encode_nlri,
 )
 
-_nlri = attrgetter("nlri")
+_key = attrgetter("key")
 
 
 @dataclass(frozen=True)
@@ -40,18 +41,22 @@ class Route:
 class Rib:
     """A Routing Information Base keyed by prefix.
 
-    The table maps each :class:`Prefix` to its ``PathAttributes``;
-    :class:`Route` objects are built when a caller reads one.
+    The table maps each prefix's packed :attr:`Prefix.key` to its
+    ``PathAttributes``.  :class:`Prefix` and :class:`Route` objects are
+    built only when a caller reads them (``lookup``, iteration,
+    ``prefixes``); filing a received UPDATE (:meth:`apply`) and packing
+    the table into UPDATEs (:meth:`to_updates`) touch only ints and
+    bytes.
     """
 
     def __init__(self, routes: list[Route] | None = None) -> None:
-        self._routes: dict[Prefix, PathAttributes] = {}
+        self._routes: dict[int, PathAttributes] = {}
         for route in routes or ():
             self.add(route)
 
     def add(self, route: Route) -> None:
         """Insert or replace the route for its prefix."""
-        self._routes[route.prefix] = route.attributes
+        self._routes[route.prefix.key] = route.attributes
 
     def announce(
         self, prefixes: Iterable[Prefix], attributes: PathAttributes
@@ -60,30 +65,42 @@ class Rib:
 
         All of them get ``attributes``: this files one UPDATE's NLRI.
         """
-        self._routes.update(zip(prefixes, repeat(attributes)))
+        self._routes.update(zip(map(_key, prefixes), repeat(attributes)))
+
+    def apply(self, update: UpdateMessage) -> None:
+        """File one received UPDATE by its packed keys.
+
+        Its NLRI get its attributes, then its withdrawn routes go.
+        """
+        routes = self._routes
+        if update.attributes is not None:
+            routes.update(zip(update.announced_keys, repeat(update.attributes)))
+        for key in update.withdrawn_keys:
+            routes.pop(key, None)
 
     def withdraw(self, prefix: Prefix) -> Route | None:
         """Remove and return the route for ``prefix`` if present."""
-        attributes = self._routes.pop(prefix, None)
+        attributes = self._routes.pop(prefix.key, None)
         return None if attributes is None else Route(prefix, attributes)
 
     def lookup(self, prefix: Prefix) -> Route | None:
         """Exact-match lookup."""
-        attributes = self._routes.get(prefix)
+        attributes = self._routes.get(prefix.key)
         return None if attributes is None else Route(prefix, attributes)
 
     def __len__(self) -> int:
         return len(self._routes)
 
     def __iter__(self):
-        return starmap(Route, self._routes.items())
+        routes = self._routes
+        return map(Route, map(Prefix.from_key, routes), routes.values())
 
     def __contains__(self, prefix: Prefix) -> bool:
-        return prefix in self._routes
+        return prefix.key in self._routes
 
     def prefixes(self) -> list[Prefix]:
         """All prefixes, in insertion order."""
-        return list(self._routes)
+        return list(map(Prefix.from_key, self._routes))
 
     def to_updates(self, max_message_len: int = MAX_MESSAGE_LEN) -> list[UpdateMessage]:
         """Pack the whole table into UPDATE messages.
@@ -91,30 +108,33 @@ class Rib:
         Routes sharing a ``PathAttributes`` value ride in the same
         UPDATE until the 4096-byte limit, exactly as a router walks its
         RIB grouped by attribute set during a table transfer.  Groups
-        come in the order their first route was added.
+        come in the order their first route was added.  Each attribute
+        set is encoded once, for every UPDATE of its group.
         """
         # Group by attribute object first, so each distinct object is
         # hashed by value once rather than once per route.
-        groups: dict[PathAttributes, list[Prefix]] = {}
-        by_object: dict[int, list[Prefix]] = {}
-        for prefix, attributes in self._routes.items():
+        groups: dict[PathAttributes, list[int]] = {}
+        by_object: dict[int, list[int]] = {}
+        for key, attributes in self._routes.items():
             members = by_object.get(id(attributes))
             if members is None:
                 members = groups.setdefault(attributes, [])
                 by_object[id(attributes)] = members
-            members.append(prefix)
+            members.append(key)
         updates: list[UpdateMessage] = []
-        for attributes, prefixes in groups.items():
-            room = max_message_len - HEADER_LEN - 4 - len(attributes.encode())
+        for attributes, keys in groups.items():
+            block = attributes.encode()
+            room = max_message_len - HEADER_LEN - 4 - len(block)
+            nlris = encode_nlri(keys)
             # Greedy packing: each UPDATE takes the longest run of
             # prefixes whose NLRI fits the room left (at least one).
-            ends = list(accumulate(map(len, map(_nlri, prefixes))))
+            ends = list(accumulate(map(len, nlris)))
             start = used = 0
-            while start < len(prefixes):
+            while start < len(nlris):
                 stop = max(bisect_right(ends, used + room), start + 1)
-                updates.append(
-                    UpdateMessage(tuple(prefixes[start:stop]), attributes)
-                )
+                updates.append(UpdateMessage.from_wire(
+                    b"".join(nlris[start:stop]), attributes, block
+                ))
                 start, used = stop, ends[stop - 1]
         return updates
 
@@ -174,14 +194,15 @@ def generate_table(
     routes = rib._routes
     while len(routes) < size:
         length = rng.choices(lengths, cum_weights=cum_weights)[0]
-        prefix = _random_prefix(rng, length)
-        if prefix in routes:
+        key = _random_key(rng, length)
+        if key in routes:
             continue
-        routes[prefix] = rng.choice(attribute_sets)
+        routes[key] = rng.choice(attribute_sets)
     return rib
 
 
-def _random_prefix(rng: random.Random, length: int) -> Prefix:
+def _random_key(rng: random.Random, length: int) -> int:
+    """The packed key of a random unicast prefix of ``length`` bits."""
     address = rng.getrandbits(32)
     mask = (0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF if length else 0
     address &= mask
@@ -189,7 +210,7 @@ def _random_prefix(rng: random.Random, length: int) -> Prefix:
     first_octet = (address >> 24) & 0xFF
     if first_octet in (0, 10, 127) or first_octet >= 224:
         address = (address & 0x00FFFFFF) | (unicast_octet(rng) << 24)
-    return Prefix.from_int(address, length)
+    return address << 6 | length
 
 
 def unicast_octet(rng: random.Random) -> int:

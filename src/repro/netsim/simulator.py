@@ -76,13 +76,12 @@ class Event:
     when popped.
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled")
+    __slots__ = ("time", "callback", "args", "cancelled")
 
     def __init__(
-        self, time: int, seq: int, callback: Callable[..., Any], args: tuple
+        self, time: int, callback: Callable[..., Any], args: tuple
     ) -> None:
         self.time = time
-        self.seq = seq
         self.callback = callback
         self.args = args
         self.cancelled = False
@@ -91,16 +90,18 @@ class Event:
         """Prevent the callback from running when its time arrives."""
         self.cancelled = True
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
 
 class Simulator:
-    """An event-heap simulator with an integer microsecond clock."""
+    """An event-heap simulator with an integer microsecond clock.
+
+    Heap entries are ``(time, seq, event)`` tuples: ``seq`` is unique,
+    so entries order by time, then by scheduling order, and the heap
+    compares them in C without ever reaching the event.
+    """
 
     def __init__(self, start_time_us: int = 0) -> None:
         self._now = start_time_us
-        self._heap: list[Event] = []
+        self._heap: list[tuple[int, int, Event]] = []
         self._seq = itertools.count()
         self._running = False
 
@@ -115,8 +116,9 @@ class Simulator:
         """Run ``callback(*args)`` after ``delay_us`` microseconds."""
         if delay_us < 0:
             raise ValueError(f"negative delay {delay_us}")
-        event = Event(self._now + delay_us, next(self._seq), callback, args)
-        heapq.heappush(self._heap, event)
+        time_us = self._now + delay_us
+        event = Event(time_us, callback, args)
+        heapq.heappush(self._heap, (time_us, next(self._seq), event))
         return event
 
     def schedule_at(
@@ -156,7 +158,7 @@ class Simulator:
         )
         try:
             while self._heap:
-                if until_us is not None and self._heap[0].time > until_us:
+                if until_us is not None and self._heap[0][0] > until_us:
                     self._now = until_us
                     break
                 if max_events is not None and executed >= max_events:
@@ -180,10 +182,10 @@ class Simulator:
                             raise SimBudgetExceeded(
                                 BUDGET_WALL_CLOCK, executed, wall, self._now
                             )
-                event = heapq.heappop(self._heap)
+                time_us, _, event = heapq.heappop(self._heap)
                 if event.cancelled:
                     continue
-                self._now = event.time
+                self._now = time_us
                 event.callback(*event.args)
                 executed += 1
                 # Deterministic queue-depth sampling: the sampling
@@ -216,7 +218,7 @@ class Simulator:
 
     def pending(self) -> int:
         """Count of not-yet-cancelled events still queued."""
-        return sum(1 for e in self._heap if not e.cancelled)
+        return sum(1 for _, _, event in self._heap if not event.cancelled)
 
 
 class Timer:

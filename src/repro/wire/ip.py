@@ -39,8 +39,9 @@ def ip_to_bytes(ip: str) -> bytes:
 # Captures see the same handful of endpoints millions of times; cache
 # the rendered strings (bounded: cleared wholesale if damaged input
 # ever floods it with garbage addresses).  Only endpoint-like addresses
-# come through here: BGP prefixes are held as integers and NLRI bytes
-# (``repro.bgp.messages.Prefix``) and never touch this cache.
+# come through here: BGP prefixes travel as NLRI bytes, are filed as
+# packed int keys (``repro.bgp.messages.Prefix.key``) and render their
+# dotted quad without this cache.
 _IP_STR_CACHE: dict[bytes, str] = {}
 _IP_STR_CACHE_LIMIT = 65536
 

@@ -1,6 +1,8 @@
 """Unit tests for the discrete-event simulator and timers."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.netsim.simulator import (
     BUDGET_EVENTS,
@@ -104,6 +106,54 @@ class TestSimulator:
         assert sim.pending() == 1
 
 
+class TestEventOrder:
+    """Heap entries order by (time, scheduling order), never by event."""
+
+    def test_ties_across_scheduling_times_run_in_schedule_order(self):
+        sim = Simulator()
+        log = []
+        sim.schedule(10, log.append, "first")
+        sim.schedule(5, lambda: sim.schedule(5, log.append, "third"))
+        sim.schedule(10, log.append, "second")
+        sim.run()
+        assert log == ["first", "second", "third"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(min_value=0, max_value=5), max_size=40))
+    def test_events_run_by_time_then_schedule_order(self, delays):
+        sim = Simulator()
+        log = []
+        for index, delay in enumerate(delays):
+            sim.schedule(delay, log.append, (delay, index))
+        assert sim.run() == len(delays)
+        assert log == sorted(log)
+
+    def test_cancelled_events_are_skipped_wherever_they_sit(self):
+        sim = Simulator()
+        log = []
+        head = sim.schedule(10, log.append, "head")
+        sim.schedule(10, log.append, "kept")
+        later = sim.schedule(20, log.append, "later")
+        sim.schedule(10, later.cancel)  # cancelled while the run is on
+        head.cancel()
+        assert sim.run() == 2
+        assert log == ["kept"]
+        assert sim.now == 10
+
+    def test_pending_counts_only_live_events(self):
+        sim = Simulator()
+        events = [sim.schedule(t, lambda: None) for t in (10, 10, 20, 30)]
+        events[1].cancel()
+        assert sim.pending() == 3
+        sim.run(until_us=15)
+        assert sim.pending() == 2
+        events[3].cancel()
+        events[3].cancel()
+        assert sim.pending() == 1
+        sim.run()
+        assert sim.pending() == 0
+
+
 class TestTimer:
     def test_fires_once(self):
         sim = Simulator()
@@ -131,6 +181,18 @@ class TestTimer:
         timer.stop()
         sim.run()
         assert fired == []
+
+    def test_restarts_leave_one_live_event(self):
+        sim = Simulator()
+        fired = []
+        timer = Timer(sim, lambda: fired.append(sim.now))
+        for _ in range(5):
+            timer.restart(100)
+        assert sim.pending() == 1
+        sim.schedule(60, timer.restart, 10)
+        sim.run()
+        assert fired == [70]
+        assert sim.pending() == 0 and not timer.armed
 
     def test_restart_after_fire(self):
         sim = Simulator()
@@ -170,6 +232,17 @@ class TestPeriodicTimer:
         sim.schedule(35, timer.stop)
         sim.run(until_us=100)
         assert ticks == [10, 20, 30]
+
+    def test_restart_resets_the_phase(self):
+        sim = Simulator()
+        ticks = []
+        timer = PeriodicTimer(sim, 100, lambda: ticks.append(sim.now))
+        timer.start()
+        sim.schedule(150, timer.start)
+        sim.run(until_us=400)
+        timer.stop()
+        assert ticks == [100, 250, 350]
+        assert sim.pending() == 0
 
     def test_zero_interval_rejected(self):
         with pytest.raises(ValueError):

@@ -114,6 +114,42 @@ class TestPcap2Bgp:
         assert hole.benign and hole.bytes_lost == result.missing_bytes > 0
         assert hole.timestamp_us == records[cut - 1].timestamp_us
 
+    @pytest.mark.parametrize("resync", [True, False])
+    @pytest.mark.parametrize("attribute, length, error", [
+        (b"\x80\x04\x04", 2, "MULTI_EXIT_DISC must be 4 bytes"),
+        (b"\x40\x01\x01", 2, "ORIGIN must be 1 byte"),
+    ], ids=["med", "origin"])
+    def test_bad_attribute_length_is_a_decode_error(
+        self, clean_capture, resync, attribute, length, error
+    ):
+        """A malformed attribute costs one message (resync) or ends the
+        stream in ``decode_error``; it never escapes ``pcap_to_bgp``."""
+        records = list(clean_capture["records"])
+        for index, record in enumerate(records):
+            payload = frames.parse_packet(record.data).payload
+            at = payload.find(attribute)
+            start = payload.rfind(b"\xff" * 16, 0, max(at, 0))
+            if at > 0 and start >= 0 and payload[start + 18] == 2:
+                break
+        data = bytearray(record.data)
+        data[len(data) - len(payload) + at + 2] = length
+        records[index] = PcapRecord(record.timestamp_us, bytes(data))
+        health = TraceHealth()
+        (result,) = pcap2bgp.pcap_to_bgp(
+            records, resync=resync, health=health
+        ).values()
+        expected = len(clean_capture["table"].to_updates())
+        if resync:
+            assert result.decode_error == f"malformed-message: {error}"
+            assert result.resync_events == 1
+            assert len(result.updates()) == expected - 1
+        else:
+            assert result.decode_error == error
+            assert len(result.updates()) < expected
+        assert [i.kind for i in health.issues] == [
+            "malformed-message" if resync else "stream-desynchronized"
+        ]
+
     def test_message_timestamps_monotone(self, clean_capture):
         (result,) = pcap2bgp.pcap_to_bgp(clean_capture["records"]).values()
         stamps = [m.timestamp_us for m in result.messages]
