@@ -45,7 +45,6 @@ from repro.analysis.series import (
 )
 from repro.analysis.voids import CaptureVoidReport, find_capture_voids
 from repro.core.health import IngestError, STAGE_ANALYSIS, TraceHealth
-from repro.exec.pool import WorkPool, task_context
 from repro.obs import get_obs
 from repro.wire.pcap import PcapRecord
 
@@ -175,18 +174,6 @@ def analyze_connection(
     )
 
 
-def _analyze_connection_task(
-    item: tuple[Connection, tuple[int, int] | None]
-) -> ConnectionAnalysis:
-    """Work-pool task: one connection through the full pipeline.
-
-    The shared :class:`SeriesConfig` travels as the pool context so it
-    is shipped once per worker, not once per connection.
-    """
-    connection, window = item
-    return analyze_connection(connection, window=window, config=task_context())
-
-
 def check_sniffer_location(location: str) -> None:
     """Raise unless ``location`` is one of :data:`SNIFFER_LOCATIONS`.
 
@@ -204,7 +191,8 @@ def check_sniffer_location(location: str) -> None:
 def _new_report(
     health: TraceHealth | None,
     strict: bool,
-    budget: ResourceBudget | None,
+    *,
+    budget: ResourceBudget | None = None,
     ledger: StateLedger | None = None,
 ) -> tuple[TdatReport, StateLedger | None]:
     """An empty report and its ledger (``ledger``, or one for a bounded
@@ -234,8 +222,7 @@ def _contain_failure(
     report: TdatReport,
     connection: Connection,
     strict: bool,
-    summary: str,
-    cause: BaseException,
+    cause: Exception,
 ) -> None:
     """The one rule for a crashed per-connection analysis.
 
@@ -244,6 +231,7 @@ def _contain_failure(
     radius stays one connection: it is skipped and what was lost is
     recorded as a ``connection-analysis-failed`` issue.
     """
+    summary = f"{type(cause).__name__}: {cause}"
     if strict:
         raise IngestError(
             f"{connection.key}: analysis crashed: {summary}"
@@ -267,54 +255,31 @@ def _analyses(
     strict: bool,
     ledger: StateLedger | None,
     linger_us: int | None,
-    pool: WorkPool | None = None,
 ) -> Iterator[ConnectionAnalysis]:
     """The one analysis driver: yield each connection's analysis.
 
     Ingests ``source`` through :func:`iter_connections`, skips
     connections with fewer than :data:`MIN_DATA_PACKETS` data segments
     (counted in ``report.skipped_connections``), looks up each one's
-    window and runs :func:`analyze_connection` on it: serially, each
-    connection as soon as ingest finalizes it, or, when ``pool`` has
-    more than one worker, all eligible connections as one batch.
-    Crashes are contained per connection (:func:`_contain_failure`).
+    window and runs :func:`analyze_connection` on it as soon as ingest
+    finalizes it.  Crashes are contained per connection
+    (:func:`_contain_failure`).
     """
-    connections = iter_connections(
+    for connection in iter_connections(
         source, health=report.health, tolerant=not strict,
         linger_us=linger_us, ledger=ledger,
-    )
-
-    def eligible():
-        for connection in connections:
-            profile = connection.profile
-            if profile is None or profile.total_data_packets < MIN_DATA_PACKETS:
-                report.skipped_connections += 1
-                continue
-            yield connection, windows.get(connection.key) if windows else None
-
-    if pool is not None and pool.workers > 1:
-        items = list(eligible())
-        outcomes = pool.map(_analyze_connection_task, items, context=config)
-        for (connection, _), outcome in zip(items, outcomes):
-            if outcome.ok:
-                yield outcome.value
-                continue
-            error = outcome.error
-            _contain_failure(
-                report, connection, strict, str(error),
-                RuntimeError(error.traceback or str(error)),
-            )
-        return
-    for connection, window in eligible():
+    ):
+        profile = connection.profile
+        if profile is None or profile.total_data_packets < MIN_DATA_PACKETS:
+            report.skipped_connections += 1
+            continue
+        window = windows.get(connection.key) if windows else None
         try:
             analysis = analyze_connection(
                 connection, window=window, config=config
             )
         except Exception as exc:
-            _contain_failure(
-                report, connection, strict, f"{type(exc).__name__}: {exc}",
-                exc,
-            )
+            _contain_failure(report, connection, strict, exc)
             continue
         yield analysis
 
@@ -325,9 +290,7 @@ def analyze_pcap(
     windows: dict[FlowKey, tuple[int, int]] | None = None,
     strict: bool = False,
     health: TraceHealth | None = None,
-    workers: int = 1,
     streaming: bool = False,
-    pool: WorkPool | None = None,
     budget: ResourceBudget | None = None,
 ) -> TdatReport:
     """Analyze every TCP connection in a capture.
@@ -348,21 +311,16 @@ def analyze_pcap(
     degrading (undecodable individual frames remain benign skips —
     real captures always contain some ARP/LLDP).
 
-    Two execution knobs:
-
-    * ``streaming=True`` finalizes and analyzes each flow as it closes
-      instead of holding every flow to the end of the capture,
-      bounding ingest memory by the *open* flows (see
-      :func:`~repro.analysis.profile.iter_connections` and
-      :func:`iter_analyze_pcap` for the incremental form).  The one
-      difference in results: a packet arriving after its flow closed
-      and lingered out is dropped as a benign ``packet-after-close``
-      issue instead of extending the connection;
-    * ``workers=N`` (or an explicit ``pool``) fans the per-connection
-      pipeline runs of a multi-connection capture out across worker
-      processes.  Reports are identical.
-
-    Either way analyses are listed in capture order (:func:`capture_order`).
+    Connections are analyzed one at a time, in-process.
+    ``streaming=True`` finalizes and analyzes each flow as it closes
+    instead of holding every flow to the end of the capture, bounding
+    ingest memory by the *open* flows (see
+    :func:`~repro.analysis.profile.iter_connections` and
+    :func:`iter_analyze_pcap` for the incremental form).  The one
+    difference in results: a packet arriving after its flow closed and
+    lingered out is dropped as a benign ``packet-after-close`` issue
+    instead of extending the connection.  Either way analyses are
+    listed in capture order (:func:`capture_order`).
 
     ``budget`` bounds the live analysis state itself (see
     :class:`~repro.analysis.budget.ResourceBudget`): ingest is forced
@@ -374,14 +332,13 @@ def analyze_pcap(
     unbudgeted streaming run.
     """
     check_sniffer_location(sniffer_location)
-    report, ledger = _new_report(health, strict, budget)
+    report, ledger = _new_report(health, strict, budget=budget)
     analyses = _analyses(
         source, report, windows=windows, strict=strict, ledger=ledger,
         config=SeriesConfig(sniffer_location=sniffer_location),
         linger_us=(
             DEFAULT_LINGER_US if streaming or ledger is not None else None
         ),
-        pool=pool if pool is not None else WorkPool(workers=workers),
     )
     report.analyses = {a.key: a for a in sorted(analyses, key=capture_order)}
     return report
@@ -393,7 +350,6 @@ def iter_analyze_pcap(
     windows: dict[FlowKey, tuple[int, int]] | None = None,
     strict: bool = False,
     health: TraceHealth | None = None,
-    budget: ResourceBudget | None = None,
     ledger: StateLedger | None = None,
 ) -> Iterator[ConnectionAnalysis]:
     """The incremental form of :func:`analyze_pcap`.
@@ -402,14 +358,14 @@ def iter_analyze_pcap(
     flow closes, in close order.  The caller owns each analysis as it
     arrives and may discard it, so a capture of thousands of sequential
     transfers can be analyzed in bounded memory — the use case behind
-    the paper's multi-week monitoring traces.  ``budget`` behaves
-    exactly as in :func:`analyze_pcap`; a caller that needs
-    the :class:`~repro.analysis.budget.DegradationSummary` afterwards
-    can construct the :class:`~repro.analysis.budget.StateLedger`
-    itself and pass it as ``ledger`` (which overrides ``budget``).
+    the paper's multi-week monitoring traces.  A resource budget rides
+    in as a :class:`~repro.analysis.budget.StateLedger` built from it
+    (``StateLedger(budget)``), which meters ingest exactly as
+    :func:`analyze_pcap`'s ``budget`` does and holds the
+    :class:`~repro.analysis.budget.DegradationSummary` afterwards.
     """
     check_sniffer_location(sniffer_location)
-    report, ledger = _new_report(health, strict, budget, ledger)
+    report, ledger = _new_report(health, strict, ledger=ledger)
     return _analyses(
         source, report, windows=windows, strict=strict, ledger=ledger,
         config=SeriesConfig(sniffer_location=sniffer_location),

@@ -3,15 +3,15 @@
 Everything the repo can do — analyze a capture, reconstruct BGP
 streams, run a measurement campaign, serve analyses over HTTP — is
 reachable through a :class:`Pipeline` that carries the execution knobs
-(``workers``, ``strict``, ``streaming``, ``budget``, the pool's
-supervision and ``obs``) once, instead of threading them through
-every call::
+(``strict``, ``streaming`` and ``budget`` for analysis; ``workers`` and
+the pool's supervision for campaigns; ``obs`` for both) once, instead
+of threading them through every call::
 
     from repro.api import Pipeline
 
     pipe = Pipeline(workers=4)
-    report = pipe.analyze("trace.pcap")
-    result = pipe.campaign("ISP_A-Quagga", transfers=10)
+    report = pipe.analyze("trace.pcap")  # serial, in-process
+    result = pipe.campaign("ISP_A-Quagga", transfers=10)  # 4 processes
 
 A knob is declared once, on the :class:`Pipeline`; the methods take
 only what names the work (a capture and its sniffer location, a
@@ -26,13 +26,11 @@ signatures will not churn.
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, BinaryIO, Iterator
 
-from repro.analysis.budget import ResourceBudget
+from repro.analysis.budget import ResourceBudget, StateLedger
 from repro.analysis.series import SNIFFER_AT_RECEIVER, SeriesConfig
 from repro.analysis.tdat import (
     ConnectionAnalysis,
@@ -76,12 +74,12 @@ class ServeRequest:
 class Pipeline:
     """Execution context shared by every call made through it.
 
-    ``workers=0`` means "use every available CPU".  One
-    :class:`~repro.exec.pool.WorkPool` is built lazily and reused, so a
-    campaign and its follow-up analyses share worker processes.
-
-    The supervision knobs flow into that pool: ``task_timeout`` bounds
-    each task's execution wall clock (queue wait exempt), and
+    Analysis runs serially in-process; ``streaming`` and ``budget``
+    are its only run knobs.  ``workers``, ``task_timeout`` and
+    ``max_retries`` configure the :class:`~repro.exec.pool.WorkPool`
+    each :meth:`campaign` call builds for its episodes: ``workers=0``
+    means "use every available CPU", ``task_timeout`` bounds each
+    episode's execution wall clock (queue wait exempt), and
     ``max_retries`` re-runs transient failures (crashed workers,
     timeouts, retryable task errors) with the same seed.
 
@@ -102,15 +100,6 @@ class Pipeline:
     task_timeout: float | None = None
     max_retries: int = 0
     obs: Observability | bool | None = None
-    _pool: WorkPool | None = field(  # guarded-by: _pool_lock
-        default=None, repr=False, compare=False
-    )
-    _pool_lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
-    _pool_leased: bool = field(  # guarded-by: _pool_lock
-        default=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         if self.workers == 0:
@@ -119,50 +108,6 @@ class Pipeline:
             self.obs = Observability.create()
         elif self.obs is False:
             self.obs = None
-
-    @property
-    def pool(self) -> WorkPool:
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = self._make_pool()
-            return self._pool
-
-    def _make_pool(self) -> WorkPool:
-        return WorkPool(
-            workers=self.workers,
-            task_timeout=self.task_timeout,
-            max_retries=self.max_retries,
-        )
-
-    @contextmanager
-    def _lease_pool(self):
-        """Check the shared pool out for one call.
-
-        A :class:`~repro.exec.pool.WorkPool` supervises one ``map`` at
-        a time — its per-map stats and worker bookkeeping are not
-        reentrant — so the lazily-built shared pool must never be
-        handed to two overlapping calls.  The first concurrent caller
-        leases the shared pool; everyone who finds it already leased
-        gets a private pool for the duration of the call instead of
-        racing one supervisor.  This is what lets server-driven
-        analyses and direct ``analyze()`` calls overlap safely on one
-        pipeline.
-        """
-        with self._pool_lock:
-            shared = not self._pool_leased
-            if shared:
-                self._pool_leased = True
-                if self._pool is None:
-                    self._pool = self._make_pool()
-                pool = self._pool
-        if not shared:
-            pool = self._make_pool()
-        try:
-            yield pool
-        finally:
-            if shared:
-                with self._pool_lock:
-                    self._pool_leased = False
 
     # ------------------------------------------------------------------ #
     # Analysis                                                           #
@@ -177,13 +122,12 @@ class Pipeline:
         The pipeline's observability context (if any) is ambient for
         the duration of the call.
         """
-        with use_obs(self.obs or None), self._lease_pool() as pool:
+        with use_obs(self.obs or None):
             return analyze_pcap(
                 source,
                 sniffer_location=sniffer_location,
                 strict=self.strict,
                 streaming=self.streaming,
-                pool=pool,
                 budget=self.budget,
             )
 
@@ -193,11 +137,12 @@ class Pipeline:
         sniffer_location: str = SNIFFER_AT_RECEIVER,
     ) -> Iterator[ConnectionAnalysis]:
         """Yield each connection's analysis as its flow closes."""
+        bounded = self.budget is not None and self.budget.bounded
         return iter_analyze_pcap(
             source,
             sniffer_location=sniffer_location,
             strict=self.strict,
-            budget=self.budget,
+            ledger=StateLedger(self.budget) if bounded else None,
         )
 
     def extract_bgp(
@@ -283,7 +228,12 @@ class Pipeline:
             config = campaign_config(name_or_config, **sized)
         if overrides:
             config = replace(config, **overrides)
-        with use_obs(self.obs or None), self._lease_pool() as pool:
+        pool = WorkPool(
+            workers=self.workers,
+            task_timeout=self.task_timeout,
+            max_retries=self.max_retries,
+        )
+        with use_obs(self.obs or None):
             return run_campaign(
                 config,
                 strict=self.strict,

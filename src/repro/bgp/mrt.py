@@ -27,7 +27,7 @@ from repro.bgp.messages import (
     encode_message,
 )
 from repro.core.units import US_PER_SECOND
-from repro.wire.ip import bytes_to_ip, ip_to_bytes
+from repro.wire.ip import IpError, bytes_to_ip, ip_to_bytes
 
 MRT_TABLE_DUMP_V2 = 13
 MRT_BGP4MP = 16
@@ -131,7 +131,7 @@ class RibSnapshot:
 
 def read_rib_snapshot(source: BinaryIO | str | Path) -> RibSnapshot:
     """Parse a TABLE_DUMP_V2 snapshot written by :class:`RibSnapshot`."""
-    from repro.bgp.attributes import PathAttributes
+    from repro.bgp.attributes import AttributeError_, PathAttributes
 
     if isinstance(source, (str, Path)):
         with open(source, "rb") as stream:
@@ -143,18 +143,21 @@ def read_rib_snapshot(source: BinaryIO | str | Path) -> RibSnapshot:
     if mrt_type != MRT_TABLE_DUMP_V2 or subtype != TDV2_PEER_INDEX_TABLE:
         raise MrtError("snapshot must start with PEER_INDEX_TABLE")
     body = source.read(length)
-    collector_id = bytes_to_ip(body[:4])
-    (view_len,) = struct.unpack_from("!H", body, 4)
-    offset = 6 + view_len
-    (peer_count,) = struct.unpack_from("!H", body, offset)
-    if peer_count != 1:
-        raise MrtError(f"expected a single peer, found {peer_count}")
-    offset += 2
-    peer_type = body[offset]
-    if peer_type & 0x03:
-        raise MrtError("only IPv4 peers with 2-byte AS are supported")
-    peer_ip = bytes_to_ip(body[offset + 5 : offset + 9])
-    (peer_as,) = struct.unpack_from("!H", body, offset + 9)
+    try:
+        collector_id = bytes_to_ip(body[:4])
+        (view_len,) = struct.unpack_from("!H", body, 4)
+        offset = 6 + view_len
+        (peer_count,) = struct.unpack_from("!H", body, offset)
+        if peer_count != 1:
+            raise MrtError(f"expected a single peer, found {peer_count}")
+        offset += 2
+        peer_type = body[offset]
+        if peer_type & 0x03:
+            raise MrtError("only IPv4 peers with 2-byte AS are supported")
+        peer_ip = bytes_to_ip(body[offset + 5 : offset + 9])
+        (peer_as,) = struct.unpack_from("!H", body, offset + 9)
+    except (IndexError, IpError, struct.error) as exc:
+        raise MrtError(f"truncated PEER_INDEX_TABLE: {exc}") from exc
 
     entries = []
     while True:
@@ -183,7 +186,10 @@ def read_rib_snapshot(source: BinaryIO | str | Path) -> RibSnapshot:
             "!HIH", body, offset
         )
         offset += 8
-        attributes = PathAttributes.decode(body[offset : offset + attr_len])
+        try:
+            attributes = PathAttributes.decode(body[offset : offset + attr_len])
+        except AttributeError_ as exc:
+            raise MrtError(f"bad RIB entry attributes: {exc}") from exc
         entries.append((Prefix.from_key(key), attributes))
     return RibSnapshot(
         timestamp_us=seconds * US_PER_SECOND,
@@ -242,7 +248,10 @@ def _read_stream(stream: BinaryIO) -> Iterator[MrtRecord]:
         )
         if afi != 1:
             continue  # IPv4 only
-        message = decode_message(body[_BGP4MP_HEADER.size :])
+        try:
+            message = decode_message(body[_BGP4MP_HEADER.size :])
+        except BgpError as exc:
+            raise MrtError(f"bad BGP4MP message: {exc}") from exc
         yield MrtRecord(
             timestamp_us=seconds * US_PER_SECOND + micros,
             peer_as=peer_as,

@@ -1,4 +1,4 @@
-"""The campaign/analysis work pool: fan out independent tasks, supervised.
+"""The work pool: fan out independent tasks, supervised.
 
 The paper's evaluation is a population study — hundreds of table
 transfers per campaign — and every transfer is an independent unit of
@@ -25,8 +25,8 @@ processes, with four guarantees the campaign layer builds on:
   (bounded ``max_retries`` with exponential backoff + deterministic
   jitter) or reported as a retryable :class:`TaskError`;
 * **cheap task payloads** — bulky shared inputs (a campaign's spec
-  list, an analysis configuration) travel once per worker as the pool
-  *context*, never once per task: inherited for free under the
+  list) travel once per worker as the pool *context*, never once per
+  task: inherited for free under the
   ``fork`` start method, pickled once per worker under ``spawn``.
 
 Task functions must be module-level callables (picklable by reference)

@@ -10,7 +10,7 @@ Drives the robustness invariant the ingest layer promises:
   dropped;
 * **clean is clean** — the unmangled trace produces an empty report,
   factor vectors identical to the strict (legacy fail-fast) pipeline,
-  and byte-identical report payloads serially, streamed and parallel.
+  and byte-identical report payloads buffered and streamed.
 
 Run it from the command line::
 
@@ -144,16 +144,15 @@ def run_case(blob: bytes, seed: int, min_ops: int = 1, max_ops: int = 3) -> Fuzz
 
 def check_clean_invariant(blob: bytes) -> tuple[bool, str]:
     """Clean trace: empty TraceHealth, factors identical to strict mode,
-    and the same report payload bytes serially, streamed and parallel."""
+    and the same report payload bytes buffered and streamed."""
     from repro.analysis.render import payload_digest, report_payload
     from repro.analysis.tdat import analyze_pcap
 
     tolerant = analyze_pcap(io.BytesIO(blob))
     digest = payload_digest(report_payload(tolerant))
-    for mode in ({"streaming": True}, {"workers": 2}):
-        other = analyze_pcap(io.BytesIO(blob), **mode)
-        if payload_digest(report_payload(other)) != digest:
-            return False, f"report payload differs under {mode}"
+    streamed = analyze_pcap(io.BytesIO(blob), streaming=True)
+    if payload_digest(report_payload(streamed)) != digest:
+        return False, "report payload differs under streaming"
     if not tolerant.health.ok:
         return False, (
             f"clean trace produced {len(tolerant.health.issues)} issue(s): "

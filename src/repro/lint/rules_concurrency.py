@@ -2,8 +2,8 @@
 
 PR 9 made the reproduction a long-running concurrent service: an
 asyncio event loop in front, per-session worker threads behind it,
-``Condition``/``RLock``/``Lock`` state in between, and a leased shared
-``WorkPool`` underneath.  That is exactly the territory where the
+``Condition``/``RLock``/``Lock`` state in between, and a supervised
+``WorkPool`` under every campaign.  That is exactly the territory where the
 paper's slow-transfer pathologies have software analogues — a blocked
 event loop or a lock-order inversion stalls every client the same way
 a slow receiver stalls a table transfer.  These rules turn the three

@@ -23,12 +23,13 @@ stderr and exit code 2, never a traceback.  Analysis subcommands
 report everything tolerant ingest had to drop (the
 :class:`~repro.core.health.TraceHealth` ledger) and exit with code 3
 when the input was readable but damaged; ``--strict`` restores
-fail-fast behaviour, and ``--workers N`` fans work out across
-processes without changing any result.
+fail-fast behaviour.  Analysis runs serially in-process.
 
-Campaigns additionally run *supervised*: ``--task-timeout`` and
-``--max-retries`` bound and retry individual episodes, and
-``--checkpoint-dir`` journals completed episodes so that an
+Campaigns (``tdat campaign``, ``tdat report``) fan their episodes out
+with ``--workers N`` without changing any result, and run
+*supervised*: ``--task-timeout`` and ``--max-retries`` bound and retry
+individual episodes.  ``tdat campaign --checkpoint-dir`` journals
+completed episodes so that an
 interrupted run (Ctrl-C, SIGTERM, reboot) exits with code 4 and can be
 continued with ``--resume`` — the merged result is byte-identical to
 an uninterrupted run.
@@ -127,26 +128,8 @@ def _guarded_call(prog: str, func, *args) -> int:
 def _execution_options(parser: argparse.ArgumentParser) -> None:
     """The knobs every analysis-running subcommand shares."""
     parser.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="worker processes (0 = all CPUs; results are identical)",
-    )
-    parser.add_argument(
         "--strict", action="store_true",
         help="fail fast on damaged input instead of degrading gracefully",
-    )
-    parser.add_argument(
-        "--json", action="store_true",
-        help="emit machine-readable JSON instead of text",
-    )
-    parser.add_argument(
-        "--task-timeout", type=float, default=None, metavar="S",
-        help="kill any single task running longer than S seconds "
-        "(parallel runs; the failure is contained as a health issue)",
-    )
-    parser.add_argument(
-        "--max-retries", type=int, default=0, metavar="N",
-        help="retry transient task failures (crashed worker, timeout) "
-        "up to N times with the same seed (default: 0)",
     )
     parser.add_argument(
         "--quiet", action="store_true",
@@ -161,6 +144,32 @@ def _execution_options(parser: argparse.ArgumentParser) -> None:
         "--metrics-out", metavar="FILE",
         help="enable observability and write the metrics snapshot as "
         "JSON (render with `tdat stats FILE`)",
+    )
+
+
+def _json_option(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--json", action="store_true",
+        help="emit machine-readable JSON instead of text",
+    )
+
+
+def _campaign_options(parser: argparse.ArgumentParser) -> None:
+    """How a campaign's episodes fan out and are supervised."""
+    parser.add_argument(
+        "--workers", type=int, default=1, metavar="N",
+        help="worker processes for the episodes "
+        "(0 = all CPUs; results are identical)",
+    )
+    parser.add_argument(
+        "--task-timeout", type=float, default=None, metavar="S",
+        help="kill any single episode running longer than S seconds "
+        "(parallel runs; the failure is contained as a health issue)",
+    )
+    parser.add_argument(
+        "--max-retries", type=int, default=0, metavar="N",
+        help="retry transient episode failures (crashed worker, timeout) "
+        "up to N times with the same seed (default: 0)",
     )
 
 
@@ -248,6 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(excess data is shed; the connection analyzes as incomplete)",
     )
     _execution_options(p)
+    _json_option(p)
     p.set_defaults(handler=_cmd_analyze)
 
     p = add_parser("campaign", help="run one measurement campaign")
@@ -273,6 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
         "(config and seed must match the journal's manifest)",
     )
     _execution_options(p)
+    _json_option(p)
+    _campaign_options(p)
     p.set_defaults(handler=_cmd_campaign)
 
     p = add_parser(
@@ -340,6 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="override the campaign seeds")
     p.add_argument("--out", help="write the report here instead of stdout")
     _execution_options(p)
+    _json_option(p)
+    _campaign_options(p)
     p.set_defaults(handler=_cmd_report)
 
     p = add_parser(
@@ -506,9 +520,8 @@ def _budget_from_args(args):
 def _cmd_analyze(args) -> int:
     obs = _make_obs(args)
     pipe = Pipeline(
-        workers=args.workers, strict=args.strict, streaming=args.streaming,
-        task_timeout=args.task_timeout, max_retries=args.max_retries,
-        obs=obs, budget=_budget_from_args(args),
+        strict=args.strict, streaming=args.streaming, obs=obs,
+        budget=_budget_from_args(args),
     )
     report = pipe.analyze(args.pcap, sniffer_location=args.sniffer_location)
     _write_obs(args, obs)

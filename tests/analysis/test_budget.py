@@ -145,15 +145,6 @@ class TestEviction:
 
         assert evictions() == evictions()
 
-    def test_workers_do_not_change_the_budgeted_report(self, flood):
-        budget = ResourceBudget(max_live_connections=24)
-        serial = Pipeline(workers=1, budget=budget).analyze(flood)
-        parallel = Pipeline(workers=4, budget=budget).analyze(flood)
-        assert analysis_fingerprint(serial) == analysis_fingerprint(parallel)
-        assert (
-            serial.degradation.to_dict() == parallel.degradation.to_dict()
-        )
-
     def test_drop_coldest_discards_instead_of_finalizing(self, flood):
         report = analyze_pcap(
             flood,

@@ -19,8 +19,6 @@ from repro.wire.pcap import records_to_bytes
 MODES = {
     "default": {},
     "streaming": {"streaming": True},
-    "workers": {"workers": 2},
-    "streaming-workers": {"streaming": True, "workers": 2},
 }
 
 SENDER_SHA256 = (
@@ -35,10 +33,7 @@ def flood_blob():
 
 @pytest.fixture
 def crash_third(monkeypatch, flood_blob):
-    """Make the third connection's analysis raise ``ZeroDivisionError``.
-
-    The work pool forks, so the patch reaches its workers too.
-    """
+    """Make the third connection's analysis raise ``ZeroDivisionError``."""
     victim = list(analyze_pcap(io.BytesIO(flood_blob)).analyses)[2]
     analyze = tdat.analyze_connection
 

@@ -8,10 +8,9 @@ change to either layer must leave every report byte-identical: over a
 clean capture, over each fault operator, nanosecond timestamps, a
 mid-record truncation, and one connection long enough (4,201 data+ACK
 events) that the numpy backend used to produce its series.  Each
-digest holds in every execution mode: buffered or streaming ingest,
-serial or parallel analysis.  The one mode difference, a packet
-arriving after its flow closed and lingered out, is pinned by
-:func:`test_straggler_after_close`.
+digest holds under buffered and streaming ingest alike.  The one mode
+difference, a packet arriving after its flow closed and lingered out,
+is pinned by :func:`test_straggler_after_close`.
 """
 
 import io
@@ -44,8 +43,6 @@ STRAGGLER_STREAMING_SHA256 = (
 #: the execution modes besides the default (buffered, serial).
 MODES = {
     "streaming": {"streaming": True},
-    "workers": {"workers": 2},
-    "streaming-workers": {"streaming": True, "workers": 2},
 }
 
 MANGLED_SHA256 = {

@@ -48,13 +48,7 @@ def _fingerprint(report):
 class TestModeEquivalence:
     @pytest.mark.parametrize(
         "kwargs",
-        [
-            pytest.param({"streaming": True}, id="streaming"),
-            pytest.param({"workers": 2}, id="parallel"),
-            pytest.param(
-                {"streaming": True, "workers": 2}, id="streaming-parallel"
-            ),
-        ],
+        [pytest.param({"streaming": True}, id="streaming")],
     )
     def test_same_report_as_buffered(self, records, buffered, kwargs):
         report = analyze_pcap(records, **kwargs)

@@ -38,7 +38,7 @@ class TestPipelineAnalyze:
         assert list(facade.analyses) == list(engine.analyses)
         assert facade.health.ok == engine.health.ok
 
-    @pytest.mark.parametrize("knobs", [{"streaming": True}, {"workers": 2}])
+    @pytest.mark.parametrize("knobs", [{"streaming": True}])
     def test_execution_knobs_preserve_results(self, clean_pcap, knobs):
         base = Pipeline().analyze(clean_pcap)
         tuned = Pipeline(**knobs).analyze(clean_pcap)

@@ -59,6 +59,14 @@ class TestRibSnapshotCodec:
         with pytest.raises(MrtError):
             read_rib_snapshot(io.BytesIO(b"\x00" * 40))
 
+    def test_truncated_peer_index_rejected(self):
+        data = make_snapshot(size=0)[0].encode()
+        index = data[12:]
+        for length in range(len(index)):
+            header = struct.pack("!IHHI", 0, 13, 1, length)
+            with pytest.raises(MrtError, match="truncated PEER_INDEX_TABLE"):
+                read_rib_snapshot(io.BytesIO(header + index[:length]))
+
 
 def with_rib_record(body: bytes) -> bytes:
     """A one-entry snapshot followed by a RIB record holding ``body``."""
@@ -83,6 +91,17 @@ class TestRibRecordErrors:
     def test_malformed_entry_raises_mrt_error(self, body, message):
         with pytest.raises(MrtError, match=message):
             read_rib_snapshot(io.BytesIO(with_rib_record(body)))
+
+    def test_malformed_attributes_raise_mrt_error(self):
+        # A 3-route snapshot whose first ORIGIN claims a 2-byte value.
+        data = bytearray(make_snapshot(size=3)[0].encode())
+        (index_length,) = struct.unpack_from("!I", data, 8)
+        body = 12 + index_length + 12  # the first RIB record's body
+        attrs = body + 5 + (data[body + 4] + 7) // 8 + 2 + 8
+        assert data[attrs + 1] == 1  # ORIGIN
+        data[attrs + 2] = 2
+        with pytest.raises(MrtError, match="ORIGIN must be 1 byte"):
+            read_rib_snapshot(io.BytesIO(bytes(data)))
 
     def test_well_formed_record_reads(self):
         attrs = PathAttributes.from_path([65001], "10.1.0.1").encode()

@@ -226,6 +226,17 @@ class TestMrt:
         (got,) = read_mrt(buffer)
         assert got.timestamp_us == 1_300_000_000_500_000
 
+    def test_malformed_message_raises_mrt_error(self):
+        buffer = io.BytesIO()
+        write_mrt(buffer, self.records()[:1])
+        data = bytearray(buffer.getvalue())
+        assert data[-2:] == b"\x08\x0a"  # the NLRI 10.0.0.0/8
+        data[-2] = 40
+        from repro.bgp.mrt import MrtError
+
+        with pytest.raises(MrtError, match="bad prefix length 40"):
+            list(read_mrt(io.BytesIO(bytes(data))))
+
     def test_truncated_record_raises(self):
         buffer = io.BytesIO()
         write_mrt(buffer, self.records())

@@ -1,4 +1,4 @@
-"""Concurrent clients see consistent snapshots; the pool survives races.
+"""Concurrent clients see consistent snapshots; one pipeline serves many.
 
 The determinism contract under concurrency: every reader polling a
 live session observes an *internally consistent* snapshot (the ETag is
@@ -122,13 +122,17 @@ class TestInterleavedReaders:
             assert degradation["peak_live_connections"] <= 16
 
 
-class TestPipelinePoolReuse:
+class TestPipelineConcurrency:
+    """Calls overlapping on one :class:`Pipeline` match sequential runs.
+
+    A pipeline holds only its knobs: each ``analyze`` runs in the
+    calling thread and each ``campaign`` builds its own work pool, so
+    nothing is shared between overlapping calls.
+    """
+
     def test_concurrent_analyze_calls_share_one_pipeline(self):
-        # Satellite: the cached pool must survive concurrent callers —
-        # each run leases the shared pool or gets a private one, and
-        # results stay identical to sequential runs.
         data = flood_bytes(6)
-        pipeline = Pipeline(workers=2)
+        pipeline = Pipeline()
         expected = [a.connection.key for a in analyze_pcap(io.BytesIO(data))]
         results: list = [None] * 6
         errors: list = []
@@ -151,10 +155,38 @@ class TestPipelinePoolReuse:
         assert all(r == expected for r in results)
 
     def test_serving_pipeline_can_still_analyze(self):
-        # The long-running serve loop must not hold the pipeline's pool
-        # hostage: a second thread doing one-shot analysis works fine.
+        # A long-running serve loop and a one-shot analysis in a second
+        # thread share the pipeline.
         data = flood_bytes(4)
-        pipeline = Pipeline(workers=2)
+        pipeline = Pipeline()
         with running_server(pipeline):
             report = pipeline.analyze(io.BytesIO(data))
             assert len(report) == 4
+
+    def test_concurrent_campaigns_share_one_pipeline(self):
+        pipeline = Pipeline(workers=2)
+
+        def campaign() -> dict:
+            return pipeline.campaign(
+                "ISP_A-Quagga", transfers=2, seed=5
+            ).to_dict()
+
+        expected = campaign()
+        results: list = [None] * 2
+        errors: list = []
+
+        def run(slot: int) -> None:
+            try:
+                results[slot] = campaign()
+            except Exception as exc:  # noqa: BLE001 — surface to the test
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=run, args=(i,)) for i in range(2)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(300)
+        assert not errors, errors
+        assert results == [expected, expected]

@@ -34,7 +34,7 @@ class TestAnalyze:
         assert "major factors" in capsys.readouterr().out
 
     def test_legacy_flags_without_subcommand(self, clean_pcap, capsys):
-        rc = main([str(clean_pcap), "--json", "--workers", "2"])
+        rc = main([str(clean_pcap), "--json", "--strict"])
         payload = json.loads(capsys.readouterr().out)
         assert rc == EXIT_OK
         assert payload["health"]["ok"] is True
@@ -88,6 +88,50 @@ class TestCampaign:
         with pytest.raises(SystemExit):
             main(["campaign", "no-such-campaign"])
         assert "invalid choice" in capsys.readouterr().err
+
+
+class TestCampaignOnlyFlags:
+    """``--workers``, ``--task-timeout`` and ``--max-retries`` configure
+    how a campaign's episodes fan out; analysis runs serially, so the
+    commands that analyze or serve a capture reject them."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "PCAP", "--workers", "2"],
+            ["PCAP", "--workers", "2"],
+            ["analyze", "PCAP", "--task-timeout", "5"],
+            ["serve", "--workers", "2"],
+            ["serve", "--max-retries", "1"],
+            ["serve", "--json"],
+        ],
+        ids=[
+            "analyze-workers", "legacy-workers", "analyze-task-timeout",
+            "serve-workers", "serve-max-retries", "serve-json",
+        ],
+    )
+    def test_rejected_outside_campaigns(
+        self, clean_pcap, argv, capsys, monkeypatch
+    ):
+        def serve(*args, **kwargs):
+            raise AssertionError("serve started with a rejected flag")
+
+        # An accepted flag would start a blocking server.
+        monkeypatch.setattr("repro.api.Pipeline.serve", serve)
+        argv = [str(clean_pcap) if arg == "PCAP" else arg for arg in argv]
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        assert caught.value.code == EXIT_ERROR
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["campaign", "report"])
+    def test_campaign_commands_keep_them(self, command, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main([command, "--help"])
+        assert caught.value.code == EXIT_OK
+        out = capsys.readouterr().out
+        for flag in ("--workers", "--task-timeout", "--max-retries"):
+            assert flag in out
 
 
 class TestOtherSubcommands:
