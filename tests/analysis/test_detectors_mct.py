@@ -16,7 +16,7 @@ from repro.analysis.detectors import (
 )
 from repro.analysis.knee import l_method_knee, plateau_value
 from repro.analysis.mct import minimum_collection_time
-from repro.analysis.series import generate_series
+from repro.analysis.series import SeriesConfig, generate_series
 from repro.bgp.attributes import PathAttributes
 from repro.bgp.messages import Prefix, UpdateMessage
 from repro.core.units import seconds
@@ -252,34 +252,63 @@ class TestTimerGapDetector:
 
 
 class TestConsecutiveLossDetector:
-    def lossy_connection(self, retransmissions):
+    def lossy_connection(self, *bursts):
+        """One burst per count: a flight seen at the tap, then the same
+        bytes resent 380 ms later (receiver-local blackout).  Bursts
+        start 2 s apart, further than the default ``cluster_gap_us``."""
         builder = TraceBuilder().handshake()
-        # One flight seen at the tap, then the same bytes resent many
-        # times (receiver-local blackout).
-        for i in range(retransmissions):
-            builder.data(20_000 + i * 100, i * 1400, 1400)
-        builder.ack(21_500, 0)
-        t = 400_000
-        for i in range(retransmissions):
-            builder.data(t + i * 100, i * 1400, 1400)
-        builder.ack(t + 50_000, retransmissions * 1400)
+        seq = 0
+        for index, retransmissions in enumerate(bursts):
+            first = 20_000 + index * 2_000_000
+            for i in range(retransmissions):
+                builder.data(first + i * 100, seq + i * 1400, 1400)
+            builder.ack(first + 1_500, seq)
+            t = first + 380_000
+            for i in range(retransmissions):
+                builder.data(t + i * 100, seq + i * 1400, 1400)
+            seq += retransmissions * 1400
+            builder.ack(t + 50_000, seq)
         return builder.build()
 
-    def test_detects_long_run(self):
-        conn = self.lossy_connection(10)
+    def report(self, *bursts, config=None, **kwargs):
+        conn = self.lossy_connection(*bursts)
         shift_acks(conn)
-        report = detect_consecutive_losses(generate_series(conn))
+        series = generate_series(conn, config=config)
+        return detect_consecutive_losses(series, **kwargs)
+
+    def test_detects_long_run(self):
+        report = self.report(10)
         assert report.detected
         assert report.episodes == 1
-        assert report.worst_run >= 10
-        assert report.induced_delay_us > 100_000
+        assert report.worst_run == 10
+        assert report.induced_delay_us == 430_000
+        assert [(r.start, r.end) for r in report.episode_ranges] == [
+            (20_000, 450_000)
+        ]
 
     def test_below_threshold_not_flagged(self):
-        conn = self.lossy_connection(3)
-        shift_acks(conn)
-        report = detect_consecutive_losses(generate_series(conn))
+        report = self.report(3)
         assert not report.detected
-        assert report.worst_run >= 3
+        assert report.worst_run == 3
+        assert report.induced_delay_us == 0
+
+    def test_distant_bursts_are_separate_episodes(self):
+        report = self.report(9, 12)
+        assert report.episodes == 2
+        assert report.worst_run == 12
+        assert [(r.start, r.end) for r in report.episode_ranges] == [
+            (20_000, 450_000), (2_020_000, 2_450_000)
+        ]
+        # Each burst counts its own retransmissions: 9 and 12.
+        assert self.report(9, 12, threshold=9).episodes == 2
+        assert self.report(9, 12, threshold=10).episodes == 1
+        assert self.report(9, 12, threshold=13).episodes == 0
+
+    def test_sender_tap(self):
+        report = self.report(10, config=SeriesConfig(sniffer_location="sender"))
+        assert report.episodes == 1
+        assert report.worst_run == 10
+        assert report.induced_delay_us == 430_000
 
 
 class TestKeepalivePauseDetector:
