@@ -24,8 +24,7 @@ from itertools import compress
 
 from repro.analysis.knee import l_method_knee, plateau_value
 from repro.analysis.profile import Connection
-from repro.analysis.series import ConnectionSeries
-from repro.core.events import SeriesEventData
+from repro.analysis.series import ConnectionSeries, loss_spans
 from repro.core.timeranges import TimeRange, TimeRangeSet
 from repro.core.units import seconds
 
@@ -123,24 +122,26 @@ def detect_consecutive_losses(
     Individual loss-recovery ranges closer than ``cluster_gap_us`` are
     one episode: a burst of drops recovers through several RTO rounds
     whose ranges fragment, but operationally it is a single event whose
-    cost is the whole recovery period (paper section IV-B).
+    cost is the whole recovery period (paper section IV-B).  An
+    episode's retransmissions are the loss spans that start inside it.
     """
     send_local = series.catalog.get_or_empty("SendLocalLoss")
     recv_local = series.catalog.get_or_empty("RecvLocalLoss")
     network = series.catalog.get_or_empty("NetworkLoss")
     all_loss = send_local.union(recv_local, network, name="loss-union")
-    clusters = all_loss.ranges.dilate(cluster_gap_us // 2)
+    starts = sorted(start for _, start, _ in loss_spans(series.labeling))
+    margin = cluster_gap_us // 2
     episodes = []
     worst = 0
     delay = 0
-    for cluster in clusters:
-        members = all_loss.ranges.overlapping(cluster.start, cluster.end)
-        packets = sum(_range_packets(m) for m in members)
+    for cluster in all_loss.ranges.dilate(margin):
+        packets = (
+            bisect.bisect_left(starts, cluster.end)
+            - bisect.bisect_left(starts, cluster.start)
+        )
         worst = max(worst, packets)
-        if packets >= threshold and members:
-            span = TimeRange(
-                min(m.start for m in members), max(m.end for m in members)
-            )
+        if packets >= threshold:
+            span = TimeRange(cluster.start + margin, cluster.end - margin)
             episodes.append(span)
             delay += span.duration
     return ConsecutiveLossReport(
@@ -150,17 +151,6 @@ def detect_consecutive_losses(
         induced_delay_us=delay,
         episode_ranges=episodes,
     )
-
-
-def _range_packets(rng: TimeRange) -> int:
-    data = rng.data
-    if isinstance(data, SeriesEventData):
-        return data.packets
-    if isinstance(data, list):
-        return sum(
-            item.packets for item in data if isinstance(item, SeriesEventData)
-        )
-    return 1 if data is None else 1
 
 
 @dataclass

@@ -25,12 +25,12 @@ under Figure 11.
 from __future__ import annotations
 
 import bisect
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import accumulate, compress, islice
 
 from repro.analysis.flights import flight_gap_threshold_us, group_flights
 from repro.analysis.labeling import (
-    KIND_DOWNSTREAM,
     KIND_REORDERING,
     KIND_UPSTREAM,
     LabelingResult,
@@ -38,7 +38,7 @@ from repro.analysis.labeling import (
 )
 from repro.analysis.columns import AckColumns, DataColumns
 from repro.analysis.profile import Connection
-from repro.core.events import EventSeries, SeriesCatalog, SeriesEventData
+from repro.core.events import EventSeries, SeriesCatalog
 from repro.core.timeranges import TimeRange, TimeRangeSet
 
 SNIFFER_AT_RECEIVER = "receiver"
@@ -215,11 +215,8 @@ def generate_series(
     # Extraction                                                      #
     # ------------------------------------------------------------- #
     transmission = TimeRangeSet([
-        (time_us - max(1, round(wire * byte_time)), time_us,
-         SeriesEventData(1, length, [index]))
-        for time_us, wire, length, index in zip(
-            data.time, data.wire, data.length, data.index
-        )
+        (time_us - max(1, round(wire * byte_time)), time_us)
+        for time_us, wire in zip(data.time, data.wire)
     ])
     catalog.put(EventSeries("Transmission", transmission,
                             "time actually spent clocking data onto the wire"))
@@ -250,8 +247,9 @@ def generate_series(
         "receiver window near its configured maximum",
     ))
 
-    loss_spans = _loss_series(labeling, data)
-    upstream, downstream, reordering = map(TimeRangeSet, loss_spans)
+    upstream, downstream, reordering = map(
+        TimeRangeSet, _loss_series(labeling)
+    )
     catalog.put(EventSeries("UpstreamLoss", upstream,
                             "recovery periods for losses upstream of the tap"))
     catalog.put(EventSeries("DownstreamLoss", downstream,
@@ -601,30 +599,40 @@ def _advertised_window(acks: AckColumns) -> StepFunction:
     )
 
 
-def _loss_series(
-    labeling: LabelingResult, data: DataColumns
-) -> tuple[list, list, list]:
-    """(upstream, downstream, reordering) span lists from the labels."""
-    upstream: list[tuple] = []
-    downstream: list[tuple] = []
-    reordering: list[tuple] = []
-    times = data.time
+def loss_spans(labeling: LabelingResult) -> Iterator[tuple[str, int, int]]:
+    """``(kind, start, end)`` of each loss event's recovery, in data order.
+
+    A span starts at the loss's trigger, or at the retransmission when
+    it has none, and ends at the ACK that covered the hole; when no
+    such ACK comes after the start, it ends at the retransmission or
+    one microsecond after the start, whichever is later.  Reordering
+    events are not losses and yield nothing.
+    """
+    times = labeling.times
     for position, kind, trigger, recovery in labeling.events:
-        time_us = times[position]
         if kind == KIND_REORDERING:
-            reordering.append((time_us, time_us + 1))
             continue
+        time_us = times[position]
         start = trigger if trigger is not None else time_us
         end = recovery
         if end is None or end <= start:
             end = max(time_us, start + 1)
+        yield kind, start, end
+
+
+def _loss_series(labeling: LabelingResult) -> tuple[list, list, list]:
+    """(upstream, downstream, reordering) span lists from the labels."""
+    upstream: list[tuple[int, int]] = []
+    downstream: list[tuple[int, int]] = []
+    for kind, start, end in loss_spans(labeling):
         target = upstream if kind == KIND_UPSTREAM else downstream
-        target.append((
-            start,
-            end,
-            SeriesEventData(packets=1, bytes=data.length[position],
-                            refs=[data.index[position]]),
-        ))
+        target.append((start, end))
+    times = labeling.times
+    reordering = [
+        (times[position], times[position] + 1)
+        for position, kind, _, _ in labeling.events
+        if kind == KIND_REORDERING
+    ]
     return upstream, downstream, reordering
 
 

@@ -215,7 +215,8 @@ class Pipeline:
         then ``overrides`` replaces any other config fields.  A name
         outside the registry raises :class:`ValueError`.  With
         ``checkpoint_dir`` completed episodes are journaled there, and
-        ``resume=True`` skips the ones already journaled.
+        ``resume=True`` skips the ones already journaled (without a
+        ``checkpoint_dir`` it raises :class:`ValueError`).
         """
         sized = {
             key: value
@@ -239,7 +240,7 @@ class Pipeline:
                 strict=self.strict,
                 pool=pool,
                 checkpoint_dir=checkpoint_dir,
-                resume_from=checkpoint_dir if resume else None,
+                resume=resume,
             )
 
 

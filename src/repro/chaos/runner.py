@@ -126,7 +126,7 @@ def _result_dump(result: CampaignResult) -> str:
 @lru_cache(maxsize=None)
 def _baseline_dump(transfers: int) -> str:
     """The clean run every chaos run is diffed against (cached)."""
-    return _result_dump(run_campaign(chaos_config(transfers), workers=1))
+    return _result_dump(run_campaign(chaos_config(transfers)))
 
 
 @dataclass
@@ -278,7 +278,8 @@ def _verify_resume(
         result = run_campaign(
             config,
             pool=pool,
-            resume_from=checkpoint_dir,
+            checkpoint_dir=checkpoint_dir,
+            resume=True,
             health=resume_health,
             shutdown=GracefulShutdown(install_signals=False),
         )

@@ -1,6 +1,6 @@
 """Core data structures of the T-DAT delay analyzer."""
 
-from repro.core.events import EventSeries, SeriesCatalog, SeriesEventData
+from repro.core.events import EventSeries, SeriesCatalog
 from repro.core.health import IngestError, IngestIssue, TraceHealth
 from repro.core.timeranges import TimeRange, TimeRangeSet
 from repro.core import units
@@ -10,7 +10,6 @@ __all__ = [
     "IngestError",
     "IngestIssue",
     "SeriesCatalog",
-    "SeriesEventData",
     "TimeRange",
     "TimeRangeSet",
     "TraceHealth",

@@ -2,40 +2,15 @@
 
 The analyzer internally manages 34 series per connection (paper
 section III-C).  :class:`EventSeries` couples a :class:`TimeRangeSet`
-with a name and bookkeeping counters (packets/bytes per range, which the
-paper notes each square wave records).  :class:`SeriesCatalog` is the
+with a name and a description.  :class:`SeriesCatalog` is the
 per-connection registry the generation rules read from and write to.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
-from typing import Any
 
 from repro.core.timeranges import TimeRange, TimeRangeSet
-
-
-@dataclass
-class SeriesEventData:
-    """Per-range detail payload: the paper's ``event_data`` reference.
-
-    ``packets`` and ``bytes`` quantify what happened inside the range
-    (e.g. how many segments a retransmission burst resent); ``refs``
-    points back to raw trace records (packet indices) for drill-down.
-    """
-
-    packets: int = 0
-    bytes: int = 0
-    refs: list[Any] = field(default_factory=list)
-
-    def merge(self, other: "SeriesEventData") -> "SeriesEventData":
-        """Combine payloads of two coalesced ranges."""
-        return SeriesEventData(
-            packets=self.packets + other.packets,
-            bytes=self.bytes + other.bytes,
-            refs=self.refs + other.refs,
-        )
 
 
 class EventSeries:
@@ -80,24 +55,6 @@ class EventSeries:
         if analysis_period_us <= 0:
             return 0.0
         return self.size() / analysis_period_us
-
-    def total_packets(self) -> int:
-        """Sum of per-range packet counters."""
-        return sum(d.packets for d in self._payloads())
-
-    def total_bytes(self) -> int:
-        """Sum of per-range byte counters."""
-        return sum(d.bytes for d in self._payloads())
-
-    def _payloads(self) -> Iterator[SeriesEventData]:
-        for rng in self.ranges:
-            data = rng.data
-            if isinstance(data, SeriesEventData):
-                yield data
-            elif isinstance(data, list):
-                for item in data:
-                    if isinstance(item, SeriesEventData):
-                        yield item
 
     # Derivation (paper rules 2-4) ---------------------------------------
     def renamed(self, name: str, description: str = "") -> "EventSeries":

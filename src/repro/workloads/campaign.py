@@ -686,43 +686,46 @@ def _task_label(task: tuple[str, int], specs: list[EpisodeSpec]) -> str:
 
 def run_campaign(
     config: CampaignConfig,
-    workers: int = 1,
     pool: WorkPool | None = None,
     strict: bool = False,
     health: TraceHealth | None = None,
     checkpoint_dir: str | Path | None = None,
-    resume_from: str | Path | None = None,
+    resume: bool = False,
     shutdown: GracefulShutdown | None = None,
     on_episode=None,
 ) -> CampaignResult:
     """Run every episode of a campaign and collect the records.
 
-    ``workers=N`` (or an explicit ``pool``) fans the episodes out
-    across worker processes; records come back in episode order, so the
-    result is identical to a serial run.  A transfer that crashes — in
-    a worker or inline — is contained: it becomes a ``transfer-crashed``
-    issue in the result's :class:`TraceHealth` and the rest of the
-    campaign completes; a simulation that outgrows its watchdog budget
-    becomes ``sim-budget-exceeded``, a task killed by the pool's
-    per-task timeout ``task-timeout``, and an episode that succeeded
-    only after retries ``task-retried`` (benign).  ``strict=True``
-    applies fail-fast *analysis* inside each episode (damaged ingest
-    aborts that transfer), which surfaces through the same containment
-    path.
+    ``pool`` (default: a serial ``WorkPool()``) runs the episodes; a
+    pool with workers fans them out across processes, and records come
+    back in episode order, so the result is identical to a serial run.
+    A transfer that crashes — in a worker or inline — is contained: it
+    becomes a ``transfer-crashed`` issue in the result's
+    :class:`TraceHealth` and the rest of the campaign completes; a
+    simulation that outgrows its watchdog budget becomes
+    ``sim-budget-exceeded``, a task killed by the pool's per-task
+    timeout ``task-timeout``, and an episode that succeeded only after
+    retries ``task-retried`` (benign).  ``strict=True`` applies
+    fail-fast *analysis* inside each episode (damaged ingest aborts that
+    transfer), which surfaces through the same containment path.
 
     ``checkpoint_dir`` journals every completed episode (records +
     health + pcap, fsync'd) under that directory as the campaign runs;
     while checkpointing, SIGINT/SIGTERM drain in-flight episodes,
     flush the journal, and raise
     :class:`~repro.workloads.checkpoint.CampaignInterrupted`.
-    ``resume_from`` loads a journal written by an identical config
-    (verified via the manifest hash) and skips its completed episodes —
-    the merged result is byte-identical to an uninterrupted run, save
-    for one benign ``campaign-resumed`` issue recording the restore.
+    ``resume=True`` loads the journal in ``checkpoint_dir`` (written by
+    an identical config, verified via the manifest hash; without a
+    ``checkpoint_dir`` it raises ``ValueError``) and skips its completed
+    episodes — the merged result is byte-identical to an uninterrupted
+    run, save for one benign ``campaign-resumed`` issue recording the
+    restore.
     ``on_episode(task, outcome)`` is invoked as each episode resolves
     (progress reporting); ``shutdown`` overrides the signal-driven
     drain trigger (embedding apps, tests).
     """
+    if resume and checkpoint_dir is None:
+        raise ValueError("resume=True needs a checkpoint_dir to resume from")
     specs, _tables = _draw_specs(config)
     if health is None:
         health = TraceHealth()
@@ -733,14 +736,12 @@ def run_campaign(
         health=health,
     )
     if pool is None:
-        pool = WorkPool(workers=workers)
+        pool = WorkPool()
     tasks: list[tuple[str, int]] = [("episode", i) for i in range(len(specs))]
     # Dedicated pathological episodes ride the same pool, after the
     # mixture episodes so record order matches the legacy serial loop.
     tasks += [("zero-bug", i) for i in range(config.zero_bug_episodes)]
 
-    if resume_from is not None and checkpoint_dir is None:
-        checkpoint_dir = resume_from
     journal = None
     cached: dict[tuple[str, int], tuple[list, TraceHealth]] = {}
     if checkpoint_dir is not None:
@@ -756,7 +757,7 @@ def run_campaign(
                 checkpoint_dir=checkpoint_dir,
                 reason=f"checkpoint write failed: {exc}",
             ) from exc
-        if resume_from is not None:
+        if resume:
             wanted = set(tasks)
             cached = {
                 task: entry

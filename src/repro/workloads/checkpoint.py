@@ -110,9 +110,9 @@ class CampaignInterrupted(Exception):
     failure); the journal is flushed.
 
     Carries enough for the CLI to report progress and for callers to
-    resume: re-run with ``resume_from=checkpoint_dir`` (or
-    ``tdat campaign ... --resume``) and the campaign continues exactly
-    where it stopped.
+    resume: re-run with the same ``checkpoint_dir`` and ``resume=True``
+    (or ``tdat campaign ... --resume``) and the campaign continues
+    exactly where it stopped.
     """
 
     def __init__(

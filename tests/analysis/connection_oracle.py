@@ -42,7 +42,7 @@ from repro.analysis.series import (
 from repro.analysis.voids import CaptureVoidReport
 from repro.bgp.messages import HEADER_LEN as BGP_HEADER_LEN
 from repro.bgp.messages import MARKER as BGP_MARKER
-from repro.core.events import EventSeries, SeriesCatalog, SeriesEventData
+from repro.core.events import EventSeries, SeriesCatalog
 from repro.core.timeranges import TimeRange, TimeRangeSet
 from repro.wire.tcpw import ACK, FIN, RST, SYN
 
@@ -613,12 +613,7 @@ def generate_series(
     sent = []
     for packet in data:
         ser = max(1, round(packet.wire_len * byte_time))
-        sent.append((
-            packet.timestamp_us - ser,
-            packet.timestamp_us,
-            SeriesEventData(packets=1, bytes=packet.payload_len,
-                            refs=[packet.index]),
-        ))
+        sent.append((packet.timestamp_us - ser, packet.timestamp_us))
     transmission = TimeRangeSet(sent)
     catalog.put(EventSeries("Transmission", transmission,
                             "time actually spent clocking data onto the wire"))
@@ -941,12 +936,7 @@ def _loss_series(labeling: LabelingResult) -> tuple[list, list, list]:
         if end is None or end <= start:
             end = max(packet.timestamp_us, start + 1)
         target = upstream if label.kind == KIND_UPSTREAM else downstream
-        target.append((
-            start,
-            end,
-            SeriesEventData(packets=1, bytes=packet.payload_len,
-                            refs=[packet.index]),
-        ))
+        target.append((start, end))
     return upstream, downstream, reordering
 
 

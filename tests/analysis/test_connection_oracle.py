@@ -157,7 +157,7 @@ def _both(spec) -> tuple[Connection, oracle.Connection]:
 
 
 def _ranges(series) -> list[tuple]:
-    return [(r.start, r.end, r.data) for r in series.ranges]
+    return [(r.start, r.end) for r in series.ranges]
 
 
 def _labels(labeling) -> list[tuple]:

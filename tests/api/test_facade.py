@@ -99,7 +99,7 @@ class TestPipelineCampaign:
             "ISP_A-Quagga", 9, 4,
         )
         assert options["checkpoint_dir"] is None
-        assert options["resume_from"] is None
+        assert options["resume"] is False
 
     def test_explicit_config_with_overrides(self, run_campaign, tmp_path):
         base = isp_quagga_config()
@@ -113,7 +113,8 @@ class TestPipelineCampaign:
         assert config.seed == base.seed
         assert base.transfers != 2  # original untouched
         assert options["strict"] is True
-        assert options["checkpoint_dir"] == options["resume_from"] == tmp_path
+        assert options["checkpoint_dir"] == tmp_path
+        assert options["resume"] is True
 
     def test_needs_a_name_or_a_config(self, run_campaign):
         with pytest.raises(ValueError, match="unknown campaign"):

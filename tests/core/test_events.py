@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core.events import EventSeries, SeriesCatalog, SeriesEventData
-from repro.core.timeranges import TimeRange, TimeRangeSet
+from repro.core.events import EventSeries, SeriesCatalog
+from repro.core.timeranges import TimeRangeSet
 
 
 class TestEventSeries:
@@ -23,29 +23,6 @@ class TestEventSeries:
 
     def test_delay_ratio_zero_period(self):
         assert EventSeries("X", [(0, 10)]).delay_ratio(0) == 0.0
-
-    def test_packet_byte_counters(self):
-        s = EventSeries(
-            "Retx",
-            [
-                TimeRange(0, 10, SeriesEventData(packets=3, bytes=4500)),
-                TimeRange(20, 30, SeriesEventData(packets=2, bytes=3000)),
-            ],
-        )
-        assert s.total_packets() == 5
-        assert s.total_bytes() == 7500
-
-    def test_counters_survive_coalescing(self):
-        s = EventSeries(
-            "Retx",
-            [
-                TimeRange(0, 10, SeriesEventData(packets=1, bytes=100)),
-                TimeRange(5, 15, SeriesEventData(packets=2, bytes=200)),
-            ],
-        )
-        assert len(s) == 1
-        assert s.total_packets() == 3
-        assert s.total_bytes() == 300
 
     def test_renamed_is_interpretation_rule(self):
         upstream = EventSeries("UpstreamLoss", [(0, 10)])
@@ -78,14 +55,6 @@ class TestEventSeries:
     def test_clip(self):
         a = EventSeries("A", [(0, 100)])
         assert a.clip(10, 30).size() == 20
-
-    def test_merge_event_data(self):
-        merged = SeriesEventData(packets=1, bytes=10, refs=[1]).merge(
-            SeriesEventData(packets=2, bytes=20, refs=[2])
-        )
-        assert merged.packets == 3
-        assert merged.bytes == 30
-        assert merged.refs == [1, 2]
 
 
 class TestSeriesCatalog:

@@ -10,44 +10,37 @@ class TestTimeRange:
         assert TimeRange(10, 25).duration == 15
 
     def test_empty_range_allowed(self):
-        assert TimeRange(5, 5).is_empty()
+        assert TimeRange(5, 5).duration == 0
 
     def test_reversed_range_rejected(self):
         with pytest.raises(ValueError):
             TimeRange(10, 5)
 
     def test_contains_half_open(self):
-        rng = TimeRange(10, 20)
-        assert rng.contains(10)
-        assert rng.contains(19)
-        assert not rng.contains(20)
-        assert not rng.contains(9)
+        rng = TimeRangeSet([(10, 20)])
+        covered = [t for t in range(5, 25) if rng.overlapping(t, t + 1)]
+        assert covered == list(range(10, 20))
 
     def test_overlaps(self):
-        assert TimeRange(0, 10).overlaps(TimeRange(5, 15))
-        assert not TimeRange(0, 10).overlaps(TimeRange(10, 15))
+        rng = TimeRangeSet([(0, 10)])
+        assert rng.overlapping(5, 15) == [TimeRange(0, 10)]
+        assert rng.overlapping(10, 15) == []
 
     def test_touches_includes_adjacency(self):
-        assert TimeRange(0, 10).touches(TimeRange(10, 15))
-        assert not TimeRange(0, 10).touches(TimeRange(11, 15))
+        assert len(TimeRangeSet([(0, 10), (10, 15)])) == 1
+        assert len(TimeRangeSet([(0, 10), (11, 15)])) == 2
 
     def test_intersect(self):
-        out = TimeRange(0, 10).intersect(TimeRange(5, 20))
-        assert out == TimeRange(5, 10)
+        out = TimeRangeSet([(0, 10)]).intersection(TimeRangeSet([(5, 20)]))
+        assert out.ranges == (TimeRange(5, 10),)
 
     def test_intersect_disjoint_is_none(self):
-        assert TimeRange(0, 5).intersect(TimeRange(5, 10)) is None
-
-    def test_intersect_keeps_left_data(self):
-        left = TimeRange(0, 10, data="left")
-        right = TimeRange(5, 20, data="right")
-        assert left.intersect(right).data == "left"
+        out = TimeRangeSet([(0, 5)]).intersection(TimeRangeSet([(5, 10)]))
+        assert out.ranges == ()
 
     def test_shift(self):
-        assert TimeRange(5, 10).shift(100) == TimeRange(105, 110)
-
-    def test_equality_ignores_data(self):
-        assert TimeRange(0, 5, data="a") == TimeRange(0, 5, data="b")
+        out = TimeRangeSet([(5, 10)]).shift(100)
+        assert out.ranges == (TimeRange(105, 110),)
 
     def test_ordering_by_extent(self):
         assert TimeRange(0, 5) < TimeRange(0, 6) < TimeRange(1, 2)
@@ -59,7 +52,7 @@ class TestTimeRangeSetBasics:
         assert len(s) == 0
         assert s.size() == 0
         assert not s
-        assert s.span() is None
+        assert s.ranges == ()
 
     def test_add_tuple_coercion(self):
         s = TimeRangeSet([(0, 10), (20, 30)])
@@ -87,23 +80,12 @@ class TestTimeRangeSetBasics:
         s.add_span(4, 21)
         assert list(s) == [TimeRange(0, 25)]
 
-    def test_coalesce_merges_data(self):
-        s = TimeRangeSet()
-        s.add_span(0, 10, data="a")
-        s.add_span(5, 15, data="b")
-        (rng,) = s.ranges
-        assert sorted(rng.data) == ["a", "b"]
-
-    def test_span(self):
-        s = TimeRangeSet([(5, 10), (50, 60)])
-        assert s.span() == TimeRange(5, 60)
-
     def test_contains_and_range_at(self):
         s = TimeRangeSet([(0, 10), (20, 30)])
-        assert s.contains(0)
-        assert not s.contains(15)
-        assert s.range_at(25) == TimeRange(20, 30)
-        assert s.range_at(10) is None
+        assert s.overlapping(0, 1) == [TimeRange(0, 10)]
+        assert s.overlapping(15, 16) == []
+        assert s.overlapping(25, 26) == [TimeRange(20, 30)]
+        assert s.overlapping(10, 11) == []
 
     def test_overlapping_query(self):
         s = TimeRangeSet([(0, 10), (20, 30), (40, 50)])
@@ -116,7 +98,7 @@ class TestTimeRangeSetBasics:
 
     def test_gaps(self):
         s = TimeRangeSet([(0, 5), (10, 15), (30, 35)])
-        gaps = s.gaps()
+        gaps = s.complement((0, 35))
         assert [(r.start, r.end) for r in gaps] == [(5, 10), (15, 30)]
 
     def test_remove_span_splits(self):

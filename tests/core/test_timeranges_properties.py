@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.timeranges import TimeRange, TimeRangeSet
+from repro.core.timeranges import TimeRangeSet
 
 # Keep coordinates small so overlaps are common.
 spans = st.tuples(
@@ -85,14 +85,6 @@ def test_shift_preserves_size_and_count(s, offset):
     shifted = s.shift(offset)
     assert shifted.size() == s.size()
     assert len(shifted) == len(s)
-
-
-@given(range_sets)
-def test_gaps_complement_relationship(s):
-    span = s.span()
-    if span is None:
-        return
-    assert s.gaps() == s.complement((span.start, span.end))
 
 
 @given(range_sets, range_sets)

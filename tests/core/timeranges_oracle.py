@@ -1,9 +1,10 @@
 """Test-only oracle: the object-list ``TimeRangeSet``.
 
 This is the original implementation of :mod:`repro.core.timeranges`,
-kept verbatim apart from this docstring: every stored or intermediate
-range is a frozen :class:`TimeRange`, sets grow one ``add`` at a time
-and the algebra walks lists of range objects.  It is slow but simple,
+kept without its payload column and the point queries the columnar
+set dropped: every stored or intermediate range is a frozen
+:class:`TimeRange`, sets grow one ``add`` at a time and the algebra
+walks lists of range objects.  It is slow but simple,
 and the differential property in ``test_timeranges_oracle.py`` replays
 random operation sequences against it and the columnar implementation.
 """
@@ -12,23 +13,15 @@ from __future__ import annotations
 
 import bisect
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True, order=True)
 class TimeRange:
-    """A half-open time interval ``[start, end)`` in integer microseconds.
-
-    ``data`` is the paper's ``event_data``: an arbitrary reference to the
-    underlying trace detail (packet indices, byte counts, ...).  It is
-    excluded from ordering and equality so that set algebra compares
-    ranges purely by extent.
-    """
+    """A half-open time interval ``[start, end)`` in integer microseconds."""
 
     start: int
     end: int
-    data: Any = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.end < self.start:
@@ -39,37 +32,17 @@ class TimeRange:
         """Length of the interval in microseconds."""
         return self.end - self.start
 
-    def is_empty(self) -> bool:
-        """True for a zero-length (degenerate) range."""
-        return self.end == self.start
-
-    def contains(self, instant: int) -> bool:
-        """True if ``instant`` lies inside the half-open interval."""
-        return self.start <= instant < self.end
-
     def overlaps(self, other: "TimeRange") -> bool:
         """True if the two half-open intervals share any instant."""
         return self.start < other.end and other.start < self.end
 
-    def touches(self, other: "TimeRange") -> bool:
-        """True if the intervals overlap or are exactly adjacent."""
-        return self.start <= other.end and other.start <= self.end
-
     def intersect(self, other: "TimeRange") -> "TimeRange | None":
-        """The overlapping part of two ranges, or None when disjoint.
-
-        The intersection carries ``data`` from ``self`` (the left operand
-        is considered the primary series in T-DAT's algebra rules).
-        """
+        """The overlapping part of two ranges, or None when disjoint."""
         start = max(self.start, other.start)
         end = min(self.end, other.end)
         if start >= end:
             return None
-        return TimeRange(start, end, self.data)
-
-    def shift(self, offset: int) -> "TimeRange":
-        """Translate the range by ``offset`` microseconds."""
-        return TimeRange(self.start + offset, self.end + offset, self.data)
+        return TimeRange(start, end)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TimeRange({self.start}, {self.end})"
@@ -83,10 +56,6 @@ class TimeRangeSet:
     * ranges are sorted by ``start``;
     * no two stored ranges overlap or touch (touching ranges coalesce);
     * no stored range is empty.
-
-    Coalescing merges ``data`` payloads into a list when both sides carry
-    payloads, preserving the cross-reference back to raw trace events
-    that the paper highlights as essential for drill-down inspection.
     """
 
     __slots__ = ("_ranges", "_starts")
@@ -128,12 +97,9 @@ class TimeRangeSet:
                 return
             if rng.start >= last.start:
                 # Touches or overlaps only the final stored range.
-                merged_data = _data_list(rng.data)
-                merged_data.extend(_data_list(last.data))
                 merged = TimeRange(
                     last.start if last.start < rng.start else rng.start,
                     last.end if last.end > rng.end else rng.end,
-                    _data_value(merged_data),
                 )
                 ranges[-1] = merged
                 self._starts[-1] = merged.start
@@ -147,7 +113,6 @@ class TimeRangeSet:
         if idx > 0 and ranges[idx - 1].end >= rng.start:
             idx -= 1
         merged_start, merged_end = rng.start, rng.end
-        merged_data = _data_list(rng.data)
         remove_to = idx
         while remove_to < len(ranges) and (
             ranges[remove_to].start <= merged_end
@@ -155,15 +120,14 @@ class TimeRangeSet:
             existing = ranges[remove_to]
             merged_start = min(merged_start, existing.start)
             merged_end = max(merged_end, existing.end)
-            merged_data.extend(_data_list(existing.data))
             remove_to += 1
-        merged = TimeRange(merged_start, merged_end, _data_value(merged_data))
+        merged = TimeRange(merged_start, merged_end)
         ranges[idx:remove_to] = [merged]
         self._starts[idx:remove_to] = [merged.start]
 
-    def add_span(self, start: int, end: int, data: Any = None) -> None:
-        """Convenience: insert ``[start, end)`` with optional payload."""
-        self.add(TimeRange(start, end, data))
+    def add_span(self, start: int, end: int) -> None:
+        """Convenience: insert ``[start, end)``."""
+        self.add(TimeRange(start, end))
 
     def remove_span(self, start: int, end: int) -> None:
         """Delete the interval ``[start, end)`` from the set."""
@@ -208,23 +172,6 @@ class TimeRangeSet:
         """Total covered duration in microseconds (the paper's set size)."""
         return sum(r.duration for r in self._ranges)
 
-    def span(self) -> TimeRange | None:
-        """The bounding range from first start to last end, or None."""
-        if not self._ranges:
-            return None
-        return TimeRange(self._ranges[0].start, self._ranges[-1].end)
-
-    def contains(self, instant: int) -> bool:
-        """True if some stored range covers ``instant``."""
-        return self.range_at(instant) is not None
-
-    def range_at(self, instant: int) -> TimeRange | None:
-        """The stored range covering ``instant``, or None."""
-        idx = bisect.bisect_right(self._starts, instant) - 1
-        if idx >= 0 and self._ranges[idx].contains(instant):
-            return self._ranges[idx]
-        return None
-
     def overlapping(self, start: int, end: int) -> list[TimeRange]:
         """All stored ranges intersecting the query window ``[start, end)``."""
         query = TimeRange(start, end)
@@ -237,16 +184,6 @@ class TimeRangeSet:
         """
         return [r.duration for r in self._ranges]
 
-    def gaps(self) -> "TimeRangeSet":
-        """The uncovered intervals *between* consecutive stored ranges."""
-        result = TimeRangeSet()
-        for prev, nxt in zip(self._ranges, self._ranges[1:]):
-            result.add_span(prev.end, nxt.start)
-        return result
-
-    # ------------------------------------------------------------------
-    # Set algebra (paper rule 4: series := series ⊕ series ...)
-    # ------------------------------------------------------------------
     def union(self, *others: "TimeRangeSet") -> "TimeRangeSet":
         """The set union of this series with ``others``."""
         result = TimeRangeSet(self._ranges)
@@ -285,7 +222,9 @@ class TimeRangeSet:
 
     def shift(self, offset: int) -> "TimeRangeSet":
         """Translate every range by ``offset`` microseconds."""
-        return TimeRangeSet(r.shift(offset) for r in self._ranges)
+        return TimeRangeSet(
+            TimeRange(r.start + offset, r.end + offset) for r in self._ranges
+        )
 
     def dilate(self, margin_us: int) -> "TimeRangeSet":
         """Expand every range by ``margin_us`` on both sides.
@@ -297,7 +236,7 @@ class TimeRangeSet:
         if margin_us < 0:
             raise ValueError(f"negative margin {margin_us}")
         return TimeRangeSet(
-            TimeRange(r.start - margin_us, r.end + margin_us, r.data)
+            TimeRange(r.start - margin_us, r.end + margin_us)
             for r in self._ranges
         )
 
@@ -316,13 +255,13 @@ class TimeRangeSet:
             cursor = start
             while sub is not None and sub.start < rng.end:
                 if sub.start > cursor:
-                    yield TimeRange(cursor, sub.start, rng.data)
+                    yield TimeRange(cursor, sub.start)
                 cursor = max(cursor, sub.end)
                 if sub.end >= rng.end:
                     break
                 sub = next(sub_iter, None)
             if cursor < rng.end:
-                yield TimeRange(cursor, rng.end, rng.data)
+                yield TimeRange(cursor, rng.end)
 
 
 def _intersect_sorted(
@@ -344,19 +283,3 @@ def _coerce(item: TimeRange | tuple) -> TimeRange:
     if isinstance(item, TimeRange):
         return item
     return TimeRange(*item)
-
-
-def _data_list(data: Any) -> list:
-    if data is None:
-        return []
-    if isinstance(data, list):
-        return list(data)
-    return [data]
-
-
-def _data_value(items: list) -> Any:
-    if not items:
-        return None
-    if len(items) == 1:
-        return items[0]
-    return items

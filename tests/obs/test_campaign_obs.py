@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+from repro.exec.pool import WorkPool
 from repro.obs import Observability, get_obs, use_obs
 from repro.workloads.campaign import isp_quagga_config, run_campaign
 
@@ -30,7 +31,9 @@ def _small_config(**overrides):
 def _run_with_obs(workers: int, **overrides):
     obs = Observability.create()
     with use_obs(obs):
-        result = run_campaign(_small_config(**overrides), workers=workers)
+        result = run_campaign(
+            _small_config(**overrides), pool=WorkPool(workers=workers)
+        )
     return obs, result
 
 
@@ -138,14 +141,14 @@ class TestSpans:
 class TestDisabledPath:
     def test_without_a_context_no_metrics_are_attached(self):
         assert get_obs().enabled is False  # ambient default
-        result = run_campaign(_small_config(), workers=1)
+        result = run_campaign(_small_config())
         assert result.metrics is None
 
     def test_metrics_stay_out_of_the_identity_digest(self, serial):
         """to_dict() is the serial/parallel byte-identity witness; the
         registry must not leak into it."""
         _obs, result = serial
-        plain = run_campaign(_small_config(), workers=1)
+        plain = run_campaign(_small_config())
         assert json.dumps(result.to_dict(), sort_keys=True) == json.dumps(
             plain.to_dict(), sort_keys=True
         )

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.core.health import STAGE_EXEC
+from repro.exec.pool import WorkPool
 from repro.workloads.campaign import (
     CAMPAIGNS,
     campaign_config,
@@ -26,13 +27,13 @@ def _small_config(**overrides):
 
 @pytest.fixture(scope="module")
 def serial_result():
-    return run_campaign(_small_config(), workers=1)
+    return run_campaign(_small_config())
 
 
 class TestByteIdentity:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_workers_do_not_change_the_report(self, serial_result, workers):
-        result = run_campaign(_small_config(), workers=workers)
+        result = run_campaign(_small_config(), pool=WorkPool(workers=workers))
         assert json.dumps(result.to_dict(), sort_keys=True) == json.dumps(
             serial_result.to_dict(), sort_keys=True
         )
@@ -44,7 +45,7 @@ class TestByteIdentity:
     def test_different_seed_changes_the_report(self, serial_result):
         config = _small_config()
         config.seed = SEED + 1
-        other = run_campaign(config, workers=2)
+        other = run_campaign(config, pool=WorkPool(workers=2))
         assert json.dumps(other.to_dict(), sort_keys=True) != json.dumps(
             serial_result.to_dict(), sort_keys=True
         )
@@ -54,7 +55,7 @@ class TestFaultIsolation:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_crashed_transfer_becomes_health_issue(self, workers):
         config = _small_config(fail_episodes=(1,))
-        result = run_campaign(config, workers=workers)
+        result = run_campaign(config, pool=WorkPool(workers=workers))
         # The crashed episode is gone, the siblings completed.
         assert all(r.episode != 1 for r in result.records)
         assert len(result.records) == TRANSFERS - 1
@@ -65,8 +66,10 @@ class TestFaultIsolation:
         assert "episode 1" in issues[0].detail
 
     def test_surviving_records_match_the_clean_run(self):
-        clean = run_campaign(_small_config(), workers=1)
-        crashed = run_campaign(_small_config(fail_episodes=(0,)), workers=2)
+        clean = run_campaign(_small_config())
+        crashed = run_campaign(
+            _small_config(fail_episodes=(0,)), pool=WorkPool(workers=2)
+        )
         clean_by_episode = {r.episode: r.to_dict() for r in clean.records}
         for record in crashed.records:
             assert record.to_dict() == clean_by_episode[record.episode]

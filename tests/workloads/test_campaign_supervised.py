@@ -43,7 +43,7 @@ def _dump(result: CampaignResult) -> str:
 
 @pytest.fixture(scope="module")
 def clean_result():
-    return run_campaign(_small_config(), workers=1)
+    return run_campaign(_small_config())
 
 
 class TestRetriedRunByteIdentity:
@@ -106,7 +106,7 @@ class TestInterruptAndResume:
 
         with pytest.raises(CampaignInterrupted) as err:
             run_campaign(
-                _small_config(), workers=workers,
+                _small_config(), pool=WorkPool(workers=workers),
                 checkpoint_dir=ckpt, shutdown=shutdown,
                 on_episode=stop_after_one,
             )
@@ -116,8 +116,8 @@ class TestInterruptAndResume:
 
         health = TraceHealth()
         resumed = run_campaign(
-            _small_config(), workers=workers,
-            checkpoint_dir=ckpt, resume_from=ckpt, health=health,
+            _small_config(), pool=WorkPool(workers=workers),
+            checkpoint_dir=ckpt, resume=True, health=health,
         )
         # Byte-identical records, totals, and per-record payloads —
         # including ordering, which the fold reconstructs from the
@@ -139,7 +139,7 @@ class TestInterruptAndResume:
         first = run_campaign(_small_config(), checkpoint_dir=ckpt)
         ran = []
         resumed = run_campaign(
-            _small_config(), checkpoint_dir=ckpt, resume_from=ckpt,
+            _small_config(), checkpoint_dir=ckpt, resume=True,
             on_episode=lambda task, outcome: ran.append(task),
         )
         assert ran == []  # every episode restored from the journal
@@ -171,8 +171,17 @@ class TestCheckpointJournal:
         with pytest.raises(CheckpointMismatch, match="different"):
             run_campaign(
                 _small_config(seed=SEED + 1),
-                checkpoint_dir=ckpt, resume_from=ckpt,
+                checkpoint_dir=ckpt, resume=True,
             )
+
+    def test_resume_needs_a_checkpoint_dir(self):
+        ran = []
+        with pytest.raises(ValueError, match="checkpoint_dir"):
+            run_campaign(
+                _small_config(), resume=True,
+                on_episode=lambda task, outcome: ran.append(task),
+            )
+        assert ran == []
 
     def test_torn_tail_is_salvaged_and_rerun_not_trusted(self, tmp_path):
         ckpt = tmp_path / "ckpt"
@@ -194,7 +203,7 @@ class TestCheckpointJournal:
         assert len(journal_path.read_bytes()) < len(raw) - 10
         ran = []
         run_campaign(
-            _small_config(), checkpoint_dir=ckpt, resume_from=ckpt,
+            _small_config(), checkpoint_dir=ckpt, resume=True,
             on_episode=lambda task, outcome: ran.append(task),
         )
         assert len(ran) == 1  # only the torn episode re-ran

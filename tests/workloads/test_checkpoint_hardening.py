@@ -148,7 +148,7 @@ class TestTruncatedResumeByteIdentity:
         health = TraceHealth()
         resumed = run_campaign(
             chaos_config(TRANSFERS),
-            checkpoint_dir=work, resume_from=work, health=health,
+            checkpoint_dir=work, resume=True, health=health,
         )
         assert _records_dump(resumed) == clean
         assert health.failures == []
@@ -278,7 +278,7 @@ class TestWriteFailureIsTypedAndResumable:
         assert err.value.checkpoint_dir == ckpt
         health = TraceHealth()
         resumed = run_campaign(
-            config, checkpoint_dir=ckpt, resume_from=ckpt, health=health,
+            config, checkpoint_dir=ckpt, resume=True, health=health,
         )
         assert _records_dump(resumed) == baseline
         assert health.failures == []
