@@ -15,7 +15,6 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Callable
 
-from repro.bgp.messages import encode_message
 from repro.bgp.speaker import BgpSession
 from repro.bgp.table import Rib
 from repro.netsim.simulator import PeriodicTimer, Simulator
@@ -66,7 +65,7 @@ class PeerGroup:
     # ------------------------------------------------------------------
     def announce_table(self, rib: Rib) -> int:
         """Queue one table transfer for replication to all members."""
-        updates = [encode_message(u) for u in rib.to_updates()]
+        updates = rib.wire_form()
         self._queue.extend(updates)
         for member in self.active:
             member.transfer_started_at_us = self.sim.now

@@ -19,7 +19,7 @@ to BGP message structure.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 
 from repro.core.units import US_PER_SECOND
 from repro.netsim.simulator import PeriodicTimer, Simulator
@@ -38,7 +38,7 @@ class SenderModel:
         """Bind the TCP write callback (done by the BGP session)."""
         self._write = write
 
-    def enqueue(self, messages: list[bytes]) -> None:
+    def enqueue(self, messages: Iterable[bytes]) -> None:
         """Queue encoded messages for transmission."""
         self._queue.extend(messages)
         self._kick()

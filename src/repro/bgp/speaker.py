@@ -120,7 +120,7 @@ class BgpSession:
         table = rib if rib is not None else self.rib
         if table is None:
             return 0
-        updates = [encode_message(u) for u in table.to_updates()]
+        updates = table.wire_form()
         self.transfer_started_at_us = self.sim.now
         self.sender_model.enqueue(updates)
         return len(updates)

@@ -47,16 +47,29 @@ class Rib:
     ``prefixes``); filing a received UPDATE (:meth:`apply`) and packing
     the table into UPDATEs (:meth:`to_updates`) touch only ints and
     bytes.
+
+    The table transfer's encoded UPDATEs (:meth:`wire_form`) are packed
+    on first use and held until the table changes: every mutator drops
+    them, and a pickled table leaves them behind.
     """
 
     def __init__(self, routes: list[Route] | None = None) -> None:
         self._routes: dict[int, PathAttributes] = {}
+        self._wire: tuple[bytes, ...] | None = None
         for route in routes or ():
             self.add(route)
+
+    def __getstate__(self) -> dict:
+        return {"_routes": self._routes}
+
+    def __setstate__(self, state: dict) -> None:
+        self._routes = state["_routes"]
+        self._wire = None
 
     def add(self, route: Route) -> None:
         """Insert or replace the route for its prefix."""
         self._routes[route.prefix.key] = route.attributes
+        self._wire = None
 
     def announce(
         self, prefixes: Iterable[Prefix], attributes: PathAttributes
@@ -66,6 +79,7 @@ class Rib:
         All of them get ``attributes``: this files one UPDATE's NLRI.
         """
         self._routes.update(zip(map(_key, prefixes), repeat(attributes)))
+        self._wire = None
 
     def apply(self, update: UpdateMessage) -> None:
         """File one received UPDATE by its packed keys.
@@ -77,10 +91,12 @@ class Rib:
             routes.update(zip(update.announced_keys, repeat(update.attributes)))
         for key in update.withdrawn_keys:
             routes.pop(key, None)
+        self._wire = None
 
     def withdraw(self, prefix: Prefix) -> Route | None:
         """Remove and return the route for ``prefix`` if present."""
         attributes = self._routes.pop(prefix.key, None)
+        self._wire = None
         return None if attributes is None else Route(prefix, attributes)
 
     def lookup(self, prefix: Prefix) -> Route | None:
@@ -138,9 +154,20 @@ class Rib:
                 start, used = stop, ends[stop - 1]
         return updates
 
+    def wire_form(self) -> tuple[bytes, ...]:
+        """The table transfer as encoded UPDATE messages.
+
+        These are the messages :meth:`to_updates` packs, encoded once
+        and shared by every session that sends this table until the
+        table next changes.
+        """
+        if self._wire is None:
+            self._wire = tuple(map(encode_message, self.to_updates()))
+        return self._wire
+
     def wire_size(self) -> int:
         """Total encoded size of the table transfer in bytes."""
-        return sum(len(encode_message(u)) for u in self.to_updates())
+        return sum(map(len, self.wire_form()))
 
 
 # Observed prefix-length mix of the 2010-era global table (approximate).
@@ -191,6 +218,7 @@ def generate_table(
         for _ in range(attribute_groups)
     ]
     rib = Rib()
+    # Filed straight into the fresh table, which has no wire form yet.
     routes = rib._routes
     while len(routes) < size:
         length = rng.choices(lengths, cum_weights=cum_weights)[0]

@@ -211,13 +211,6 @@ class TimeRangeSet:
             ends[-1] = min(ends[-1], end)
         return TimeRangeSet._new(starts, ends)
 
-    def shift(self, offset: int) -> "TimeRangeSet":
-        """Translate every range by ``offset`` microseconds."""
-        return TimeRangeSet._new(
-            [s + offset for s in self._starts],
-            [e + offset for e in self._ends],
-        )
-
     def dilate(self, margin_us: int) -> "TimeRangeSet":
         """Expand every range by ``margin_us`` on both sides.
 

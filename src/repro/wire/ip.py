@@ -22,8 +22,23 @@ class IpError(ValueError):
     """Raised on malformed IPv4 headers."""
 
 
+# Captures see the same handful of endpoints millions of times, and the
+# simulator packs the same few into every frame it builds; cache both
+# directions (bounded: cleared wholesale if damaged input ever floods
+# one with garbage addresses).  Only endpoint-like addresses come
+# through here in bulk: BGP prefixes travel as NLRI bytes, are filed as
+# packed int keys (``repro.bgp.messages.Prefix.key``) and render their
+# dotted quad without these caches.
+_IP_BYTES_CACHE: dict[str, bytes] = {}
+_IP_STR_CACHE: dict[bytes, str] = {}
+_IP_CACHE_LIMIT = 65536
+
+
 def ip_to_bytes(ip: str) -> bytes:
     """Dotted-quad string to 4 network-order bytes."""
+    cached = _IP_BYTES_CACHE.get(ip)
+    if cached is not None:
+        return cached
     parts = ip.split(".")
     if len(parts) != 4:
         raise IpError(f"bad IPv4 address {ip!r}")
@@ -33,17 +48,12 @@ def ip_to_bytes(ip: str) -> bytes:
         raise IpError(f"bad IPv4 address {ip!r}") from exc
     if not all(0 <= o <= 255 for o in octets):
         raise IpError(f"bad IPv4 address {ip!r}")
-    return bytes(octets)
-
-
-# Captures see the same handful of endpoints millions of times; cache
-# the rendered strings (bounded: cleared wholesale if damaged input
-# ever floods it with garbage addresses).  Only endpoint-like addresses
-# come through here: BGP prefixes travel as NLRI bytes, are filed as
-# packed int keys (``repro.bgp.messages.Prefix.key``) and render their
-# dotted quad without this cache.
-_IP_STR_CACHE: dict[bytes, str] = {}
-_IP_STR_CACHE_LIMIT = 65536
+    # Only a parsed address is kept, so a bad one raises on every call.
+    packed = bytes(octets)
+    if len(_IP_BYTES_CACHE) >= _IP_CACHE_LIMIT:
+        _IP_BYTES_CACHE.clear()
+    _IP_BYTES_CACHE[ip] = packed
+    return packed
 
 
 def bytes_to_ip(raw: bytes) -> str:
@@ -54,7 +64,7 @@ def bytes_to_ip(raw: bytes) -> str:
     if len(raw) != 4:
         raise IpError(f"IPv4 address needs 4 bytes, got {len(raw)}")
     rendered = ".".join(str(b) for b in raw)
-    if len(_IP_STR_CACHE) >= _IP_STR_CACHE_LIMIT:
+    if len(_IP_STR_CACHE) >= _IP_CACHE_LIMIT:
         _IP_STR_CACHE.clear()
     _IP_STR_CACHE[bytes(raw)] = rendered
     return rendered

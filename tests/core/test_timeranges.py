@@ -38,10 +38,6 @@ class TestTimeRange:
         out = TimeRangeSet([(0, 5)]).intersection(TimeRangeSet([(5, 10)]))
         assert out.ranges == ()
 
-    def test_shift(self):
-        out = TimeRangeSet([(5, 10)]).shift(100)
-        assert out.ranges == (TimeRange(105, 110),)
-
     def test_ordering_by_extent(self):
         assert TimeRange(0, 5) < TimeRange(0, 6) < TimeRange(1, 2)
 
@@ -156,10 +152,6 @@ class TestTimeRangeSetAlgebra:
         a = TimeRangeSet([(0, 10), (20, 30)])
         clipped = a.clip(5, 25)
         assert [(r.start, r.end) for r in clipped] == [(5, 10), (20, 25)]
-
-    def test_shift(self):
-        a = TimeRangeSet([(0, 10)])
-        assert list(a.shift(5)) == [TimeRange(5, 15)]
 
     def test_equality(self):
         assert TimeRangeSet([(0, 5), (5, 10)]) == TimeRangeSet([(0, 10)])

@@ -31,7 +31,6 @@ operations = st.one_of(
     st.tuples(st.just("complement"), indices, spans),
     st.tuples(st.just("clip"), indices, spans),
     st.tuples(st.just("dilate"), indices, st.integers(0, 15)),
-    st.tuples(st.just("shift"), indices, st.integers(-50, 50)),
     st.tuples(st.just("overlapping"), indices, spans),
     st.tuples(st.just("size"), indices),
     st.tuples(st.just("durations"), indices),
@@ -70,8 +69,6 @@ def apply(module, pool: list, op: tuple):
         pool.append(pick(args[0]).clip(*args[1]))
     elif name == "dilate":
         pool.append(pick(args[0]).dilate(args[1]))
-    elif name == "shift":
-        pool.append(pick(args[0]).shift(args[1]))
     elif name == "overlapping":
         return view(pick(args[0]).overlapping(*args[1]))
     elif name == "size":

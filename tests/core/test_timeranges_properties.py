@@ -80,13 +80,6 @@ def test_complement_partitions_window(s):
     assert comp.size() + clipped.size() == 250
 
 
-@given(range_sets, st.integers(min_value=-100, max_value=100))
-def test_shift_preserves_size_and_count(s, offset):
-    shifted = s.shift(offset)
-    assert shifted.size() == s.size()
-    assert len(shifted) == len(s)
-
-
 @given(range_sets, range_sets)
 def test_de_morgan(a, b):
     window = (0, 250)

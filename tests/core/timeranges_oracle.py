@@ -220,12 +220,6 @@ class TimeRangeSet:
         """Restrict the series to the analysis window ``[start, end)``."""
         return self.intersection(TimeRangeSet([TimeRange(start, end)]))
 
-    def shift(self, offset: int) -> "TimeRangeSet":
-        """Translate every range by ``offset`` microseconds."""
-        return TimeRangeSet(
-            TimeRange(r.start + offset, r.end + offset) for r in self._ranges
-        )
-
     def dilate(self, margin_us: int) -> "TimeRangeSet":
         """Expand every range by ``margin_us`` on both sides.
 

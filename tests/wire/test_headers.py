@@ -83,6 +83,22 @@ class TestIpv4:
         with pytest.raises(ip.IpError):
             ip.ip_to_bytes("a.b.c.d")
 
+    def test_ip_to_bytes_caches_only_parsed_addresses(self):
+        assert ip.ip_to_bytes("198.51.100.7") is ip.ip_to_bytes("198.51.100.7")
+        for _ in range(3):
+            with pytest.raises(ip.IpError):
+                ip.ip_to_bytes("198.51.100.700")
+        assert "198.51.100.700" not in ip._IP_BYTES_CACHE
+
+    def test_ip_to_bytes_cache_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(ip, "_IP_BYTES_CACHE", {})
+        monkeypatch.setattr(ip, "_IP_CACHE_LIMIT", 4)
+        addresses = [f"192.0.2.{i}" for i in range(10)]
+        for address in addresses:
+            assert ip.ip_to_bytes(address) == bytes([192, 0, 2, int(address[8:])])
+            assert len(ip._IP_BYTES_CACHE) <= 4
+        assert ip.ip_to_bytes(addresses[0]) == b"\xc0\x00\x02\x00"
+
     def test_checksum_rfc1071(self):
         # Known vector: checksum of this data equals 0xddf2 (RFC 1071 example).
         data = bytes([0x00, 0x01, 0xF2, 0x03, 0xF4, 0xF5, 0xF6, 0xF7])
