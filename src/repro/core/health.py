@@ -60,7 +60,6 @@ ISSUE_KINDS = {
     "bad-marker": "BGP header marker was not all-ones",
     "bad-length": "BGP header length outside [19, 4096]",
     "malformed-message": "BGP message body failed to parse",
-    "stream-desynchronized": "byte stream lost BGP message framing",
     "stream-hole": "capture drop left a gap inside the BGP stream",
     # analysis
     "connection-analysis-failed": "per-connection T-DAT analysis crashed",

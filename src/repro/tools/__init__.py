@@ -12,11 +12,7 @@ from repro.tools.correlate import (
     correlate_messages,
     delayed_updates,
 )
-from repro.tools.pcap2bgp import (
-    StreamingPcap2Bgp,
-    pcap_to_mrt,
-    reconstruct_stream,
-)
+from repro.tools.pcap2bgp import pcap_to_mrt, reconstruct_stream
 from repro.tools.report import (
     dataset_summary,
     detector_findings,
@@ -31,7 +27,6 @@ __all__ = [
     "ConnectionSummary",
     "CorrelatedMessage",
     "PrefixPreservingAnonymizer",
-    "StreamingPcap2Bgp",
     "anonymize_pcap",
     "correlate_messages",
     "delayed_updates",
