@@ -6,7 +6,11 @@ cause: a sender that discards its zero-window probe when a window
 update races it, stalling until timer-driven retransmissions recover.
 """
 
-from repro.workloads.campaign import isp_quagga_config, run_zero_ack_bug_episode
+from repro.workloads.campaign import (
+    isp_quagga_config,
+    run_episode,
+    zero_ack_bug_spec,
+)
 
 
 def build_report(record):
@@ -21,8 +25,7 @@ def build_report(record):
 
 
 def test_zero_ack_bug(artifact_writer, benchmark):
-    record = run_zero_ack_bug_episode(isp_quagga_config())
-    assert record is not None
+    (record,) = run_episode(zero_ack_bug_spec(isp_quagga_config()))
     text, record = benchmark(build_report, record)
     artifact_writer("zeroackbug", text)
     print("\n" + text)

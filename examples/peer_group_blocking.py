@@ -13,18 +13,22 @@ T-DAT finds this from the two traces with the paper's rule::
 
     Quagga.SendAppLimited  ∩  Vendor.Loss
 
-Run:  python examples/peer_group_blocking.py
+Run:  python examples/peer_group_blocking.py  (exits 1 if no block is found)
 """
+
+import sys
 
 from repro.workloads import run_peer_group_episode
 
 HOLD_TIME_S = 60  # scaled down from the paper's 180s for a quick run
-FAIL_AFTER_S = 1.0
+# The 20k-prefix transfer lasts about 0.7 s, so the vendor must die
+# before that to catch the group mid-transfer.
+FAIL_AFTER_S = 0.3
 
 
-def main() -> None:
+def main() -> int:
     print(f"hold time {HOLD_TIME_S}s; vendor collector dies "
-          f"{FAIL_AFTER_S:.0f}s into the transfer...\n")
+          f"{FAIL_AFTER_S:.1f}s into the transfer...\n")
     result = run_peer_group_episode(
         hold_time_s=HOLD_TIME_S,
         table_size=20_000,
@@ -41,6 +45,7 @@ def main() -> None:
               f"(expected ~ hold time {HOLD_TIME_S}s)")
     else:
         print("no blocking detected (unexpected!)")
+        return 1
 
     record = result.quagga_record
     if record is not None:
@@ -52,7 +57,8 @@ def main() -> None:
         if pause is not None and pause.detected:
             print("single-trace confirmation: long keepalive-only pause found "
                   f"({pause.induced_delay_us / 1e6:.1f}s)")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -315,7 +315,7 @@ def _execute_plan(
     shutdown = GracefulShutdown(install_signals=False)
     resolved = 0
 
-    def _on_episode(task: tuple, outcome: object) -> None:
+    def _on_episode(task: int, outcome: object) -> None:
         nonlocal resolved
         resolved += 1
         if plan.drain_after is not None and resolved >= plan.drain_after:

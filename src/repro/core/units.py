@@ -29,11 +29,6 @@ def microseconds(value: float) -> int:
     return round(value)
 
 
-def to_seconds(us: int) -> float:
-    """Convert integer microseconds back to float seconds."""
-    return us / US_PER_SECOND
-
-
 def to_milliseconds(us: int) -> float:
     """Convert integer microseconds back to float milliseconds."""
     return us / US_PER_MS

@@ -363,6 +363,7 @@ def _synthesize_corpus(path: Path, args) -> int:
     config = campaign_config(
         args.campaign, seed=args.seed, transfers=args.transfers
     )
+    config.zero_bug_episodes = 0  # the mixture episodes only
     specs, _ = _draw_specs(config)
     records = []
     for spec in specs:

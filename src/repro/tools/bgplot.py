@@ -170,18 +170,3 @@ def series_to_csv(
         for rng in series_bundle.catalog.get_or_empty(name).ranges:
             lines.append(f"{name},{rng.start},{rng.end},{rng.duration}")
     return "\n".join(lines)
-
-
-def sequence_points_csv(analysis: ConnectionAnalysis) -> str:
-    """CSV of the time-sequence graph (data and ACK points)."""
-    conn = analysis.connection
-    lines = ["kind,time_us,relative_seq"]
-    lines.extend(
-        f"data,{time_us},{seq}"
-        for time_us, seq in zip(conn.data.time, conn.data.seq)
-    )
-    lines.extend(
-        f"ack,{time_us},{value}"
-        for time_us, value in zip(conn.acks.time, conn.acks.value)
-    )
-    return "\n".join(lines)

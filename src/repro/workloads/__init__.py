@@ -14,7 +14,7 @@ from repro.workloads.campaign import (
     run_concurrency_sweep,
     run_episode,
     run_peer_group_episode,
-    run_zero_ack_bug_episode,
+    zero_ack_bug_spec,
 )
 from repro.workloads.churn import ChurnGenerator, ResetStorm
 from repro.workloads.scenarios import (
@@ -45,5 +45,5 @@ __all__ = [
     "run_concurrency_sweep",
     "run_episode",
     "run_peer_group_episode",
-    "run_zero_ack_bug_episode",
+    "zero_ack_bug_spec",
 ]

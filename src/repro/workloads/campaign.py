@@ -210,7 +210,7 @@ class CampaignConfig:
     seed: int
     transfers: int
     routers: int
-    peer_group_episodes: int = 1
+    # Zero-ACK-bug episodes drawn after the mixture (section IV-B).
     zero_bug_episodes: int = 1
     # ISP backbones sit a few ms away; RouteViews peers much farther.
     rtt_range_ms: tuple[float, float] = (3.0, 12.0)
@@ -318,24 +318,33 @@ def campaign_config(name: str, **overrides) -> CampaignConfig:
 
 @dataclass
 class EpisodeSpec:
-    """Everything needed to simulate and analyze one transfer episode."""
+    """Everything needed to simulate and analyze one transfer episode.
+
+    ``concurrency`` routers send ``table`` to one collector.  Router
+    ``i`` is named ``router`` (``router-i`` when there are several) and
+    addressed ``{subnet}.{i + 1}``; each path's upstream delay follows
+    from ``rtt_ms``.
+    """
 
     campaign: str
     collector_kind: str
     episode: int
     router: str
+    subnet: str
     pathology: str
     trigger: str
     table: Rib
     rtt_ms: float
-    collector_window: int
-    rto_backoff_factor: float
+    router_tcp: TcpConfig = field(default_factory=TcpConfig)
+    collector_tcp: TcpConfig = field(default_factory=TcpConfig)
     timer_ms: int | None = None
     messages_per_tick: int = 10
     rate_bytes_per_s: float = 0.0
     loss_rate: float = 0.0
     loss_window_s: tuple[float, float] | None = None
     cpu_per_message_us: int = 60
+    # (period, length) of the collector's read stalls; (0, 0) for none.
+    cpu_stall_us: tuple[int, int] = (0, 0)
     concurrency: int = 1
     seed: int = 0
     sim_event_budget: int | None = None
@@ -343,6 +352,7 @@ class EpisodeSpec:
 
 
 def _draw_specs(config: CampaignConfig) -> tuple[list[EpisodeSpec], dict[int, Rib]]:
+    """The campaign's episodes: the mixture, then the zero-ACK-bug ones."""
     streams = RandomStreams(config.seed)
     rng = streams.stream("mixture")
     tables = {
@@ -353,6 +363,8 @@ def _draw_specs(config: CampaignConfig) -> tuple[list[EpisodeSpec], dict[int, Ri
         )
         for size in config.table_sizes
     }
+    router_tcp = TcpConfig(rto_backoff_factor=config.rto_backoff_factor)
+    collector_tcp = TcpConfig(recv_buffer_bytes=config.collector_window)
     specs: list[EpisodeSpec] = []
     for episode in range(config.transfers):
         router_index = episode % config.routers
@@ -370,12 +382,13 @@ def _draw_specs(config: CampaignConfig) -> tuple[list[EpisodeSpec], dict[int, Ri
             collector_kind=config.collector_kind,
             episode=episode,
             router=f"{config.name}-r{router_index}",
+            subnet=f"10.{episode % 250 + 1}.0",
             pathology=pathology,
             trigger=trigger,
             table=tables[size],
             rtt_ms=rtt_ms,
-            collector_window=config.collector_window,
-            rto_backoff_factor=config.rto_backoff_factor,
+            router_tcp=router_tcp,
+            collector_tcp=collector_tcp,
             seed=config.seed * 1000 + episode,
             sim_event_budget=config.sim_event_budget,
             sim_wall_budget_s=config.sim_wall_budget_s,
@@ -413,7 +426,38 @@ def _draw_specs(config: CampaignConfig) -> tuple[list[EpisodeSpec], dict[int, Ri
             if trigger == "receiver":
                 spec.concurrency = rng.choice((2, 4, 6))
         specs.append(spec)
+    specs += [
+        zero_ack_bug_spec(config, i) for i in range(config.zero_bug_episodes)
+    ]
     return specs, tables
+
+
+def zero_ack_bug_spec(config: CampaignConfig, index: int = 0) -> EpisodeSpec:
+    """A transfer whose sender TCP has the zero-window probe bug."""
+    seed = config.seed + 777 + index
+    return EpisodeSpec(
+        campaign=config.name,
+        collector_kind=config.collector_kind,
+        episode=10_000 + index,
+        router=f"{config.name}-bug{index}",
+        subnet="10.254.0",
+        pathology=ZERO_ACK_BUG,
+        trigger="sender",
+        table=generate_table(120_000, RandomStreams(seed).stream("table")),
+        rtt_ms=9.1,
+        router_tcp=TcpConfig(
+            zero_ack_bug=True, zero_window_probe_delay_us=200_000
+        ),
+        collector_tcp=TcpConfig(recv_buffer_bytes=8 * 1400),
+        # A bursty receiver app: long read stalls create the repeated
+        # zero-window episodes that arm persist probes, and the resume
+        # instants race the probe transmission (the bug's trigger).
+        cpu_per_message_us=400,
+        cpu_stall_us=(seconds(1.2), 620_000),
+        seed=seed,
+        sim_event_budget=config.sim_event_budget,
+        sim_wall_budget_s=config.sim_wall_budget_s,
+    )
 
 
 def _collector_class(kind: str):
@@ -438,7 +482,8 @@ def run_episode(
 ) -> list[TransferRecord]:
     """Simulate one episode, capture it, and run T-DAT on the capture.
 
-    With ``strict=True`` the analysis fails fast on any ingest damage;
+    Campaign mixture episodes, zero-ACK-bug episodes and each level of
+    the concurrency sweep all run here.  With ``strict=True`` the analysis fails fast on any ingest damage;
     otherwise issues accumulate in ``health`` (a fresh ledger when not
     supplied).  ``pcap_out`` receives the episode's capture as a pcap
     byte stream (the checkpoint journal's payload).  The spec's
@@ -448,11 +493,17 @@ def run_episode(
     """
     sim = Simulator()
     streams = RandomStreams(spec.seed)
+    stall_every_us, stall_duration_us = spec.cpu_stall_us
     setup = MonitoringSetup(
         sim,
         collector_cls=_collector_class(spec.collector_kind),
-        collector_tcp=TcpConfig(recv_buffer_bytes=spec.collector_window),
-        cpu=CollectorCpu(sim, per_message_us=spec.cpu_per_message_us),
+        collector_tcp=spec.collector_tcp,
+        cpu=CollectorCpu(
+            sim,
+            per_message_us=spec.cpu_per_message_us,
+            stall_every_us=stall_every_us,
+            stall_duration_us=stall_duration_us,
+        ),
     )
     upstream_delay = int(spec.rtt_ms * 1000 / 2) - 550
     handles = []
@@ -468,10 +519,10 @@ def run_episode(
             downstream_loss = WindowLoss([(seconds(start_s), seconds(end_s))])
         params = RouterParams(
             name=f"{spec.router}-{i}" if spec.concurrency > 1 else spec.router,
-            ip=f"10.{spec.episode % 250 + 1}.0.{i + 1}",
+            ip=f"{spec.subnet}.{i + 1}",
             table=spec.table,
             sender_model=_sender_model(spec, sim),
-            tcp=TcpConfig(rto_backoff_factor=spec.rto_backoff_factor),
+            tcp=spec.router_tcp,
             upstream_delay_us=max(upstream_delay, 100),
             upstream_loss=upstream_loss,
             downstream_loss=downstream_loss,
@@ -609,14 +660,14 @@ def _make_record(
 
 
 def _campaign_task(
-    task: tuple[str, int]
+    index: int
 ) -> tuple[list[TransferRecord], TraceHealth, bytes | None, ObsExport | None]:
-    """Work-pool task: simulate + analyze one campaign work unit.
+    """Work-pool task: simulate + analyze the campaign's ``index``-th spec.
 
     The (config, specs, strict, want_pcap, want_obs) tuple rides in the
     pool context — the specs embed full RIB tables, so shipping them
     per-task instead would dominate the fan-out cost.  Returns the
-    unit's records, its private health ledger for the parent to merge
+    episode's records, its private health ledger for the parent to merge
     in order, (when the campaign journals checkpoints) the episode's
     capture as pcap bytes, and (when observability is on) the task's
     :class:`~repro.obs.ObsExport` for the parent to fold in task order.
@@ -633,31 +684,21 @@ def _campaign_task(
     pool without them contains the crash.
     """
     config, specs, strict, want_pcap, want_obs = task_context()
-    kind, index = task
+    spec = specs[index]
     episode_health = TraceHealth()
     pcap_out = io.BytesIO() if want_pcap else None
     task_obs = Observability.create() if want_obs else None
     with use_obs(task_obs) as obs:
         with obs.tracer.span(
-            "campaign.episode", cat="campaign",
-            args={"kind": kind, "index": index},
+            "campaign.episode", cat="campaign", args={"index": index},
         ):
-            if kind == "episode":
-                spec = specs[index]
-                if spec.episode in config.fail_episodes and task_attempt() == 0:
-                    raise TransientTaskError(
-                        f"injected transient fault in episode {spec.episode}"
-                    )
-                records = run_episode(
-                    spec, strict=strict, health=episode_health,
-                    pcap_out=pcap_out,
+            if spec.episode in config.fail_episodes and task_attempt() == 0:
+                raise TransientTaskError(
+                    f"injected transient fault in episode {spec.episode}"
                 )
-            else:
-                record = run_zero_ack_bug_episode(
-                    config, index=index, strict=strict, health=episode_health,
-                    pcap_out=pcap_out,
-                )
-                records = [record] if record is not None else []
+            records = run_episode(
+                spec, strict=strict, health=episode_health, pcap_out=pcap_out,
+            )
         if task_obs is not None:
             obs.metrics.counter("campaign.episodes").inc()
             obs.metrics.counter("campaign.records").inc(len(records))
@@ -675,13 +716,6 @@ _FAILURE_ISSUE_KINDS = {
     "SimBudgetExceeded": "sim-budget-exceeded",
     TIMEOUT_KIND: "task-timeout",
 }
-
-
-def _task_label(task: tuple[str, int], specs: list[EpisodeSpec]) -> str:
-    kind, index = task
-    if kind == "episode":
-        return f"episode {specs[index].episode}"
-    return f"zero-bug episode {index}"
 
 
 def run_campaign(
@@ -737,13 +771,10 @@ def run_campaign(
     )
     if pool is None:
         pool = WorkPool()
-    tasks: list[tuple[str, int]] = [("episode", i) for i in range(len(specs))]
-    # Dedicated pathological episodes ride the same pool, after the
-    # mixture episodes so record order matches the legacy serial loop.
-    tasks += [("zero-bug", i) for i in range(config.zero_bug_episodes)]
+    tasks = list(range(len(specs)))
 
     journal = None
-    cached: dict[tuple[str, int], tuple[list, TraceHealth]] = {}
+    cached: dict[int, tuple[list, TraceHealth]] = {}
     if checkpoint_dir is not None:
         # Opening the journal scans it and salvages a torn tail (a
         # benign checkpoint-salvaged issue on ``health``); a journal
@@ -777,7 +808,7 @@ def run_campaign(
     todo = [task for task in tasks if task not in cached]
     context = (config, specs, strict, journal is not None, obs.enabled)
 
-    fresh: dict[tuple[str, int], object] = {}
+    fresh: dict[int, object] = {}
 
     def _episode_done(outcome) -> None:
         task = todo[outcome.index]
@@ -848,7 +879,7 @@ def run_campaign(
             _fold(records, episode_health)
             continue
         outcome = fresh[task]
-        label = _task_label(task, specs)
+        label = f"episode {specs[task].episode}"
         if not outcome.ok:
             issue_kind = _FAILURE_ISSUE_KINDS.get(
                 outcome.error.kind, "transfer-crashed"
@@ -880,73 +911,8 @@ def run_campaign(
 
 
 # ---------------------------------------------------------------------- #
-# Special episodes                                                         #
+# Peer-group episode and concurrency sweep                                 #
 # ---------------------------------------------------------------------- #
-def run_zero_ack_bug_episode(
-    config: CampaignConfig,
-    index: int = 0,
-    strict: bool = False,
-    health: TraceHealth | None = None,
-    pcap_out: io.BufferedIOBase | None = None,
-) -> TransferRecord | None:
-    """A transfer whose sender TCP has the zero-window probe bug."""
-    sim = Simulator()
-    streams = RandomStreams(config.seed + 777 + index)
-    setup = MonitoringSetup(
-        sim,
-        collector_cls=_collector_class(config.collector_kind),
-        collector_tcp=TcpConfig(recv_buffer_bytes=8 * 1400, mss=1400),
-        # A bursty receiver app: long read stalls create the repeated
-        # zero-window episodes that arm persist probes, and the resume
-        # instants race the probe transmission (the bug's trigger).
-        cpu=CollectorCpu(
-            sim,
-            per_message_us=400,
-            stall_every_us=seconds(1.2),
-            stall_duration_us=620_000,
-        ),
-    )
-    table = generate_table(120_000, streams.stream("table"))
-    params = RouterParams(
-        name=f"{config.name}-bug{index}",
-        ip="10.254.0.1",
-        table=table,
-        tcp=TcpConfig(zero_ack_bug=True, zero_window_probe_delay_us=200_000),
-    )
-    handle = setup.add_router(params)
-    spec = EpisodeSpec(
-        campaign=config.name,
-        collector_kind=config.collector_kind,
-        episode=10_000 + index,
-        router=params.name,
-        pathology=ZERO_ACK_BUG,
-        trigger="sender",
-        table=table,
-        rtt_ms=9.0,
-        collector_window=8 * 1400,
-        rto_backoff_factor=2.0,
-        sim_event_budget=config.sim_event_budget,
-        sim_wall_budget_s=config.sim_wall_budget_s,
-    )
-    tracer = get_obs().tracer
-    with tracer.span(
-        "episode.simulate", cat="campaign", args={"episode": spec.episode}
-    ):
-        setup.start()
-        sim.run(until_us=seconds(900), budget=_spec_budget(spec))
-    with tracer.span(
-        "episode.analyze", cat="campaign", args={"episode": spec.episode}
-    ):
-        records = setup.sniffer.sorted_records()
-        if pcap_out is not None:
-            write_pcap(pcap_out, records)
-        analyzed = _analyze_transfers(setup, [handle], records, strict, health)
-    if not analyzed:
-        return None
-    ((_, analysis, extent),) = analyzed
-    return _make_record(spec, handle, analysis, extent)
-
-
 @dataclass
 class PeerGroupEpisodeResult:
     """Output of one peer-group blocking episode."""
@@ -960,56 +926,55 @@ def run_peer_group_episode(
     seed: int = 99,
     hold_time_s: int = 180,
     table_size: int = 20_000,
-    fail_after_s: float = 2.0,
+    fail_after_s: float = 0.3,
     campaign: str = "ISP_A",
 ) -> PeerGroupEpisodeResult:
     """One router replicating to Quagga + Vendor collectors; the vendor
     box dies mid-transfer and blocks the group until its hold timer
-    fires — the paper's Figure 9 / Table V scenario."""
-    from repro.bgp.speaker import BgpSession
+    fires — the paper's Figure 9 / Table V scenario.
 
+    Not an :class:`EpisodeSpec`: two collectors share one router host
+    through a :class:`PeerGroup`, and the run stops to kill a collector.
+    """
     sim = Simulator()
     streams = RandomStreams(seed)
-    setup_q = MonitoringSetup(
-        sim, collector_cls=QuaggaCollector, collector_ip="10.255.0.1",
-        hold_time_s=hold_time_s,
-    )
-    setup_v = MonitoringSetup(
-        sim, collector_cls=VendorCollector, collector_ip="10.255.0.2",
-        hold_time_s=hold_time_s,
-    )
+    setups = [
+        MonitoringSetup(
+            sim, collector_cls=cls, collector_ip=ip, hold_time_s=hold_time_s,
+        )
+        for cls, ip in (
+            (QuaggaCollector, "10.255.0.1"), (VendorCollector, "10.255.0.2")
+        )
+    ]
     table = generate_table(table_size, streams.stream("table"))
-    params_q = RouterParams(
+    params = RouterParams(
         name="rtr", ip="10.9.0.1", table=None, hold_time_s=hold_time_s,
         announce_on_established=False,
     )
-    handle_q = setup_q.add_router(params_q)
-    params_v = RouterParams(
-        name="rtr", ip="10.9.0.1", table=None, hold_time_s=hold_time_s,
-        announce_on_established=False,
-    )
-    handle_v = setup_v.add_router(params_v, host=handle_q.host)
+    router = setups[0].add_router(params)
+    handles = [router, setups[1].add_router(params, host=router.host)]
     group = PeerGroup(
         sim,
-        [handle_q.session, handle_v.session],
+        [handle.session for handle in handles],
         batch_messages=10,
         poll_interval_us=20_000,
     )
-    setup_q.start()
-    setup_v.start()
+    for setup in setups:
+        setup.start()
     sim.run(until_us=seconds(2))  # establish both sessions
     group.announce_table(table)
-    # The vendor box dies ``fail_after_s`` into the transfer (t1 of the
-    # paper's Figure 9).
-    sim.schedule(seconds(fail_after_s), setup_v.collector.kill)
+    # The vendor box dies ``fail_after_s`` after the table is queued (t1
+    # of the paper's Figure 9); only a death before the transfer ends
+    # leaves the group's queue blocked.
+    sim.schedule(seconds(fail_after_s), setups[1].collector.kill)
     sim.run(until_us=seconds(hold_time_s + 120))
 
-    report_q = analyze_pcap(setup_q.sniffer.sorted_records())
-    report_v = analyze_pcap(setup_v.sniffer.sorted_records())
-    key_q = _connection_key(handle_q, setup_q)
-    key_v = _connection_key(handle_v, setup_v)
-    analysis_q = report_q.analyses.get(key_q)
-    analysis_v = report_v.analyses.get(key_v)
+    # Whole connections: MCT windows would change the Quagga record's ratios.
+    captures = [setup.sniffer.sorted_records() for setup in setups]
+    analysis_q, analysis_v = (
+        analyze_pcap(records).analyses.get(_connection_key(handle, setup))
+        for setup, handle, records in zip(setups, handles, captures)
+    )
     blocked = PeerGroupBlockingReport(detected=False)
     if analysis_q is not None and analysis_v is not None:
         blocked = detect_peer_group_blocking(
@@ -1017,25 +982,44 @@ def run_peer_group_episode(
         )
     quagga_record = None
     if analysis_q is not None:
-        extents = _transfer_extents(setup_q, setup_q.sniffer.sorted_records())
-        extent = extents.get(key_q)
+        extents = _transfer_extents(setups[0], captures[0])
+        extent = extents.get(_connection_key(handles[0], setups[0]))
         spec = EpisodeSpec(
             campaign=campaign,
             collector_kind="quagga",
             episode=20_000,
             router="rtr",
+            subnet="10.9.0",
             pathology=PEER_GROUP,
             trigger="receiver",
             table=table,
-            rtt_ms=9.0,
-            collector_window=65535,
-            rto_backoff_factor=2.0,
+            rtt_ms=9.1,
         )
-        quagga_record = _make_record(spec, handle_q, analysis_q, extent)
+        quagga_record = _make_record(spec, handles[0], analysis_q, extent)
     return PeerGroupEpisodeResult(
         blocked_report=blocked,
         quagga_record=quagga_record,
         blocking_duration_us=blocked.induced_delay_us,
+    )
+
+
+def _sweep_spec(
+    table: Rib, concurrency: int, cpu_per_message_us: int
+) -> EpisodeSpec:
+    """One level of the concurrency sweep: ``concurrency`` clean
+    transfers of ``table`` into one Quagga collector."""
+    return EpisodeSpec(
+        campaign="concurrency-sweep",
+        collector_kind="quagga",
+        episode=concurrency,
+        router="c",
+        subnet="10.77.0",
+        pathology=LOADED_COLLECTOR,
+        trigger="receiver",
+        table=table,
+        rtt_ms=9.1,
+        cpu_per_message_us=cpu_per_message_us,
+        concurrency=concurrency,
     )
 
 
@@ -1051,38 +1035,13 @@ def run_concurrency_sweep(
     ``tcp_advertised_window`` delay ratios across the concurrent
     transfers.
     """
-    results: dict[int, dict[str, float]] = {}
     table = generate_table(table_size, RandomStreams(seed).stream("table"))
+    results: dict[int, dict[str, float]] = {}
     for k in concurrencies:
-        sim = Simulator()
-        setup = MonitoringSetup(
-            sim,
-            cpu=CollectorCpu(sim, per_message_us=cpu_per_message_us),
-        )
-        handles = []
-        for i in range(k):
-            handles.append(
-                setup.add_router(
-                    RouterParams(
-                        name=f"c{i}",
-                        ip=f"10.77.0.{i + 1}",
-                        table=table,
-                    )
-                )
-            )
-        setup.start()
-        sim.run(until_us=seconds(900))
-        records = setup.sniffer.sorted_records()
-        analyses = [
-            analysis
-            for _, analysis, _ in _analyze_transfers(setup, handles, records)
-        ]
-        bgp_ratios = [a.factors.ratios["bgp_receiver_app"] for a in analyses]
-        tcp_ratios = [
-            a.factors.ratios["tcp_advertised_window"] for a in analyses
-        ]
+        records = run_episode(_sweep_spec(table, k, cpu_per_message_us))
         results[k] = {
-            "bgp_receiver_app": sum(bgp_ratios) / max(len(bgp_ratios), 1),
-            "tcp_advertised_window": sum(tcp_ratios) / max(len(tcp_ratios), 1),
+            factor: sum(r.factors.ratios[factor] for r in records)
+            / max(len(records), 1)
+            for factor in ("bgp_receiver_app", "tcp_advertised_window")
         }
     return results

@@ -59,10 +59,10 @@ from repro.core.health import STAGE_EXEC, TraceHealth
 from repro.obs import get_obs
 
 #: bump when the on-disk entry layout changes incompatibly.
-FORMAT = 2
+FORMAT = 3
 
-#: a journal entry key: ("episode" | "zero-bug", index).
-TaskKey = tuple[str, int]
+#: a journal entry key: the episode's index in the campaign's specs.
+TaskKey = int
 
 #: the append-only episode journal inside a checkpoint directory.
 JOURNAL_NAME = "journal.bin"
@@ -248,7 +248,6 @@ class CampaignJournal:
           journal.torn-<offset>    # quarantined torn tail, if salvaged
           episodes/
             episode-0007.pcap      # the episode's capture, as written
-            zero-bug-0000.pcap     # special episodes use their kind
 
     ``journal.bin`` holds one frame per completed episode::
 
@@ -421,7 +420,7 @@ class CampaignJournal:
             entry = pickle.loads(payload)
             if entry.get("format") != FORMAT:
                 raise ValueError(f"journal format {entry.get('format')}")
-            self._entries[tuple(entry["task"])] = (
+            self._entries[entry["task"]] = (
                 entry["records"], entry["health"],
             )
         except Exception as exc:  # noqa: BLE001 - damaged entry == rerun
@@ -440,8 +439,7 @@ class CampaignJournal:
     # ------------------------------------------------------------------ #
     @staticmethod
     def entry_name(task: TaskKey) -> str:
-        kind, index = task
-        return f"{kind}-{index:04d}"
+        return f"episode-{task:04d}"
 
     def write(
         self,
@@ -465,7 +463,7 @@ class CampaignJournal:
         payload = pickle.dumps(
             {
                 "format": FORMAT,
-                "task": tuple(task),
+                "task": task,
                 "records": records,
                 "health": health,
             },
@@ -488,7 +486,7 @@ class CampaignJournal:
                     ).observe(time.monotonic() - fsync_started)
         except OSError as exc:
             raise CheckpointWriteError(self.journal_path, exc) from exc
-        self._entries[tuple(task)] = (records, health)
+        self._entries[task] = (records, health)
         if obs.enabled:
             obs.metrics.counter("checkpoint.writes", wall=True).inc()
             obs.metrics.histogram("checkpoint.write_s", wall=True).observe(

@@ -18,10 +18,6 @@ def test_microseconds_rounds():
     assert units.microseconds(1.6) == 2
 
 
-def test_to_seconds_roundtrip():
-    assert units.to_seconds(units.seconds(2.25)) == 2.25
-
-
 def test_to_milliseconds():
     assert units.to_milliseconds(1500) == 1.5
 

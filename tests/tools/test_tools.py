@@ -297,13 +297,6 @@ class TestBgplot:
         assert lines[0] == "series,start_us,end_us,duration_us"
         assert len(lines) > 3
 
-    def test_sequence_points_csv(self, clean_capture):
-        report = analyze_pcap(clean_capture["records"])
-        csv = bgplot.sequence_points_csv(next(iter(report)))
-        assert csv.splitlines()[0] == "kind,time_us,relative_seq"
-        assert any(line.startswith("data,") for line in csv.splitlines())
-        assert any(line.startswith("ack,") for line in csv.splitlines())
-
     def test_square_wave_resolution(self):
         from repro.core.events import EventSeries
 

@@ -1,9 +1,13 @@
 """Tests for the campaign layer (episodes, mixtures, special scenarios)."""
 
+import io
+
 import pytest
 
 from repro.analysis import tdat
+from repro.bgp.table import generate_table
 from repro.core.health import IngestError, TraceHealth
+from repro.netsim.random import RandomStreams
 from repro.workloads.campaign import (
     CLEAN,
     DOWNSTREAM_LOSS,
@@ -13,12 +17,13 @@ from repro.workloads.campaign import (
     UPSTREAM_LOSS,
     ZERO_ACK_BUG,
     _draw_specs,
+    _sweep_spec,
     isp_quagga_config,
     isp_vendor_config,
     routeviews_config,
     run_episode,
     run_peer_group_episode,
-    run_zero_ack_bug_episode,
+    zero_ack_bug_spec,
 )
 
 
@@ -38,17 +43,25 @@ class TestSpecDrawing:
         ]
 
     def test_pathologies_from_mixture(self):
-        specs, _ = _draw_specs(isp_vendor_config(transfers=40))
-        assert {s.pathology for s in specs} <= set(PATHOLOGIES)
+        config = isp_vendor_config(transfers=40)
+        specs, _ = _draw_specs(config)
+        mixture = specs[: config.transfers]
+        assert {s.pathology for s in mixture} <= set(PATHOLOGIES)
         # With 40 draws, several distinct pathologies should appear.
-        assert len({s.pathology for s in specs}) >= 3
+        assert len({s.pathology for s in mixture}) >= 3
+        # The zero-ACK-bug episodes follow the mixture.
+        assert [s.pathology for s in specs[config.transfers:]] == [
+            ZERO_ACK_BUG
+        ] * config.zero_bug_episodes
 
     def test_rv_config_differs(self):
         rv = routeviews_config()
         assert rv.collector_window == 16384
         assert rv.rto_backoff_factor > 2.0
         specs, _ = _draw_specs(rv)
-        assert all(15.0 <= s.rtt_ms <= 120.0 for s in specs)
+        assert all(15.0 <= s.rtt_ms <= 120.0 for s in specs[: rv.transfers])
+        assert all(s.collector_tcp.recv_buffer_bytes == 16384
+                   for s in specs[: rv.transfers])
 
     def test_timer_specs_use_known_values(self):
         specs, _ = _draw_specs(isp_quagga_config(transfers=60))
@@ -131,13 +144,45 @@ class TestEpisodes:
             run_episode(spec, strict=True)
 
     def test_zero_ack_bug_episode(self):
-        record = run_zero_ack_bug_episode(isp_quagga_config())
-        assert record is not None
+        (record,) = run_episode(zero_ack_bug_spec(isp_quagga_config()))
         assert record.pathology == ZERO_ACK_BUG
         assert record.zero_bug.detected
 
 
+#: one spec of each kind the campaign layer builds.
+SPEC_KINDS = {
+    "mixture": lambda: find_spec(isp_quagga_config(transfers=12), CLEAN),
+    "zero-ack-bug": lambda: zero_ack_bug_spec(isp_quagga_config()),
+    "sweep": lambda: _sweep_spec(
+        generate_table(8_000, RandomStreams(55).stream("table")), 2, 120
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SPEC_KINDS))
+def test_every_spec_kind_runs_through_run_episode(kind):
+    spec = SPEC_KINDS[kind]()
+    out = io.BytesIO()
+    records = run_episode(spec, pcap_out=out)
+    # One record per router, each analyzed over its MCT extent.
+    assert len(records) == spec.concurrency
+    assert {r.pathology for r in records} == {spec.pathology}
+    assert all(r.mct_ended_by != "none" for r in records)
+    # Router i sits at {subnet}.{i + 1}, in the capture as in the spec.
+    out.seek(0)
+    keys = tdat.analyze_pcap(out).analyses
+    addresses = {ip for key in keys for ip in (key[0], key[2])}
+    assert addresses - {"10.255.0.1"} == {
+        f"{spec.subnet}.{i + 1}" for i in range(spec.concurrency)
+    }
+
+
 class TestPeerGroupEpisode:
+    def test_default_episode_blocks(self):
+        # The vendor must die while the transfer is still running, or
+        # there is no queue left to block.
+        assert run_peer_group_episode().blocked_report.detected
+
     def test_blocking_detected_and_matches_hold_time(self):
         result = run_peer_group_episode(
             hold_time_s=20, table_size=8_000, fail_after_s=0.1

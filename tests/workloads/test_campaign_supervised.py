@@ -209,6 +209,57 @@ class TestCheckpointJournal:
         assert len(ran) == 1  # only the torn episode re-ran
 
 
+class TestZeroAckBugEpisode:
+    """The zero-ACK-bug episode is an ordinary campaign episode."""
+
+    @staticmethod
+    def _config(**overrides):
+        # One mixture episode, then the zero-ACK-bug one (episode 10000).
+        config = isp_quagga_config(seed=SEED, transfers=1)
+        for key, value in overrides.items():
+            setattr(config, key, value)
+        return config
+
+    def test_fail_episodes_reach_it(self):
+        crashed = run_campaign(self._config(fail_episodes=(10_000,)))
+        assert [r.pathology for r in crashed.records] == ["clean"]
+        (issue,) = crashed.health.failures
+        assert issue.kind == "transfer-crashed"
+        assert "episode 10000" in issue.detail
+        pool = WorkPool(max_retries=1, retry_backoff_s=0.0)
+        recovered = run_campaign(
+            self._config(fail_episodes=(10_000,)), pool=pool
+        )
+        assert [r.pathology for r in recovered.records] == [
+            "clean", "zero-ack-bug"
+        ]
+        (retried,) = recovered.health.issues
+        assert retried.kind == "task-retried" and retried.benign
+        assert "episode 10000" in retried.detail
+
+    def test_checkpoint_and_resume_reach_it(self, tmp_path):
+        clean = run_campaign(self._config())
+        ckpt = tmp_path / "ckpt"
+        shutdown = GracefulShutdown(install_signals=False)
+        with pytest.raises(CampaignInterrupted):
+            run_campaign(
+                self._config(), checkpoint_dir=ckpt, shutdown=shutdown,
+                on_episode=lambda task, outcome: shutdown.request(),
+            )
+        ran = []
+        resumed = run_campaign(
+            self._config(), checkpoint_dir=ckpt, resume=True,
+            on_episode=lambda task, outcome: ran.append(task),
+        )
+        assert ran == [1]  # only the zero-ACK-bug episode was left
+        assert [r.to_dict() for r in resumed.records] == [
+            r.to_dict() for r in clean.records
+        ]
+        assert resumed.records[-1].pathology == "zero-ack-bug"
+        pcaps = sorted(p.name for p in (ckpt / "episodes").glob("*.pcap"))
+        assert pcaps == ["episode-0000.pcap", "episode-0001.pcap"]
+
+
 class TestWatchdogContainment:
     def test_event_budget_contains_pathological_episode(self):
         # A budget far below any real episode: every episode aborts,

@@ -58,7 +58,7 @@ def _frame(index: int, payload: bytes | None = None) -> bytes:
         payload = pickle.dumps(
             {
                 "format": FORMAT,
-                "task": ("episode", index),
+                "task": index,
                 "records": [f"record-{index}"],
                 "health": None,
             },
@@ -106,7 +106,7 @@ class TestSalvageAtEveryOffset:
             valid_end = boundaries[whole]
             assert len(journal.load()) == whole, f"cut at {cut}"
             assert journal.load() == {
-                ("episode", i): ([f"record-{i}"], None)
+                i: ([f"record-{i}"], None)
                 for i in range(whole)
             }
             # The file is truncated back to the last whole frame ...
@@ -168,7 +168,7 @@ class TestFrameDamage:
         (root / JOURNAL_NAME).write_bytes(bytes(flipped))
         health = TraceHealth()
         journal = CampaignJournal(root, _TinyConfig(), health=health)
-        assert set(journal.load()) == {("episode", 0)}
+        assert set(journal.load()) == {0}
         salvage = [i for i in health.issues
                    if i.kind == "checkpoint-salvaged"]
         assert len(salvage) == 1 and salvage[0].benign
@@ -192,7 +192,7 @@ class TestFrameDamage:
         (root / JOURNAL_NAME).write_bytes(raw)
         health = TraceHealth()
         journal = CampaignJournal(root, _TinyConfig(), health=health)
-        assert set(journal.load()) == {("episode", 0), ("episode", 2)}
+        assert set(journal.load()) == {0, 2}
         skipped = [i for i in health.issues
                    if i.kind == "checkpoint-entry-skipped"]
         assert len(skipped) == 1 and skipped[0].benign
