@@ -163,7 +163,6 @@ class PeerGroupBlockingReport:
 
 
 def detect_peer_group_blocking(
-    idle_series: ConnectionSeries,
     idle_connection: Connection,
     failed_series: ConnectionSeries,
     min_block_us: int = PEER_GROUP_MIN_BLOCK_US,
@@ -178,7 +177,7 @@ def detect_peer_group_blocking(
     # non-keepalive data with keepalives flowing inside (keepalives
     # would otherwise chop SendAppLimited into sub-threshold pieces).
     pauses = detect_long_keepalive_pauses(
-        idle_series, idle_connection, min_block_us
+        idle_connection, min_block_us
     ).blocked_ranges
     failed_loss = failed_series.catalog.get_or_empty("AllLoss").ranges
     blocked = []
@@ -194,7 +193,6 @@ def detect_peer_group_blocking(
 
 
 def detect_long_keepalive_pauses(
-    series: ConnectionSeries,
     connection: Connection,
     min_block_us: int = PEER_GROUP_MIN_BLOCK_US,
 ) -> PeerGroupBlockingReport:

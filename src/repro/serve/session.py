@@ -65,10 +65,10 @@ class ChunkFeeder:
     stream, or :meth:`abort` to tear the session down.  The consumer —
     the pcap reader inside the analysis thread — calls :meth:`read`,
     which blocks until it can return exactly ``n`` bytes, or fewer
-    only at EOF; ``n`` of ``None`` or below zero reads to EOF.  That
-    exact-read contract is what the streaming
-    :class:`~repro.wire.pcap.PcapReader` relies on to distinguish
-    "more bytes coming" from "capture truncated".
+    only at EOF; ``n`` of ``None`` or below zero reads to EOF.  The
+    :class:`~repro.wire.pcap.PcapReader` reads 64 KiB blocks, so a
+    session's analysis advances a whole block at a time, and over the
+    short last block once the upload has ended.
 
     A read costs O(n) plus O(1) per chunk it touches, whatever the
     chunk size: it copies its bytes out of the head chunk at a read

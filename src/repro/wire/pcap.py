@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import io
 import struct
+import sys
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO
+from typing import BinaryIO, NamedTuple
 
 from repro.core.health import STAGE_PCAP, TraceHealth
-from repro.core.units import US_PER_SECOND, from_pcap_timestamp, pcap_timestamp
+from repro.core.units import US_PER_SECOND, pcap_timestamp
 from repro.obs import get_obs
 
 MAGIC_US = 0xA1B2C3D4
@@ -47,6 +47,8 @@ DEFAULT_SNAPLEN = 65535
 # this many captured bytes: it bounds memory on corrupt length fields
 # and is far above any real snaplen.
 MAX_PLAUSIBLE_CAPLEN = 1 << 22
+# The reader reads its source in blocks of this many bytes.
+READ_CHUNK = 1 << 16
 # Resync scans look this far ahead for the next plausible record
 # boundary before declaring the remainder of the file unreadable.
 RESYNC_SCAN_LIMIT = 1 << 20
@@ -64,9 +66,11 @@ class PcapError(ValueError):
     """Raised on malformed pcap files."""
 
 
-@dataclass(frozen=True)
-class PcapRecord:
-    """One captured packet: integer-microsecond timestamp plus raw frame."""
+class PcapRecord(NamedTuple):
+    """One captured packet: integer-microsecond timestamp plus raw frame.
+
+    An immutable tuple, which is far cheaper to build than a dataclass.
+    """
 
     timestamp_us: int
     data: bytes
@@ -165,6 +169,10 @@ class PcapReader:
     global header yields an empty iteration instead of raising.
     Without it, the same walk raises :class:`PcapError` at the first
     damage it would have accounted.
+
+    The source is read in :data:`READ_CHUNK` blocks, each read repeated
+    until it has the bytes it needs or ``read`` returns ``b""``, so a
+    source that returns short reads reads like a whole file.
     """
 
     def __init__(
@@ -184,7 +192,12 @@ class PcapReader:
         self.nanosecond = False
         self.snaplen = DEFAULT_SNAPLEN
         self.linktype = LINKTYPE_ETHERNET
-        self._offset = 0  # absolute byte offset of the next unread byte
+        # ``_buf[_pos:]`` is read but not yet walked; ``_buf[0]`` is at
+        # file offset ``_base``.
+        self._buf = b""
+        self._pos = 0
+        self._base = 0
+        self._eof = False
         self._unusable = False
         self._endian = "<"
         self._read_global_header()
@@ -198,12 +211,29 @@ class PcapReader:
             else DEFAULT_SNAPLEN
         )
 
+    def _fill(self, buf: bytes, pos: int, need: int) -> bytes:
+        """``buf[pos:]`` extended by whole blocks to ``need`` bytes.
+
+        Fewer come back only at end of stream.
+        """
+        pieces = [buf[pos:]]
+        have = len(pieces[0])
+        while have < need and not self._eof:
+            block = self._stream.read(READ_CHUNK)
+            if block:
+                pieces.append(block)
+                have += len(block)
+            else:
+                self._eof = True
+        return b"".join(pieces)
+
     # ------------------------------------------------------------------
     # Header parsing
     # ------------------------------------------------------------------
     def _read_global_header(self) -> None:
-        header = self._stream.read(GLOBAL_HEADER.size)
-        self._offset += len(header)
+        self._buf = self._fill(b"", 0, GLOBAL_HEADER.size)
+        header = self._buf[: GLOBAL_HEADER.size]
+        self._pos = len(header)
         if len(header) < GLOBAL_HEADER.size:
             self._give_up("truncated-global-header",
                           f"{len(header)} of {GLOBAL_HEADER.size} bytes",
@@ -235,28 +265,16 @@ class PcapReader:
             if kind == "bad-magic":
                 raise PcapError(f"unrecognized pcap magic {detail}")
             raise PcapError("truncated pcap global header")
-        rest = self._stream.read()
+        rest = len(self._fill(self._buf, self._pos, sys.maxsize))
         self.health.record(
             STAGE_PCAP, kind,
-            offset=0, bytes_lost=bytes_lost + len(rest), detail=detail,
+            offset=0, bytes_lost=bytes_lost + rest, detail=detail,
         )
         self._unusable = True
 
     # ------------------------------------------------------------------
     # Record iteration
     # ------------------------------------------------------------------
-    def _timestamp(self, ts_sec: int, ts_frac: int) -> int:
-        if self.nanosecond:
-            return ts_sec * US_PER_SECOND + ts_frac // 1000
-        return from_pcap_timestamp(ts_sec, ts_frac)
-
-    def _plausible_header(self, raw: bytes, at: int = 0) -> bool:
-        """Could ``raw[at:at+16]`` be a believable record header?"""
-        if len(raw) - at < RECORD_HEADER.size:
-            return False
-        _, ts_frac, incl_len, orig_len = self._record_header.unpack_from(raw, at)
-        return self._plausible(ts_frac, incl_len, orig_len)
-
     def _plausible(self, ts_frac: int, incl_len: int, orig_len: int) -> bool:
         """Could a record header carrying these fields be believed?"""
         return (
@@ -264,26 +282,6 @@ class PcapReader:
             and incl_len <= self._max_caplen
             and incl_len <= orig_len <= MAX_PLAUSIBLE_CAPLEN
         )
-
-    def __iter__(self) -> Iterator[PcapRecord]:
-        if self._unusable:
-            return
-        obs = get_obs()
-        if not obs.enabled:
-            yield from self._iter_records()
-            return
-        # Aggregate locally and flush once at end-of-iteration: the
-        # per-record cost with observability on is two local adds.
-        records = 0
-        data_bytes = 0
-        try:
-            for record in self._iter_records():
-                records += 1
-                data_bytes += len(record.data)
-                yield record
-        finally:
-            obs.metrics.counter("pcap.records").inc(records)
-            obs.metrics.counter("pcap.bytes").inc(data_bytes)
 
     def _damage(self, kind: str, offset: int, detail: str, **fields) -> None:
         """One non-benign pcap issue: raise (strict) or account it."""
@@ -293,8 +291,25 @@ class PcapReader:
             STAGE_PCAP, kind, offset=offset, detail=detail, **fields
         )
 
-    def _iter_records(self) -> Iterator[PcapRecord]:
-        last_ts: int | None = None
+    def __iter__(self) -> Iterator[PcapRecord]:
+        """The record walk.
+
+        A truncated final record (or record header) ends the walk; only
+        the tolerant discipline accounts it.
+        """
+        if self._unusable:
+            return
+        obs = get_obs()
+        health = self.health
+        unpack_from = self._record_header.unpack_from
+        frac_limit = self._frac_limit
+        max_caplen = self._max_caplen
+        frac_divisor = 1000 if self.nanosecond else 1
+        jump = MAX_PLAUSIBLE_TS_JUMP_US
+        new_record = tuple.__new__
+        buf, pos, base = self._buf, self._pos, self._base
+        records_before = health.records_read
+        data_bytes = 0
         regressions = 0
         first_regression_at: int | None = None
         # Timestamp-continuity adjudication.  A header whose length
@@ -302,87 +317,142 @@ class PcapReader:
         # so a corrupt timestamp must cost one record, not a resync —
         # but the reader cannot tell *which* of two wildly disagreeing
         # neighbours is the liar without a third opinion.  Until an
-        # anchor is established the first records are buffered and
+        # anchor is established the first records are held back and
         # settled by quorum; afterwards any record a year away from the
         # anchor is dropped (with re-anchoring when two consecutive
         # drops agree with each other, i.e. the anchor was the liar).
+        # Once set, the anchor is also the last emitted timestamp.
         pending: list[tuple[int, PcapRecord]] = []
         anchor: int | None = None
         dropped_ts: int | None = None
-
-        def emit(record: PcapRecord) -> PcapRecord:
-            nonlocal last_ts, regressions, first_regression_at
-            if last_ts is not None and record.timestamp_us < last_ts:
-                regressions += 1
-                if first_regression_at is None:
-                    first_regression_at = record.timestamp_us
-            last_ts = record.timestamp_us
-            self.health.records_read += 1
-            return record
-
         try:
-            for start, record in self._iter_framed():
-                ready: list[PcapRecord]
-                if anchor is None:
-                    pending.append((start, record))
-                    if len(pending) < 2:
+            while True:
+                settled = None
+                while True:
+                    if len(buf) - pos < 16:
+                        base += pos
+                        buf, pos = self._fill(buf, pos, 16), 0
+                        if len(buf) < 16:
+                            if buf and self.tolerant:
+                                health.record(
+                                    STAGE_PCAP, "truncated-record-header",
+                                    offset=base, bytes_lost=len(buf),
+                                    detail=f"{len(buf)} of {RECORD_HEADER.size} header bytes",
+                                )
+                            break
+                    ts_sec, ts_frac, incl_len, orig_len = unpack_from(buf, pos)
+                    if not (
+                        ts_frac < frac_limit
+                        and incl_len <= max_caplen
+                        and incl_len <= orig_len <= MAX_PLAUSIBLE_CAPLEN
+                    ):
+                        window = RECORD_HEADER.size + RESYNC_SCAN_LIMIT
+                        if len(buf) - pos < window and not self._eof:
+                            base += pos
+                            buf, pos = self._fill(buf, pos, window), 0
+                        found = self._resync(buf, pos, base)
+                        if found is None:
+                            break
+                        pos = found
                         continue
-                    if len(pending) == 2:
-                        if self._ts_consistent(pending[0][1], pending[1][1]):
-                            ready = [item[1] for item in pending]
-                            anchor = record.timestamp_us
-                            pending = []
-                        else:
-                            continue  # disagreement: wait for a tiebreaker
-                    else:
-                        (s0, r0), (s1, r1), (s2, r2) = pending
-                        if self._ts_consistent(r0, r2):
-                            self._drop_implausible_ts(s1, r1)
-                            ready = [r0, r2]
-                        elif self._ts_consistent(r1, r2):
-                            self._drop_implausible_ts(s0, r0)
-                            ready = [r1, r2]
-                        else:
-                            ready = [r0, r1, r2]  # no quorum: keep everything
-                        anchor = r2.timestamp_us
-                        pending = []
-                elif abs(record.timestamp_us - anchor) > MAX_PLAUSIBLE_TS_JUMP_US:
-                    if dropped_ts is not None and abs(
-                        record.timestamp_us - dropped_ts
-                    ) <= MAX_PLAUSIBLE_TS_JUMP_US:
-                        # Two consecutive "implausible" records agree
-                        # with each other: the anchor was the corrupt
-                        # one.  Re-anchor and keep this record.
-                        anchor = record.timestamp_us
+                    ts = ts_sec * US_PER_SECOND + ts_frac // frac_divisor
+                    end = pos + 16 + incl_len
+                    if end > len(buf):
+                        base += pos
+                        buf, pos = self._fill(buf, pos, 16 + incl_len), 0
+                        end = 16 + incl_len
+                        if end > len(buf):
+                            if self.tolerant:
+                                health.record(
+                                    STAGE_PCAP, "truncated-record",
+                                    offset=base, timestamp_us=ts,
+                                    bytes_lost=len(buf),
+                                    detail=f"{len(buf) - 16} of {incl_len} data bytes",
+                                )
+                            break
+                    record = new_record(PcapRecord, (ts, buf[pos + 16 : end], orig_len))
+                    start = base + pos
+                    pos = end
+                    if anchor is not None:
+                        if not -jump <= ts - anchor <= jump:
+                            if dropped_ts is None or not -jump <= ts - dropped_ts <= jump:
+                                dropped_ts = ts
+                                self._drop_implausible_ts(start, record)
+                                continue
+                            # Two consecutive "implausible" records agree
+                            # with each other: the anchor was the corrupt
+                            # one.  Re-anchor and keep this record.
+                        if ts < anchor:
+                            regressions += 1
+                            if first_regression_at is None:
+                                first_regression_at = ts
+                        anchor = ts
                         dropped_ts = None
-                        ready = [record]
-                    else:
-                        dropped_ts = record.timestamp_us
-                        self._drop_implausible_ts(start, record)
+                        health.records_read += 1
+                        data_bytes += incl_len
+                        yield record
                         continue
-                else:
-                    anchor = record.timestamp_us
-                    dropped_ts = None
-                    yield emit(record)
-                    continue
-                for item in ready:
-                    yield emit(item)
-            # EOF with the jury still out (a file of one or two
-            # records): keep what was read, as the pre-continuity
-            # reader did.
-            for _, item in pending:
-                yield emit(item)
+                    pending.append((start, record))
+                    settled = self._settle(pending)
+                    if settled is not None:
+                        break
+                # The first records have settled, or the file ended
+                # with the jury still out (a file of one or two
+                # records): keep what was read, as the
+                # pre-continuity reader did.
+                for record in settled or [item for _, item in pending]:
+                    ts = record[0]
+                    if anchor is not None and ts < anchor:
+                        regressions += 1
+                        if first_regression_at is None:
+                            first_regression_at = ts
+                    anchor = ts
+                    health.records_read += 1
+                    data_bytes += len(record[1])
+                    yield record
+                if settled is None:
+                    break
+                pending = []
         finally:
+            self._buf, self._pos, self._base = buf, pos, base
+            obs.metrics.counter("pcap.records").inc(
+                health.records_read - records_before
+            )
+            obs.metrics.counter("pcap.bytes").inc(data_bytes)
             if regressions:
                 # One summary issue per file: clock steps and capture
                 # reordering are common enough that per-record entries
                 # would drown the report.
-                self.health.record(
+                health.record(
                     STAGE_PCAP, "timestamp-regression",
                     timestamp_us=first_regression_at,
                     detail=f"{regressions} record(s) went backwards in time",
                     benign=True,
                 )
+
+    def _settle(
+        self, pending: list[tuple[int, PcapRecord]]
+    ) -> list[PcapRecord] | None:
+        """The first records once a quorum settles them, else None.
+
+        Two records that agree settle each other.  Two that disagree
+        wait for a third, which keeps the pair member it agrees with
+        and drops the other; with no agreement at all every record is
+        kept.
+        """
+        if len(pending) < 2:
+            return None
+        if len(pending) == 2:
+            (_, r0), (_, r1) = pending
+            return [r0, r1] if self._ts_consistent(r0, r1) else None
+        (s0, r0), (s1, r1), (_, r2) = pending
+        if self._ts_consistent(r0, r2):
+            self._drop_implausible_ts(s1, r1)
+            return [r0, r2]
+        if self._ts_consistent(r1, r2):
+            self._drop_implausible_ts(s0, r0)
+            return [r1, r2]
+        return [r0, r1, r2]
 
     def _ts_consistent(self, a: PcapRecord, b: PcapRecord) -> bool:
         return abs(a.timestamp_us - b.timestamp_us) <= MAX_PLAUSIBLE_TS_JUMP_US
@@ -395,102 +465,55 @@ class PcapReader:
             bytes_lost=RECORD_HEADER.size + len(record.data),
         )
 
-    def _iter_framed(self) -> Iterator[tuple[int, PcapRecord]]:
-        """Structurally validated records plus their file offsets.
-
-        A truncated final record (or record header) ends the walk; only
-        the tolerant discipline accounts it.
-        """
-        unpack = self._record_header.unpack
-        plausible = self._plausible
-        while True:
-            start = self._offset
-            header = self._read_exact(RECORD_HEADER.size)
-            if not header:
-                return
-            if len(header) < RECORD_HEADER.size:
-                if self.tolerant:
-                    self.health.record(
-                        STAGE_PCAP, "truncated-record-header",
-                        offset=start, bytes_lost=len(header),
-                        detail=f"{len(header)} of {RECORD_HEADER.size} header bytes",
-                    )
-                return
-            ts_sec, ts_frac, incl_len, orig_len = unpack(header)
-            if not plausible(ts_frac, incl_len, orig_len):
-                if not self._resync(start, header):
-                    return
-                continue
-            data = self._read_exact(incl_len)
-            if len(data) < incl_len:
-                if self.tolerant:
-                    self.health.record(
-                        STAGE_PCAP, "truncated-record",
-                        offset=start,
-                        timestamp_us=self._timestamp(ts_sec, ts_frac),
-                        bytes_lost=RECORD_HEADER.size + len(data),
-                        detail=f"{len(data)} of {incl_len} data bytes",
-                    )
-                return
-            yield start, PcapRecord(
-                timestamp_us=self._timestamp(ts_sec, ts_frac),
-                data=data,
-                original_length=orig_len,
-            )
-
-    def _read_exact(self, count: int) -> bytes:
-        data = self._stream.read(count)
-        self._offset += len(data)
-        return data
-
-    def _resync(self, start: int, bad_header: bytes) -> bool:
+    def _resync(self, buf: bytes, at: int, base: int) -> int | None:
         """Scan forward for the next plausible record boundary.
 
-        ``bad_header`` is the 16 implausible bytes already consumed.
-        Returns True when a boundary was found (stream positioned at
-        it); False when the rest of the file had to be abandoned.  A
-        candidate is *verified* when the record it frames is followed
+        ``buf[at:at+16]`` is the implausible header, at file offset
+        ``base + at``.  The scan window is that header plus the
+        :data:`RESYNC_SCAN_LIMIT` bytes after it (fewer at end of
+        file), scanned in place.  Returns the boundary's index in
+        ``buf``, or None when the rest of the file had to be abandoned.
+        A candidate is *verified* when the record it frames is followed
         by another plausible header — that keeps random payload bytes
         from masquerading as a boundary.  A candidate whose record runs
         to or past the end of the scan window cannot be verified; the
         first such candidate is kept only as a fallback, used when no
         verified boundary exists in the window.
         """
-        window = bytearray(bad_header)
-        window += self._stream.read(RESYNC_SCAN_LIMIT)
-        self._offset = start + len(window)
+        size = RECORD_HEADER.size
+        end = min(len(buf), at + size + RESYNC_SCAN_LIMIT)
+        unpack_from = self._record_header.unpack_from
+        plausible = self._plausible
         found_at: int | None = None
         fallback_at: int | None = None
-        for i in range(1, len(window) - RECORD_HEADER.size + 1):
-            if not self._plausible_header(window, i):
+        for i in range(at + 1, end - size + 1):
+            _, ts_frac, incl_len, orig_len = unpack_from(buf, i)
+            if not plausible(ts_frac, incl_len, orig_len):
                 continue
-            _, _, incl_len, _ = self._record_header.unpack_from(window, i)
-            following = i + RECORD_HEADER.size + incl_len
-            if self._plausible_header(window, following):
+            following = i + size + incl_len
+            if following + size <= end and plausible(
+                *unpack_from(buf, following)[1:]
+            ):
                 found_at = i
                 break
-            if following >= len(window) and fallback_at is None:
+            if following >= end and fallback_at is None:
                 fallback_at = i
         if found_at is None:
             found_at = fallback_at
         if found_at is None:
             self._damage(
-                "unreadable-tail", start,
+                "unreadable-tail", base + at,
                 "no plausible record boundary found",
-                bytes_lost=len(window),
+                bytes_lost=end - at,
             )
-            return False
+            return None
         self._damage(
-            "bad-record-header", start,
-            f"resynchronized after {found_at} bytes",
-            bytes_lost=found_at,
+            "bad-record-header", base + at,
+            f"resynchronized after {found_at - at} bytes",
+            bytes_lost=found_at - at,
         )
         get_obs().metrics.counter("pcap.resyncs").inc()
-        # Rewind the unconsumed tail of the scan window.
-        tail = bytes(window[found_at:])
-        self._stream = _ChainedStream(tail, self._stream)
-        self._offset = start + found_at
-        return True
+        return found_at
 
     def close(self) -> None:
         """Close the underlying stream if this reader opened it."""
@@ -502,29 +525,6 @@ class PcapReader:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-class _ChainedStream:
-    """A minimal read-only stream serving buffered bytes then a stream."""
-
-    def __init__(self, head: bytes, rest: BinaryIO) -> None:
-        self._head = head
-        self._pos = 0
-        self._rest = rest
-
-    def read(self, count: int = -1) -> bytes:
-        if count is None or count < 0:
-            out = self._head[self._pos:] + self._rest.read()
-            self._pos = len(self._head)
-            return out
-        out = self._head[self._pos : self._pos + count]
-        self._pos += len(out)
-        if len(out) < count:
-            out += self._rest.read(count - len(out))
-        return out
-
-    def close(self) -> None:
-        self._rest.close()
 
 
 def read_pcap(

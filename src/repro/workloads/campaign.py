@@ -636,7 +636,7 @@ def _make_record(
 ) -> TransferRecord:
     profile = analysis.connection.profile
     duration = extent.duration_us if extent is not None else profile.duration_us
-    pause = detect_long_keepalive_pauses(analysis.series, analysis.connection)
+    pause = detect_long_keepalive_pauses(analysis.connection)
     return TransferRecord(
         campaign=spec.campaign,
         router=spec.router,
@@ -978,7 +978,7 @@ def run_peer_group_episode(
     blocked = PeerGroupBlockingReport(detected=False)
     if analysis_q is not None and analysis_v is not None:
         blocked = detect_peer_group_blocking(
-            analysis_q.series, analysis_q.connection, analysis_v.series
+            analysis_q.connection, analysis_v.series
         )
     quagga_record = None
     if analysis_q is not None:

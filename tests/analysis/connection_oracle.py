@@ -1129,7 +1129,6 @@ def find_capture_voids(connection: Connection) -> CaptureVoidReport:
 
 
 def detect_long_keepalive_pauses(
-    series: ConnectionSeries,
     connection: Connection,
     min_block_us: int = PEER_GROUP_MIN_BLOCK_US,
 ) -> PeerGroupBlockingReport:

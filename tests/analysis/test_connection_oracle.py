@@ -230,9 +230,9 @@ def _assert_layers_match(columns, objects) -> None:
     assert voids.void_windows == expected_voids.void_windows
 
     for min_block_us in (1, 25_000):
-        pauses = detect_long_keepalive_pauses(series, columns, min_block_us)
+        pauses = detect_long_keepalive_pauses(columns, min_block_us)
         expected_pauses = oracle.detect_long_keepalive_pauses(
-            expected, objects, min_block_us
+            objects, min_block_us
         )
         assert pauses.blocked_ranges == expected_pauses.blocked_ranges
 

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from repro.core.health import TraceHealth
 from repro.faults.fuzz import clean_trace_bytes
 from repro.faults.mangle import mangle
+from repro.obs import Observability, use_obs
 from repro.wire import frames, tcpw
 from repro.wire.pcap import (
     MAGIC_NS,
+    READ_CHUNK,
     PcapError,
     PcapReader,
     PcapRecord,
@@ -407,6 +409,91 @@ class TestTimestampContinuity:
                 assert record.timestamp_us < 10**9
         assert recovered[False] == recovered[True]
         assert recovered[True] == [r.data for r in records[1:]]
+
+
+class _CountingStream(io.BytesIO):
+    def __init__(self, blob):
+        super().__init__(blob)
+        self.reads = 0
+
+    def read(self, size=-1):
+        self.reads += 1
+        return super().read(size)
+
+
+class _DribblingStream(io.RawIOBase):
+    """A raw stream that returns at most seven bytes per read."""
+
+    def __init__(self, blob):
+        self._blob = blob
+        self._at = 0
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        piece = self._blob[self._at : self._at + min(7, len(buffer))]
+        buffer[: len(piece)] = piece
+        self._at += len(piece)
+        return len(piece)
+
+
+def _ledger(health):
+    return [
+        (i.kind, i.offset, i.timestamp_us, i.bytes_lost, i.detail, i.benign)
+        for i in health.issues
+    ]
+
+
+class TestBufferedWalk:
+    """The reader reads its source in blocks and resyncs in place."""
+
+    def test_thousands_of_resyncs(self):
+        # Every third header claims 2 GiB, so each resync is verified by
+        # the good header after the next one.  The payload bytes (0xAB)
+        # never read as a plausible header.
+        records = [
+            PcapRecord(1_000_000 + i * 1_000, b"\xab" * 20, original_length=20)
+            for i in range(3_752)
+        ]
+        blob = bytearray(records_to_bytes(records))
+        damaged = range(2, len(records) - 2, 3)
+        for i in damaged:
+            struct.pack_into("<I", blob, 24 + i * 36 + 8, 0x7FFFFFFF)
+        stream = _CountingStream(bytes(blob))
+        health = TraceHealth()
+        obs = Observability.create()
+        with use_obs(obs):
+            got = read_pcap(stream, tolerant=True, health=health)
+        assert got == [r for i, r in enumerate(records) if i % 3 != 2]
+        assert health.by_kind() == {"bad-record-header": len(damaged)}
+        assert [issue.offset for issue in health.issues] == [
+            24 + i * 36 for i in damaged
+        ]
+        assert obs.metrics.get("pcap.resyncs").value == len(damaged)
+        # No per-resync re-reads: each block of the file is read once.
+        assert stream.reads <= len(blob) // READ_CHUNK + 3
+
+    def test_short_reads_read_like_a_whole_file(self, transfer_blob):
+        damaged = mangle(transfer_blob, ["corrupt-record-header"], seed=5)
+        for blob in (transfer_blob, damaged):
+            expected_health, health = TraceHealth(), TraceHealth()
+            expected = read_pcap(
+                io.BytesIO(blob), tolerant=True, health=expected_health
+            )
+            got = read_pcap(_DribblingStream(blob), tolerant=True, health=health)
+            assert len(got) > 20
+            assert got == expected
+            assert _ledger(health) == _ledger(expected_health)
+        assert not health.ok
+
+    def test_record_is_an_immutable_tuple(self):
+        record = PcapRecord(timestamp_us=7, data=b"abc", original_length=9)
+        assert record == (7, b"abc", 9)
+        assert (record.captured_length, record.wire_length) == (3, 9)
+        assert PcapRecord(7, b"abc").wire_length == 3
+        with pytest.raises(AttributeError):
+            record.timestamp_us = 8
 
 
 class TestFrames:
