@@ -11,6 +11,12 @@ events) that the numpy backend used to produce its series.  Each
 digest holds under buffered and streaming ingest alike.  The one mode
 difference, a packet arriving after its flow closed and lingered out,
 is pinned by :func:`test_straggler_after_close`.
+
+Budgeted reports are pinned too, ``degradation`` dict included: one
+connection flood analyzed under a tight live-connection limit, a
+per-connection packet cap and a tight state-byte limit (which also
+caps the in-flight connection under memory pressure), plus the
+ledger summary an ``iter_analyze_pcap`` run leaves behind.
 """
 
 import io
@@ -18,7 +24,8 @@ import io
 import pytest
 
 from repro.analysis import render
-from repro.analysis.tdat import analyze_pcap
+from repro.analysis.budget import ResourceBudget, StateLedger
+from repro.analysis.tdat import analyze_pcap, iter_analyze_pcap
 from repro.faults.fuzz import clean_trace_bytes
 from repro.faults.mangle import OPERATORS, mangle
 from repro.faults.stress import connection_flood
@@ -38,6 +45,25 @@ STRAGGLER_BUFFERED_SHA256 = (
 )
 STRAGGLER_STREAMING_SHA256 = (
     "9e62f071617c0b561d9a83f6bfb87a8a368041894dcfd6f8800c6be2b4108e23"
+)
+
+#: ``budget`` keywords, and the digest of the budgeted flood report.
+BUDGETED_SHA256 = {
+    "live-connections": (
+        {"max_live_connections": 12},
+        "8ed9b432598e755c9938c17f78f89f9725f3271ae2f76f29ccf8a3f08a70ff6f",
+    ),
+    "connection-packets": (
+        {"max_connection_packets": 64},
+        "d9a103fc5ee6a118b4944ba7d530904f4a3808bfe364231da47042b413e840b1",
+    ),
+    "state-bytes": (
+        {"max_state_bytes": 8_000},
+        "7e0a2aae3cc0fa4e37a6db5bb73383f3c545781e984343cd58240567faccf34b",
+    ),
+}
+LEDGER_SUMMARY_SHA256 = (
+    "17964110f873136a0900e16bf0507fec1b81b5f40d86a2048af5fee82ab3c299"
 )
 
 #: the execution modes besides the default (buffered, serial).
@@ -155,6 +181,31 @@ GOLDEN_CASES = ["clean", "nanosecond", "truncated", "long-connection"] + [
 def test_golden_digest_in_every_mode(clean_blob, case, mode):
     blob, digest = golden_case(clean_blob, case)
     assert report_digest(blob, **MODES[mode]) == digest
+
+
+@pytest.fixture(scope="module")
+def budget_flood():
+    """40 flows of 40 ACKed segments, all open at once."""
+    return records_to_bytes(connection_flood(40, 40))
+
+
+@pytest.mark.parametrize("case", sorted(BUDGETED_SHA256))
+def test_budgeted_report(budget_flood, case):
+    limits, digest = BUDGETED_SHA256[case]
+    report = analyze_pcap(
+        io.BytesIO(budget_flood), budget=ResourceBudget(**limits)
+    )
+    payload = render.report_payload(report)
+    assert payload["degradation"]["degraded"]
+    assert render.payload_digest(payload) == digest
+
+
+def test_ledger_summary_after_iter_analyze(budget_flood):
+    ledger = StateLedger(ResourceBudget(max_live_connections=12))
+    analyses = list(iter_analyze_pcap(io.BytesIO(budget_flood), ledger=ledger))
+    assert len(analyses) == 10
+    summary = ledger.summary.to_dict()
+    assert render.payload_digest(summary) == LEDGER_SUMMARY_SHA256
 
 
 @pytest.mark.parametrize("mode", ["default"] + sorted(MODES))
