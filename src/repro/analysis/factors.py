@@ -59,10 +59,6 @@ class FactorReport:
         """Groups whose delay ratio exceeds the threshold."""
         return [g for g in GROUPS if self.group_ratios[g] > threshold]
 
-    def is_unknown(self, threshold: float = MAJOR_THRESHOLD) -> bool:
-        """True when no group clears the major threshold."""
-        return not self.major_groups(threshold)
-
     def dominant_factor(self, group: str) -> str | None:
         """The largest individual factor within ``group``, if any."""
         candidates = [

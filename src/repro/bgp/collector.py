@@ -78,11 +78,6 @@ class CollectorCpu:
             self._busy = True
             self.sim.schedule(0, self._serve)
 
-    @property
-    def run_queue_depth(self) -> int:
-        """Sessions currently waiting for CPU service."""
-        return len(self._runnable)
-
     def _serve(self) -> None:
         if not self._runnable:
             self._busy = False

@@ -280,10 +280,6 @@ class OpenMessage:
                    bgp_id=bytes_to_ip(bgp_id), version=version,
                    capabilities=tuple(kept))
 
-    def supports(self, code: int) -> bool:
-        """True if the OPEN advertised the given capability code."""
-        return any(c == code for c, _ in self.capabilities)
-
 
 class UpdateMessage:
     """BGP UPDATE: withdrawals plus one attribute set with its NLRI.

@@ -73,11 +73,6 @@ class PeerGroup:
             self._poller.start(initial_delay_us=0)
         return len(updates)
 
-    @property
-    def pending_messages(self) -> int:
-        """Messages not yet replicated to the members."""
-        return len(self._queue)
-
     def remove_member(self, session: BgpSession) -> None:
         """Drop a (failed) member; the group resumes without it."""
         if session in self.active:

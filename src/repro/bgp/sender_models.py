@@ -43,11 +43,6 @@ class SenderModel:
         self._queue.extend(messages)
         self._kick()
 
-    @property
-    def pending_messages(self) -> int:
-        """Messages not yet handed to TCP."""
-        return len(self._queue)
-
     def _emit(self, count: int | None = None) -> None:
         assert self._write is not None, "sender model not attached"
         sent = 0

@@ -70,9 +70,6 @@ class SnifferTap:
         )
         self.records.append(PcapRecord(timestamp_us=time_us, data=frame))
 
-    def _in_drop_window(self, time_us: int) -> bool:
-        return self._drop_window_index(time_us) is not None
-
     def _drop_window_index(self, time_us: int) -> int | None:
         for i, (start, end) in enumerate(self.drop_windows):
             if start <= time_us < end:
@@ -101,11 +98,6 @@ class SnifferTap:
                 ),
             )
         return health
-
-    @property
-    def packet_count(self) -> int:
-        """Frames captured so far."""
-        return len(self.records)
 
     def sorted_records(self) -> list[PcapRecord]:
         """Records in timestamp order (stable across taps)."""

@@ -196,10 +196,6 @@ class EffectMap:
             _EffectExtractor(effect_map, source).extract()
         return effect_map
 
-    def effects_of(self, qname: str) -> list[Effect]:
-        fx = self.functions.get(qname)
-        return [] if fx is None else fx.effects
-
     # -- propagation -----------------------------------------------------
     def acquires_closure(self, qname: str) -> dict[str, tuple[str, ...]]:
         """Every lock ``qname`` acquires, directly or via resolved

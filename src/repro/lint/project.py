@@ -128,12 +128,6 @@ class Project:
         self.files.append(source)
         self.modules[source.module] = source
 
-    def iter_files(self, packages: Iterable[str] | None = None) -> Iterator[SourceFile]:
-        """The project's files, optionally limited to some packages."""
-        for source in self.files:
-            if packages is None or source.in_package(packages):
-                yield source
-
     def artifact(self, relpath: str) -> Path:
         """A project-level artifact path (docs, baseline), root-relative."""
         return self.root / relpath

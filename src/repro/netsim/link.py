@@ -174,7 +174,6 @@ class Link:
         self._jitter_rng = jitter_rng
         self._last_arrival_us = 0
         self.taps: list[Callable[[Packet, int], None]] = []
-        self.drop_hooks: list[Callable[[Packet, str, int], None]] = []
         self.stats = LinkStats()
         self._queue: deque[Packet] = deque()
         self._busy = False
@@ -182,10 +181,6 @@ class Link:
     def add_tap(self, tap: Callable[[Packet, int], None]) -> None:
         """Register a passive observer called as ``tap(packet, time_us)``."""
         self.taps.append(tap)
-
-    def add_drop_hook(self, hook: Callable[[Packet, str, int], None]) -> None:
-        """Register a drop observer called as ``hook(packet, reason, time_us)``."""
-        self.drop_hooks.append(hook)
 
     def serialization_delay_us(self, packet: Packet) -> int:
         """Microseconds to clock ``packet`` onto the wire."""
@@ -196,7 +191,6 @@ class Link:
         self.stats.enqueued += 1
         if len(self._queue) >= self.buffer_packets:
             self.stats.dropped_buffer += 1
-            self._notify_drop(packet, "buffer")
             return False
         self._queue.append(packet)
         if not self._busy:
@@ -225,7 +219,6 @@ class Link:
             tap(packet, now)
         if self.loss_model.should_drop(packet, now):
             self.stats.dropped_loss += 1
-            self._notify_drop(packet, "loss")
         else:
             delay = self.propagation_delay_us
             if self.jitter_us:
@@ -240,10 +233,6 @@ class Link:
         self.stats.delivered += 1
         self.stats.bytes_delivered += packet.wire_length
         self.deliver(packet)
-
-    def _notify_drop(self, packet: Packet, reason: str) -> None:
-        for hook in self.drop_hooks:
-            hook(packet, reason, self.sim.now)
 
 
 class PathSegmentChain:

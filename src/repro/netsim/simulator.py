@@ -121,14 +121,6 @@ class Simulator:
         heapq.heappush(self._heap, (time_us, next(self._seq), event))
         return event
 
-    def schedule_at(
-        self, time_us: int, callback: Callable[..., Any], *args: Any
-    ) -> Event:
-        """Run ``callback(*args)`` at absolute time ``time_us``."""
-        if time_us < self._now:
-            raise ValueError(f"cannot schedule in the past: {time_us} < {self._now}")
-        return self.schedule(time_us - self._now, callback, *args)
-
     def run(
         self,
         until_us: int | None = None,

@@ -80,11 +80,6 @@ class RouterHandle:
     ack_local_link: Link
     ack_upstream_link: Link
 
-    @property
-    def transfer_start_us(self) -> int | None:
-        """Ground truth: when the router began queueing its table."""
-        return self.session.transfer_started_at_us
-
 
 class MonitoringSetup:
     """A collector plus its sniffer, accepting monitored routers."""

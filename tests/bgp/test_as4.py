@@ -12,7 +12,6 @@ from repro.bgp.attributes import (
     PathAttributes,
 )
 from repro.bgp.messages import (
-    CAP_AS4,
     CAP_ROUTE_REFRESH,
     OpenMessage,
     Prefix,
@@ -89,8 +88,7 @@ class TestOpenCapabilities:
             capabilities=((CAP_ROUTE_REFRESH, b""),),
         )
         decoded = decode_message(encode_message(msg))
-        assert decoded.supports(CAP_ROUTE_REFRESH)
-        assert not decoded.supports(CAP_AS4)
+        assert decoded.capabilities == ((CAP_ROUTE_REFRESH, b""),)
 
     def test_wide_as_with_extra_capabilities(self):
         msg = OpenMessage(
@@ -99,7 +97,8 @@ class TestOpenCapabilities:
         )
         decoded = decode_message(encode_message(msg))
         assert decoded.my_as == 200_000
-        assert decoded.supports(CAP_ROUTE_REFRESH)
+        # AS4 is folded into my_as; the other capability is kept.
+        assert decoded.capabilities == ((CAP_ROUTE_REFRESH, b""),)
 
     def test_truncated_capabilities_rejected(self):
         from repro.bgp.messages import BgpError

@@ -44,18 +44,6 @@ class TestSimulator:
         with pytest.raises(ValueError):
             Simulator().schedule(-1, lambda: None)
 
-    def test_schedule_at(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule_at(100, lambda: fired.append(sim.now))
-        sim.run()
-        assert fired == [100]
-
-    def test_schedule_at_past_rejected(self):
-        sim = Simulator(start_time_us=100)
-        with pytest.raises(ValueError):
-            sim.schedule_at(50, lambda: None)
-
     def test_cancel(self):
         sim = Simulator()
         fired = []
