@@ -2,9 +2,6 @@
 
 from repro.analysis.ackshift import AckShiftStats, shift_acks
 from repro.analysis.budget import (
-    POLICIES,
-    POLICY_DROP_COLDEST,
-    POLICY_FINALIZE_IDLE,
     DegradationSummary,
     EvictionRecord,
     ResourceBudget,
@@ -100,9 +97,6 @@ __all__ = [
     "CaptureVoidReport",
     "DegradationSummary",
     "EvictionRecord",
-    "POLICIES",
-    "POLICY_DROP_COLDEST",
-    "POLICY_FINALIZE_IDLE",
     "ResourceBudget",
     "StateLedger",
     "analyze_connection",

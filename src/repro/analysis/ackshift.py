@@ -33,33 +33,27 @@ class AckShiftStats:
     max_shift_us: int = 0
 
 
-def shift_acks(
-    connection: Connection,
-    gap_threshold_us: int | None = None,
-    max_reasonable_shift_us: int | None = None,
-) -> AckShiftStats:
+def shift_acks(connection: Connection) -> AckShiftStats:
     """Rewrite the connection's shifted ACK-time column.
 
     Every call writes the whole ``connection.acks.shifted`` column:
     shifted flights move forward, the rest keep their raw times, so
     nothing from an earlier analysis survives.  Data packets keep their
-    timestamps.  Returns summary statistics.
+    timestamps.  ACK flights split on :func:`flight_gap_threshold_us`.
+    Returns summary statistics.
     """
     stats = AckShiftStats()
     profile = connection.profile
     if profile is None:
         return stats
-    if gap_threshold_us is None:
-        gap_threshold_us = flight_gap_threshold_us(profile.rtt_us)
-    if max_reasonable_shift_us is None:
-        if profile.d2_us > 0:
-            # The handshake gave a trustworthy tap->sender->tap delay;
-            # anything much larger is application think time leaking
-            # into the estimate (app-paced flows release data on their
-            # own schedule, not the ACKs').
-            max_reasonable_shift_us = int(profile.d2_us * 1.5) + 10_000
-        else:
-            max_reasonable_shift_us = profile.rtt_us + 100_000
+    if profile.d2_us > 0:
+        # The handshake gave a trustworthy tap->sender->tap delay;
+        # anything much larger is application think time leaking into
+        # the estimate (app-paced flows release data on their own
+        # schedule, not the ACKs').
+        max_reasonable_shift_us = int(profile.d2_us * 1.5) + 10_000
+    else:
+        max_reasonable_shift_us = profile.rtt_us + 100_000
 
     data, acks = connection.data, connection.acks
     data_times = data.time
@@ -79,6 +73,7 @@ def shift_acks(
 
     fallback = profile.d2_us if 0 < profile.d2_us <= max_reasonable_shift_us else None
 
+    gap_threshold_us = flight_gap_threshold_us(profile.rtt_us)
     for first, stop in group_flights(ack_times, gap_threshold_us):
         stats.flights += 1
         d2_min = None

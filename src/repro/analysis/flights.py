@@ -12,9 +12,9 @@ from collections.abc import Sequence
 from itertools import islice
 
 
-def flight_gap_threshold_us(rtt_us: int, floor_us: int = 1_000) -> int:
-    """The default split threshold: half an RTT, floored at 1 ms."""
-    return max(rtt_us // 2, floor_us)
+def flight_gap_threshold_us(rtt_us: int) -> int:
+    """The ACK-flight split threshold: half an RTT, floored at 1 ms."""
+    return max(rtt_us // 2, 1_000)
 
 
 def group_flights(

@@ -17,8 +17,11 @@ from dataclasses import dataclass
 from repro.bgp.messages import UpdateMessage
 from repro.core.units import seconds
 
-DEFAULT_IDLE_TIMEOUT_US = seconds(30)
-DEFAULT_DUPLICATE_TOLERANCE = 0.05
+#: the stream going quiet this long ends the transfer
+IDLE_TIMEOUT_US = seconds(30)
+#: the transfer ends once more than this fraction of its updates
+#: announced only known prefixes
+DUPLICATE_TOLERANCE = 0.05
 
 
 @dataclass
@@ -39,8 +42,6 @@ class TableTransfer:
 def minimum_collection_time(
     updates: list[tuple[int, UpdateMessage]],
     start_us: int | None = None,
-    idle_timeout_us: int = DEFAULT_IDLE_TIMEOUT_US,
-    duplicate_tolerance: float = DEFAULT_DUPLICATE_TOLERANCE,
 ) -> TableTransfer | None:
     """Estimate the table-transfer extent from (timestamp, UPDATE) pairs.
 
@@ -61,7 +62,7 @@ def minimum_collection_time(
     ended_by = "stream-end"
     previous_ts = updates[0][0]
     for ts, update in updates:
-        if ts - previous_ts > idle_timeout_us:
+        if ts - previous_ts > IDLE_TIMEOUT_US:
             ended_by = "idle"
             break
         previous_ts = ts
@@ -72,7 +73,7 @@ def minimum_collection_time(
         new_prefixes = len(seen) - known
         if announced and new_prefixes == 0:
             duplicates += 1
-            if duplicates / max(total_updates, 1) > duplicate_tolerance:
+            if duplicates / max(total_updates, 1) > DUPLICATE_TOLERANCE:
                 ended_by = "duplicates"
                 break
         if new_prefixes:
@@ -87,9 +88,7 @@ def minimum_collection_time(
 
 
 def transfers_from_mrt_records(
-    records,
-    connection_start_us: int,
-    **kwargs,
+    records, connection_start_us: int
 ) -> TableTransfer | None:
     """Run MCT over MRT records for one peer, anchored at a TCP start."""
     updates = [
@@ -98,4 +97,4 @@ def transfers_from_mrt_records(
         if isinstance(record.message, UpdateMessage)
         and record.timestamp_us >= connection_start_us
     ]
-    return minimum_collection_time(updates, start_us=connection_start_us, **kwargs)
+    return minimum_collection_time(updates, start_us=connection_start_us)

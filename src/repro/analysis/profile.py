@@ -23,7 +23,7 @@ from itertools import compress
 from pathlib import Path
 from typing import BinaryIO
 
-from repro.analysis.budget import POLICY_FINALIZE_IDLE, StateLedger
+from repro.analysis.budget import StateLedger
 from repro.analysis.columns import (
     ROW_FLAGS,
     ROW_LENGTH,
@@ -499,11 +499,10 @@ def iter_connections(
     A :class:`~repro.analysis.budget.StateLedger` bounds even the open
     flows: every packet is metered through it, per-connection caps shed
     excess data (``connection.complete`` flips to ``False``), and when
-    a global watermark trips its eviction plan is executed here —
-    ``finalize-idle`` victims are finalized and yielded early,
-    ``drop-coldest`` victims are discarded.  Either way the victim's
-    flow id joins ``emitted``, so stragglers land as benign
-    ``packet-after-close`` issues instead of resurrecting state.
+    a global watermark trips its victims are finalized and yielded
+    early here.  Each victim's flow id joins ``emitted``, so stragglers
+    land as benign ``packet-after-close`` issues instead of
+    resurrecting state.
     """
     health = health if health is not None else TraceHealth()
     reader: PcapReader | None = None
@@ -591,20 +590,17 @@ def iter_connections(
             if lingers and flow.closable:
                 heappush(lingering, (now, flow.order, flow_id))
             if ledger is not None:
-                for victim_key, policy in ledger.plan_evictions(
-                    open_flows, key, now
-                ):
+                for victim_key in ledger.plan_evictions(open_flows, key, now):
                     victim = open_flows.pop(victim_key)
                     del by_id[victim.flow_id]
                     emitted.add(victim.flow_id)
-                    if policy == POLICY_FINALIZE_IDLE:
-                        # Early render: complete only if the flow had
-                        # already closed and was merely lingering.
-                        victim.connection.complete = (
-                            victim.connection.complete and victim.closable
-                        )
-                        victim.connection.finalize()
-                        yield victim.connection
+                    # Early render: complete only if the flow had
+                    # already closed and was merely lingering.
+                    victim.connection.complete = (
+                        victim.connection.complete and victim.closable
+                    )
+                    victim.connection.finalize()
+                    yield victim.connection
         for key, flow in open_flows.items():
             if ledger is not None:
                 ledger.discharge(key)

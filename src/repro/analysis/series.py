@@ -29,7 +29,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import accumulate, compress, islice
 
-from repro.analysis.flights import flight_gap_threshold_us, group_flights
+from repro.analysis.flights import group_flights
 from repro.analysis.labeling import (
     KIND_REORDERING,
     KIND_UPSTREAM,
@@ -82,19 +82,23 @@ SERIES_NAMES = [
 ]
 
 
+#: "Small"/"large" advertised-window margin, in MSS (paper: 3 MSS).
+WINDOW_MARGIN_MSS = 3
+#: A sender answering ACKs within this delay is not app-limited; data
+#: flights split into cycles on gaps longer than it.
+RESPONSE_THRESHOLD_US = 2_000
+#: Back-to-back spacing slack for bandwidth-limit detection.
+BANDWIDTH_SLACK = 1.3
+#: Minimum packets of sustained bottleneck spacing.
+BANDWIDTH_MIN_PACKETS = 5
+
+
 @dataclass
 class SeriesConfig:
-    """Tunables of the series generator (paper defaults)."""
+    """Deployment knowledge the series generator needs: where the
+    sniffer sat (the interpretation rules of paper section III-C)."""
 
     sniffer_location: str = SNIFFER_AT_RECEIVER
-    # "Small"/"large" advertised-window thresholds (paper: 3 MSS).
-    window_margin_mss: int = 3
-    # A sender answering ACKs within this delay is not app-limited.
-    response_threshold_us: int = 2_000
-    # Back-to-back spacing slack for bandwidth-limit detection.
-    bandwidth_slack: float = 1.3
-    # Minimum packets of sustained bottleneck spacing.
-    bandwidth_min_packets: int = 5
 
 
 class StepFunction:
@@ -229,7 +233,7 @@ def generate_series(
     catalog.put(EventSeries("AckArrivals", ack_marks, "ACK observation instants"))
 
     adv_fn = _advertised_window(acks)
-    small_limit = config.window_margin_mss * mss
+    small_limit = WINDOW_MARGIN_MSS * mss
     large_limit = max(profile.max_advertised_window - small_limit, 0)
     catalog.put(EventSeries(
         "ZeroAdvWindow",
@@ -311,10 +315,8 @@ def generate_series(
     # RTT): a paced sender's per-message gaps must become cycles of
     # their own, or a whole transfer merges into one cycle and gets the
     # classification of its tail.
-    threshold = config.response_threshold_us
-    cycles = _flight_cycles(
-        data, acks, profile.rtt_us, gap_threshold_us=max(threshold, 1_000),
-    )
+    threshold = RESPONSE_THRESHOLD_US
+    cycles = _flight_cycles(data, acks, profile.rtt_us)
     idle_spans = []
     paced_spans = []
     cwnd_spans = []
@@ -442,8 +444,7 @@ def generate_series(
     catalog.put(EventSeries(
         "BandwidthLimited",
         _bandwidth_limited(
-            data, byte_time, config,
-            min_duration_us=max(2 * profile.rtt_us, 20_000),
+            data, byte_time, min_duration_us=max(2 * profile.rtt_us, 20_000),
         ),
         "sustained back-to-back arrivals at bottleneck spacing",
     ))
@@ -651,20 +652,12 @@ class FlightCycle:
 
 
 def _flight_cycles(
-    data: DataColumns,
-    acks: AckColumns,
-    rtt_us: int,
-    gap_threshold_us: int | None = None,
+    data: DataColumns, acks: AckColumns, rtt_us: int
 ) -> list[FlightCycle]:
     if not data:
         return []
-    threshold = (
-        gap_threshold_us
-        if gap_threshold_us is not None
-        else flight_gap_threshold_us(rtt_us)
-    )
     times, ends = data.time, data.end
-    flights = group_flights(times, threshold)
+    flights = group_flights(times, RESPONSE_THRESHOLD_US)
     # Per-flight ACK shifting may locally perturb the time order; sort
     # so the bisect lookups below stay correct.
     pairs = sorted(zip(acks.shifted, acks.value))
@@ -705,10 +698,7 @@ def _flight_cycles(
 
 
 def _bandwidth_limited(
-    data: DataColumns,
-    byte_time: float,
-    config: SeriesConfig,
-    min_duration_us: int = 20_000,
+    data: DataColumns, byte_time: float, min_duration_us: int
 ) -> TimeRangeSet:
     spans = []
     run_start: int | None = None
@@ -720,13 +710,13 @@ def _bandwidth_limited(
         # RTTs) indicate an actually bandwidth-limited path.
         if (
             run_start is not None
-            and run_packets >= config.bandwidth_min_packets
+            and run_packets >= BANDWIDTH_MIN_PACKETS
             and end_us - run_start >= min_duration_us
         ):
             spans.append((run_start, end_us))
 
     times = data.time
-    slack = config.bandwidth_slack
+    slack = BANDWIDTH_SLACK
     for previous, time_us, wire in zip(
         times, islice(times, 1, None), islice(data.wire, 1, None)
     ):

@@ -108,13 +108,12 @@ def analyze_connection(
     window: tuple[int, int] | None = None,
     config: SeriesConfig | None = None,
     enable_ack_shift: bool = True,
-    exclude_voids: bool = True,
 ) -> ConnectionAnalysis:
     """Run the full T-DAT pipeline on one connection.
 
-    With ``exclude_voids`` (the default), periods where the sniffer
-    demonstrably lost packets are removed from the factor ratios, per
-    the paper's section II-A exclusion rule.
+    Periods where the sniffer demonstrably lost packets are removed
+    from the factor ratios, per the paper's section II-A exclusion
+    rule.
 
     Each pipeline stage runs inside its own observability span
     (``analysis.*``), and the whole connection's wall time lands in the
@@ -143,7 +142,7 @@ def analyze_connection(
         series_args["ranges"] = sum(len(s) for s in series.catalog)
     with tracer.span("analysis.voids", cat="analysis"):
         voids = find_capture_voids(connection)
-    exclude = voids.void_windows if exclude_voids and voids.detected else None
+    exclude = voids.void_windows if voids.detected else None
     with tracer.span("analysis.classify", cat="analysis"):
         factors = classify(series, exclude=exclude)
     with tracer.span("analysis.detectors", cat="analysis"):

@@ -12,7 +12,7 @@ fill ever appears.
 
 :func:`find_capture_voids` reports both the phantom byte ranges and the
 corresponding void time windows, which callers subtract from the
-analysis period (see ``analyze_connection(exclude_voids=True)``).
+analysis period (``analyze_connection`` always does).
 """
 
 from __future__ import annotations

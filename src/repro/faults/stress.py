@@ -173,7 +173,7 @@ def pathological_reorder(
     window, so the stream is full of spurious retransmissions and
     overlaps; duplicate ACKs are interleaved.  Per-packet state keeps
     growing while the byte stream barely advances — the worst case for
-    ``max_connection_packets`` / ``max_connection_bytes``.
+    ``max_connection_packets``.
     """
     rng = Random(seed)
     ip, port = _client(0)

@@ -5,8 +5,10 @@ per captured segment and every layer re-derived relative sequence and
 ACK numbers through :meth:`Connection.relative_seq` and
 :meth:`Connection.relative_ack`, rescanning the packet list for each
 question.  This module keeps that path verbatim apart from this
-docstring and the imports: the connection profile, ACK shift, labeling,
-series generation, capture voids and the keepalive-pause detectors.
+docstring, the imports and the analysis tunables, which are module
+constants here as in the product (declared again, not imported): the
+connection profile, ACK shift, labeling, series generation, capture
+voids and the keepalive-pause detectors.
 It is slow but obviously right, and ``test_connection_oracle.py``
 replays generated connections through it and through the columns.
 """
@@ -22,7 +24,6 @@ from repro.analysis.detectors import (
     PEER_GROUP_MIN_BLOCK_US,
     PeerGroupBlockingReport,
 )
-from repro.analysis.flights import flight_gap_threshold_us
 from repro.analysis.labeling import (
     KIND_DOWNSTREAM,
     KIND_NEW,
@@ -45,6 +46,20 @@ from repro.bgp.messages import MARKER as BGP_MARKER
 from repro.core.events import EventSeries, SeriesCatalog
 from repro.core.timeranges import TimeRange, TimeRangeSet
 from repro.wire.tcpw import ACK, FIN, RST, SYN
+
+#: "Small"/"large" advertised-window margin, in MSS.
+WINDOW_MARGIN_MSS = 3
+#: A sender answering ACKs within this delay is not app-limited.
+RESPONSE_THRESHOLD_US = 2_000
+#: Back-to-back spacing slack for bandwidth-limit detection.
+BANDWIDTH_SLACK = 1.3
+#: Minimum packets of sustained bottleneck spacing.
+BANDWIDTH_MIN_PACKETS = 5
+
+
+def flight_gap_threshold_us(rtt_us: int) -> int:
+    """The ACK-flight split threshold: half an RTT, floored at 1 ms."""
+    return max(rtt_us // 2, 1_000)
 
 
 @dataclass
@@ -362,11 +377,7 @@ def group_flights(
     return flights
 
 
-def shift_acks(
-    connection: Connection,
-    gap_threshold_us: int | None = None,
-    max_reasonable_shift_us: int | None = None,
-) -> AckShiftStats:
+def shift_acks(connection: Connection) -> AckShiftStats:
     """Annotate the connection's ACKs with shifted timestamps.
 
     Modifies ``shifted_timestamp_us`` on the ACK packets in place and
@@ -376,17 +387,15 @@ def shift_acks(
     profile = connection.profile
     if profile is None:
         return stats
-    if gap_threshold_us is None:
-        gap_threshold_us = flight_gap_threshold_us(profile.rtt_us)
-    if max_reasonable_shift_us is None:
-        if profile.d2_us > 0:
-            # The handshake gave a trustworthy tap->sender->tap delay;
-            # anything much larger is application think time leaking
-            # into the estimate (app-paced flows release data on their
-            # own schedule, not the ACKs').
-            max_reasonable_shift_us = int(profile.d2_us * 1.5) + 10_000
-        else:
-            max_reasonable_shift_us = profile.rtt_us + 100_000
+    gap_threshold_us = flight_gap_threshold_us(profile.rtt_us)
+    if profile.d2_us > 0:
+        # The handshake gave a trustworthy tap->sender->tap delay;
+        # anything much larger is application think time leaking into
+        # the estimate (app-paced flows release data on their own
+        # schedule, not the ACKs').
+        max_reasonable_shift_us = int(profile.d2_us * 1.5) + 10_000
+    else:
+        max_reasonable_shift_us = profile.rtt_us + 100_000
 
     data = connection.data_packets()
     data_times = [p.timestamp_us for p in data]
@@ -628,7 +637,7 @@ def generate_series(
     catalog.put(EventSeries("AckArrivals", ack_marks, "ACK observation instants"))
 
     adv_fn = _advertised_window(acks)
-    small_limit = config.window_margin_mss * mss
+    small_limit = WINDOW_MARGIN_MSS * mss
     large_limit = max(profile.max_advertised_window - small_limit, 0)
     catalog.put(EventSeries(
         "ZeroAdvWindow",
@@ -710,11 +719,8 @@ def generate_series(
     # RTT): a paced sender's per-message gaps must become cycles of
     # their own, or a whole transfer merges into one cycle and gets the
     # classification of its tail.
-    threshold = config.response_threshold_us
-    cycles = _flight_cycles(
-        connection, data, acks, profile.rtt_us,
-        gap_threshold_us=max(threshold, 1_000),
-    )
+    threshold = RESPONSE_THRESHOLD_US
+    cycles = _flight_cycles(connection, data, acks, profile.rtt_us)
     idle_spans = []
     paced_spans = []
     cwnd_spans = []
@@ -842,8 +848,7 @@ def generate_series(
     catalog.put(EventSeries(
         "BandwidthLimited",
         _bandwidth_limited(
-            data, byte_time, config,
-            min_duration_us=max(2 * profile.rtt_us, 20_000),
+            data, byte_time, min_duration_us=max(2 * profile.rtt_us, 20_000),
         ),
         "sustained back-to-back arrivals at bottleneck spacing",
     ))
@@ -962,16 +967,10 @@ def _flight_cycles(
     data: list[TracePacket],
     acks: list[TracePacket],
     rtt_us: int,
-    gap_threshold_us: int | None = None,
 ) -> list[FlightCycle]:
     if not data:
         return []
-    threshold = (
-        gap_threshold_us
-        if gap_threshold_us is not None
-        else flight_gap_threshold_us(rtt_us)
-    )
-    flights = group_flights(data, threshold)
+    flights = group_flights(data, RESPONSE_THRESHOLD_US)
     # Per-flight ACK shifting may locally perturb the time order; sort
     # so the bisect lookups below stay correct.
     pairs = sorted(
@@ -1049,8 +1048,7 @@ def _ack_value_at(
 def _bandwidth_limited(
     data: list[TracePacket],
     byte_time: float,
-    config: SeriesConfig,
-    min_duration_us: int = 20_000,
+    min_duration_us: int,
 ) -> TimeRangeSet:
     spans = []
     run_start: int | None = None
@@ -1062,7 +1060,7 @@ def _bandwidth_limited(
         # RTTs) indicate an actually bandwidth-limited path.
         if (
             run_start is not None
-            and run_packets >= config.bandwidth_min_packets
+            and run_packets >= BANDWIDTH_MIN_PACKETS
             and end_us - run_start >= min_duration_us
         ):
             spans.append((run_start, end_us))
@@ -1070,7 +1068,7 @@ def _bandwidth_limited(
     for prev, curr in zip(data, data[1:]):
         gap = curr.timestamp_us - prev.timestamp_us
         expected = curr.wire_len * byte_time
-        if gap <= expected * config.bandwidth_slack:
+        if gap <= expected * BANDWIDTH_SLACK:
             if run_start is None:
                 run_start = prev.timestamp_us
                 run_packets = 1

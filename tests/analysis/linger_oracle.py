@@ -2,8 +2,9 @@
 
 This is the original streaming ingest of
 :mod:`repro.analysis.profile`, kept verbatim apart from this docstring,
-the imports and the per-record decode, which now yields the shared
-ingest row: on every decoded packet it rescans every open flow
+the imports, the per-record decode, which now yields the shared
+ingest row, and the budget's single eviction rule (every victim is
+finalized early): on every decoded packet it rescans every open flow
 for one whose close has lingered out, which costs O(open flows) per
 packet.  It is slow but obviously right, and the differential property
 in ``test_linger_oracle.py`` replays generated packet schedules against
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import BinaryIO
 
-from repro.analysis.budget import POLICY_FINALIZE_IDLE, StateLedger
+from repro.analysis.budget import StateLedger
 from repro.analysis.columns import ROW_FLAGS, ROW_LENGTH, ROW_SRC
 from repro.analysis.profile import (
     Connection,
@@ -78,11 +79,10 @@ def iter_connections(
     A :class:`~repro.analysis.budget.StateLedger` bounds even the open
     flows: every packet is metered through it, per-connection caps shed
     excess data (``connection.complete`` flips to ``False``), and when
-    a global watermark trips its eviction plan is executed here —
-    ``finalize-idle`` victims are finalized and yielded early,
-    ``drop-coldest`` victims are discarded.  Either way the victim's
-    key joins ``emitted``, so stragglers land as benign
-    ``packet-after-close`` issues instead of resurrecting state.
+    a global watermark trips its victims are finalized and yielded
+    early here.  Each victim's key joins ``emitted``, so stragglers
+    land as benign ``packet-after-close`` issues instead of
+    resurrecting state.
     """
     health = health if health is not None else TraceHealth()
     reader: PcapReader | None = None
@@ -149,19 +149,16 @@ def iter_connections(
             if row[ROW_FLAGS] & RST:
                 flow.saw_rst = True
             if ledger is not None:
-                for victim_key, policy in ledger.plan_evictions(
-                    open_flows, key, now
-                ):
+                for victim_key in ledger.plan_evictions(open_flows, key, now):
                     victim = open_flows.pop(victim_key)
                     emitted.add(victim_key)
-                    if policy == POLICY_FINALIZE_IDLE:
-                        # Early render: complete only if the flow had
-                        # already closed and was merely lingering.
-                        victim.connection.complete = (
-                            victim.connection.complete and victim.closable
-                        )
-                        victim.connection.finalize()
-                        yield victim.connection
+                    # Early render: complete only if the flow had
+                    # already closed and was merely lingering.
+                    victim.connection.complete = (
+                        victim.connection.complete and victim.closable
+                    )
+                    victim.connection.finalize()
+                    yield victim.connection
         for key, flow in open_flows.items():
             if ledger is not None:
                 ledger.discharge(key)

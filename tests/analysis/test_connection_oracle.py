@@ -193,15 +193,11 @@ def _assert_layers_match(columns, objects) -> None:
     ]
 
     rtt_us = columns.profile.rtt_us
-    for gap_us in (None, 2_000):
-        cycles = _flight_cycles(columns.data, columns.acks, rtt_us, gap_us)
-        expected_cycles = oracle._flight_cycles(
-            objects, objects.data_packets(), objects.ack_packets(), rtt_us,
-            gap_us,
-        )
-        assert [_cycle(c) for c in cycles] == [
-            _cycle(c) for c in expected_cycles
-        ]
+    cycles = _flight_cycles(columns.data, columns.acks, rtt_us)
+    expected_cycles = oracle._flight_cycles(
+        objects, objects.data_packets(), objects.ack_packets(), rtt_us
+    )
+    assert [_cycle(c) for c in cycles] == [_cycle(c) for c in expected_cycles]
 
     labeling = label_connection(columns)
     expected_labeling = oracle.label_connection(objects)

@@ -203,7 +203,7 @@ class TestMct:
             (seconds(2), make_update("10.2.0.0/16")),
             (seconds(100), make_update("10.3.0.0/16")),  # an hour later...
         ]
-        transfer = minimum_collection_time(updates, idle_timeout_us=seconds(30))
+        transfer = minimum_collection_time(updates)
         assert transfer.ended_by == "idle"
         assert transfer.end_us == seconds(2)
 
@@ -255,7 +255,7 @@ class TestConsecutiveLossDetector:
     def lossy_connection(self, *bursts):
         """One burst per count: a flight seen at the tap, then the same
         bytes resent 380 ms later (receiver-local blackout).  Bursts
-        start 2 s apart, further than the default ``cluster_gap_us``."""
+        start 2 s apart, further than ``LOSS_CLUSTER_GAP_US``."""
         builder = TraceBuilder().handshake()
         seq = 0
         for index, retransmissions in enumerate(bursts):
@@ -270,11 +270,11 @@ class TestConsecutiveLossDetector:
             builder.ack(t + 50_000, seq)
         return builder.build()
 
-    def report(self, *bursts, config=None, **kwargs):
+    def report(self, *bursts, config=None):
         conn = self.lossy_connection(*bursts)
         shift_acks(conn)
         series = generate_series(conn, config=config)
-        return detect_consecutive_losses(series, **kwargs)
+        return detect_consecutive_losses(series)
 
     def test_detects_long_run(self):
         report = self.report(10)
@@ -299,10 +299,11 @@ class TestConsecutiveLossDetector:
         assert [(r.start, r.end) for r in report.episode_ranges] == [
             (20_000, 450_000), (2_020_000, 2_450_000)
         ]
-        # Each burst counts its own retransmissions: 9 and 12.
-        assert self.report(9, 12, threshold=9).episodes == 2
-        assert self.report(9, 12, threshold=10).episodes == 1
-        assert self.report(9, 12, threshold=13).episodes == 0
+        # Each burst counts its own retransmissions against the fixed
+        # threshold of 8, never the two bursts' sum.
+        assert self.report(7, 9).episodes == 1
+        assert self.report(8, 12).episodes == 2
+        assert self.report(7, 7).episodes == 0
 
     def test_sender_tap(self):
         report = self.report(10, config=SeriesConfig(sniffer_location="sender"))

@@ -17,12 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import profile
-from repro.analysis.budget import (
-    POLICY_DROP_COLDEST,
-    POLICY_FINALIZE_IDLE,
-    ResourceBudget,
-    StateLedger,
-)
+from repro.analysis.budget import ResourceBudget, StateLedger
 from repro.analysis.profile import iter_connections
 from repro.core.health import TraceHealth
 from repro.faults.stress import connection_flood
@@ -65,11 +60,7 @@ budgets = st.builds(
     ResourceBudget,
     max_live_connections=st.sampled_from((1, 2, 3)),
     max_connection_packets=st.sampled_from((None, 2, 4)),
-    max_connection_bytes=st.sampled_from((None, 200, 400)),
-    policies=st.sampled_from((
-        (POLICY_FINALIZE_IDLE, POLICY_DROP_COLDEST),
-        (POLICY_DROP_COLDEST, POLICY_FINALIZE_IDLE),
-    )),
+    max_state_bytes=st.sampled_from((None, 400, 800)),
 )
 
 
