@@ -125,6 +125,29 @@ def _guarded_call(prog: str, func, *args) -> int:
         return EXIT_ERROR
 
 
+def _budget_options(parser: argparse.ArgumentParser) -> None:
+    """The three resource-budget limits (``analyze`` and ``serve``)."""
+    group = parser.add_argument_group(
+        "resource budget",
+        "limits on live analysis state (serve: each session's default)",
+    )
+    group.add_argument(
+        "--max-live-connections", type=int, default=None, metavar="N",
+        help="finalize the coldest flows early past N simultaneously "
+        "open connections (deterministic; shed state is reported, and "
+        "analyze exits 6 when anything was shed)",
+    )
+    group.add_argument(
+        "--max-state-bytes", type=int, default=None, metavar="B",
+        help="cap total tracked analysis state at B modeled bytes",
+    )
+    group.add_argument(
+        "--max-connection-packets", type=int, default=None, metavar="N",
+        help="cap any single connection at N tracked packets (excess "
+        "data is shed; the connection analyzes as incomplete)",
+    )
+
+
 def _execution_options(parser: argparse.ArgumentParser) -> None:
     """The knobs every analysis-running subcommand shares."""
     parser.add_argument(
@@ -241,21 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--streaming", action="store_true",
         help="analyze each flow as it closes (bounded-memory ingest)",
     )
-    p.add_argument(
-        "--max-live-connections", type=int, default=None, metavar="N",
-        help="budget: evict tracked state past N simultaneously open "
-        "connections (deterministic; shed state is reported and the "
-        "run exits 6 when anything was actually evicted)",
-    )
-    p.add_argument(
-        "--max-state-bytes", type=int, default=None, metavar="B",
-        help="budget: cap total tracked analysis state at B modeled bytes",
-    )
-    p.add_argument(
-        "--max-connection-packets", type=int, default=None, metavar="N",
-        help="budget: cap any single connection at N tracked packets "
-        "(excess data is shed; the connection analyzes as incomplete)",
-    )
+    _budget_options(p)
     _execution_options(p)
     _json_option(p)
     p.set_defaults(handler=_cmd_analyze)
@@ -317,18 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="default capture vantage for new sessions "
         "(default: receiver; clients can override per session)",
     )
-    p.add_argument(
-        "--max-live-connections", type=int, default=None, metavar="N",
-        help="default session budget: evict past N live connections",
-    )
-    p.add_argument(
-        "--max-state-bytes", type=int, default=None, metavar="B",
-        help="default session budget: cap tracked state at B bytes",
-    )
-    p.add_argument(
-        "--max-connection-packets", type=int, default=None, metavar="N",
-        help="default session budget: cap one connection at N packets",
-    )
+    _budget_options(p)
     p.add_argument(
         "--drain-timeout", type=float, default=30.0, metavar="S",
         help="seconds a graceful drain waits for sessions (default: 30)",
