@@ -12,61 +12,31 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import time
 from collections.abc import Callable
-from dataclasses import dataclass
 from typing import Any
 
 from repro.obs import CLOCK_SIM, get_obs
 
-#: how SimBudgetExceeded.reason names the exhausted resource.
-BUDGET_EVENTS = "events"
-BUDGET_WALL_CLOCK = "wall-clock"
 
-
-@dataclass(frozen=True)
-class SimBudget:
-    """Watchdog limits for one :meth:`Simulator.run` call.
+class SimBudgetExceeded(RuntimeError):
+    """A simulation run hit its ``max_events`` watchdog limit.
 
     A pathological scenario (e.g. a zero-window probe loop that never
     drains) keeps generating events forever; inside a worker process
-    that hangs the whole campaign pool.  A budget turns the hang into a
-    :class:`SimBudgetExceeded` the episode runner can convert into a
-    ``sim-budget-exceeded`` health issue.
-
-    ``max_events`` is deterministic (same seed, same count) so
-    exceeding it is a property of the scenario, not the machine;
-    ``max_wall_s`` depends on host load, so exceeding it is treated as
-    transient (``retryable``).  The wall clock is sampled every
-    ``wall_check_every`` events to keep the hot loop cheap.
+    that hangs the whole campaign pool.  The limit turns the hang into
+    this error, which the campaign converts into a
+    ``sim-budget-exceeded`` health issue.  Event counts are
+    deterministic (same seed, same count), so an overrun is a property
+    of the scenario, not of the machine, and is never retried.
     """
 
-    max_events: int | None = None
-    max_wall_s: float | None = None
-    wall_check_every: int = 2048
-
-
-class SimBudgetExceeded(RuntimeError):
-    """A simulation run outgrew its :class:`SimBudget`."""
-
-    def __init__(
-        self, reason: str, events: int, wall_s: float, now_us: int
-    ) -> None:
-        self.reason = reason  # BUDGET_EVENTS | BUDGET_WALL_CLOCK
+    def __init__(self, events: int, now_us: int) -> None:
         self.events = events
-        self.wall_s = wall_s
         self.now_us = now_us
         super().__init__(
-            f"simulation exceeded its {reason} budget after "
-            f"{events} event(s) / {wall_s:.3f}s wall "
-            f"(sim time {now_us}us)"
+            f"simulation exceeded its event budget after {events} "
+            f"event(s) (sim time {now_us}us)"
         )
-
-    @property
-    def retryable(self) -> bool:
-        """Wall-clock exhaustion is host-dependent and worth retrying;
-        an event-count overrun reproduces deterministically."""
-        return self.reason == BUDGET_WALL_CLOCK
 
 
 class Event:
@@ -99,11 +69,10 @@ class Simulator:
     compares them in C without ever reaching the event.
     """
 
-    def __init__(self, start_time_us: int = 0) -> None:
-        self._now = start_time_us
+    def __init__(self) -> None:
+        self._now = 0
         self._heap: list[tuple[int, int, Event]] = []
         self._seq = itertools.count()
-        self._running = False
 
     @property
     def now(self) -> int:
@@ -122,22 +91,17 @@ class Simulator:
         return event
 
     def run(
-        self,
-        until_us: int | None = None,
-        max_events: int | None = None,
-        budget: SimBudget | None = None,
+        self, until_us: int | None = None, max_events: int | None = None
     ) -> int:
-        """Process events until the heap drains or a bound is hit.
+        """Process events until the heap drains or ``until_us`` passes.
 
         Returns the number of events executed.  ``until_us`` is an
-        inclusive time bound; ``max_events`` guards against runaway
-        simulations in tests (it stops silently).  ``budget`` is the
-        watchdog form of the same guard: exhausting it raises
-        :class:`SimBudgetExceeded` so callers can abort and account a
-        pathological scenario instead of hanging.
+        inclusive time bound.  ``max_events`` is the watchdog: when that
+        many events have run and another is due (before ``until_us``),
+        the run raises :class:`SimBudgetExceeded` instead of spinning
+        on; a run that finishes within the limit never notices it.
         """
         executed = 0
-        self._running = True
         # Observability is aggregated per *run*, never per event: the
         # totals flush once into the ambient registry when the run
         # ends, so the hot loop's per-event cost is unchanged whether
@@ -145,35 +109,13 @@ class Simulator:
         obs = get_obs()
         start_time_us = self._now
         queue_peak = len(self._heap)
-        started = (
-            time.monotonic() if budget is not None else 0.0  # repro: noqa[RL001] SimBudget watchdog clock, never feeds results
-        )
         try:
             while self._heap:
                 if until_us is not None and self._heap[0][0] > until_us:
                     self._now = until_us
                     break
                 if max_events is not None and executed >= max_events:
-                    break
-                if budget is not None:
-                    if (
-                        budget.max_events is not None
-                        and executed >= budget.max_events
-                    ):
-                        raise SimBudgetExceeded(
-                            BUDGET_EVENTS, executed,
-                            time.monotonic() - started,  # repro: noqa[RL001] watchdog diagnostics
-                            self._now,
-                        )
-                    if (
-                        budget.max_wall_s is not None
-                        and executed % budget.wall_check_every == 0
-                    ):
-                        wall = time.monotonic() - started  # repro: noqa[RL001] watchdog wall budget
-                        if wall > budget.max_wall_s:
-                            raise SimBudgetExceeded(
-                                BUDGET_WALL_CLOCK, executed, wall, self._now
-                            )
+                    raise SimBudgetExceeded(executed, self._now)
                 time_us, _, event = heapq.heappop(self._heap)
                 if event.cancelled:
                     continue
@@ -188,16 +130,15 @@ class Simulator:
                     if depth > queue_peak:
                         queue_peak = depth
         finally:
-            self._running = False
             if obs.enabled:
                 metrics = obs.metrics
                 metrics.counter("sim.events").inc(executed)
                 metrics.counter("sim.runs").inc()
                 depth = len(self._heap)
                 metrics.gauge("sim.queue_depth").set(max(queue_peak, depth))
-                if budget is not None and budget.max_events:
+                if max_events:
                     metrics.gauge("sim.budget_consumed").set(
-                        executed / budget.max_events
+                        executed / max_events
                     )
                 obs.tracer.add_span(
                     "sim.run",

@@ -60,7 +60,4 @@ class TestSelfLint:
         suppressed = sorted(
             {(f.path, f.rule) for f in result.suppressed}
         )
-        assert suppressed == [
-            ("src/repro/analysis/tdat.py", "RL001"),
-            ("src/repro/netsim/simulator.py", "RL001"),
-        ]
+        assert suppressed == [("src/repro/analysis/tdat.py", "RL001")]

@@ -10,12 +10,19 @@ import json
 
 import pytest
 
+from repro.bgp.table import generate_table
 from repro.core.health import STAGE_EXEC, TraceHealth
 from repro.exec.pool import WorkPool
+from repro.netsim.random import RandomStreams
+from repro.netsim.simulator import SimBudgetExceeded
+from repro.workloads import campaign
 from repro.workloads.campaign import (
     CampaignResult,
+    _sweep_spec,
     isp_quagga_config,
     run_campaign,
+    run_episode,
+    run_peer_group_episode,
 )
 from repro.workloads.checkpoint import (
     CampaignInterrupted,
@@ -261,17 +268,32 @@ class TestZeroAckBugEpisode:
 
 
 class TestWatchdogContainment:
-    def test_event_budget_contains_pathological_episode(self):
+    def test_event_budget_contains_pathological_episode(self, monkeypatch):
         # A budget far below any real episode: every episode aborts,
         # the campaign itself still completes and accounts each one.
-        result = run_campaign(_small_config(sim_event_budget=10))
+        monkeypatch.setattr(campaign, "EPISODE_EVENT_BUDGET", 10)
+        result = run_campaign(_small_config())
         assert result.records == []
         issues = result.health.failures
         assert issues, "budget aborts must surface as failures"
         assert {i.kind for i in issues} == {"sim-budget-exceeded"}
         assert all(i.stage == STAGE_EXEC for i in issues)
 
-    def test_generous_budget_is_invisible(self, clean_result):
-        result = run_campaign(_small_config())  # default 5M events
+    def test_generous_budget_is_invisible(self, clean_result, monkeypatch):
+        # The fixture ran under the default 5M-event watchdog; without
+        # any limit the campaign is byte-identical.
+        monkeypatch.setattr(campaign, "EPISODE_EVENT_BUDGET", None)
+        result = run_campaign(_small_config())
         assert result.health.ok
         assert _dump(result) == _dump(clean_result)
+
+    def test_sweep_and_peer_group_runs_are_watched(self, monkeypatch):
+        # Every campaign simulation runs under the watchdog, not only
+        # the mixture episodes.
+        monkeypatch.setattr(campaign, "EPISODE_EVENT_BUDGET", 10)
+        table = generate_table(500, RandomStreams(55).stream("table"))
+        with pytest.raises(SimBudgetExceeded) as err:
+            run_episode(_sweep_spec(table, 2, 40))
+        assert err.value.events == 10
+        with pytest.raises(SimBudgetExceeded):
+            run_peer_group_episode(table_size=500)
