@@ -49,11 +49,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         "code-host inline annotations)",
     )
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="parse project files over N worker processes; findings "
-        "are byte-identical to --jobs 1 (default: 1)",
-    )
-    parser.add_argument(
         "--baseline", metavar="FILE",
         help="baseline file (default: <root>/lint-baseline.json when "
         "present); findings matching it don't fail the run",
@@ -107,7 +102,7 @@ def run_with_args(args: argparse.Namespace) -> int:
     try:
         root = _resolve_root(args)
         paths = [Path(p) for p in args.paths] or [_default_target(root)]
-        project = Project.load(root, paths, jobs=max(1, args.jobs))
+        project = Project.load(root, paths)
     except (ProjectError, FileNotFoundError) as exc:
         print(f"repro.lint: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -77,7 +77,6 @@ class Project:
         cls,
         root: Path | str,
         paths: Iterable[Path | str] | None = None,
-        jobs: int = 1,
     ) -> "Project":
         """Parse every ``*.py`` under ``paths`` (default: the root).
 
@@ -85,11 +84,6 @@ class Project:
         artifacts (``docs/observability.md``).  A file that does not
         parse raises :class:`ProjectError` — the lint target is
         expected to be syntactically valid code.
-
-        ``jobs > 1`` parses files in parallel over a
-        :class:`~repro.exec.pool.WorkPool`.  Outcomes come back in
-        submission order, so the resulting project — and every finding
-        computed from it — is byte-identical to a serial load.
         """
         root = Path(root).resolve()
         if paths is None:
@@ -103,30 +97,11 @@ class Project:
             if not path.exists():
                 raise ProjectError(f"no such lint target: {path}")
             targets.extend(sorted(_iter_python_files(path)))
-        if jobs > 1 and len(targets) > 1:
-            project._load_parallel(targets, jobs)
-        else:
-            for file_path in targets:
-                project._ingest(_parse_file(file_path, root))
+        for file_path in targets:
+            source = _parse_file(file_path, root)
+            project.files.append(source)
+            project.modules[source.module] = source
         return project
-
-    def _load_parallel(self, targets: list[Path], jobs: int) -> None:
-        # Imported lazily: the serial path (and `tdat --help`) must not
-        # pay for the executor machinery.
-        from repro.exec.pool import WorkPool
-
-        pool = WorkPool(workers=min(jobs, len(targets)))
-        outcomes = pool.map(
-            _parse_task, [(str(p), str(self.root)) for p in targets]
-        )
-        for outcome in outcomes:
-            if not outcome.ok:
-                raise ProjectError(str(outcome.error))
-            self._ingest(outcome.value)
-
-    def _ingest(self, source: SourceFile) -> None:
-        self.files.append(source)
-        self.modules[source.module] = source
 
     def artifact(self, relpath: str) -> Path:
         """A project-level artifact path (docs, baseline), root-relative."""
@@ -152,11 +127,6 @@ def _parse_file(path: Path, root: Path) -> SourceFile:
         tree=tree,
         lines=text.splitlines(),
     )
-
-
-def _parse_task(spec: tuple[str, str]) -> SourceFile:
-    """Pool task: parse one file (module-level, hence picklable)."""
-    return _parse_file(Path(spec[0]), Path(spec[1]))
 
 
 def _iter_python_files(path: Path) -> Iterator[Path]:

@@ -42,6 +42,12 @@ class TestExitCodes:
         assert lint("--root", str(tmp_path), str(tmp_path)) == EXIT_USAGE
         assert "error" in capsys.readouterr().err
 
+    def test_parse_error_among_good_files_exits_two(self, tmp_path, capsys):
+        (tmp_path / "a.py").write_text("x = 1\n")
+        (tmp_path / "broken.py").write_text("def f(:\n")
+        assert lint("--root", str(tmp_path), str(tmp_path)) == EXIT_USAGE
+        assert "error" in capsys.readouterr().err
+
     def test_unknown_rule_exits_two(self, capsys):
         code = lint("--root", str(GOOD), "--select", "RL999", str(GOOD))
         assert code == EXIT_USAGE
@@ -113,29 +119,6 @@ class TestSarifOutput:
         via_format = capsys.readouterr().out
         lint("--root", str(BAD), "--json", str(BAD))
         assert capsys.readouterr().out == via_format
-
-
-class TestParallelLoad:
-    def test_jobs_4_is_byte_identical_to_jobs_1(self, capsys):
-        # The satellite contract: findings come back in deterministic
-        # path-then-line order whatever the worker count.
-        src = Path(__file__).resolve().parents[2] / "src" / "repro" / "lint"
-        root = src.parents[1]
-        code_serial = lint("--root", str(root), "--jobs", "1", str(src))
-        serial = capsys.readouterr()
-        code_parallel = lint("--root", str(root), "--jobs", "4", str(src))
-        parallel = capsys.readouterr()
-        assert code_parallel == code_serial
-        assert parallel.out == serial.out
-
-    def test_jobs_parse_errors_still_exit_two(self, tmp_path, capsys):
-        (tmp_path / "a.py").write_text("x = 1\n")
-        (tmp_path / "broken.py").write_text("def f(:\n")
-        code = lint(
-            "--root", str(tmp_path), "--jobs", "2", str(tmp_path)
-        )
-        assert code == EXIT_USAGE
-        assert "error" in capsys.readouterr().err
 
 
 class TestBaselineWorkflow:
