@@ -527,42 +527,37 @@ def run_chaos(
     return report
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.chaos",
-        description=(
-            "Seeded chaos sweep over the campaign execution stack: "
-            "inject one scheduled fault per seed, diff the outcome "
-            "against a clean run, and report the per-fault-class "
-            "matrix."
-        ),
-    )
+def configure_parser(parser: argparse.ArgumentParser) -> None:
+    """Attach the chaos options to ``parser`` (shared with ``tdat``)."""
     parser.add_argument(
         "--seeds", type=int, default=25,
-        help=f"number of consecutive seeds to sweep (default 25; at "
-        f"least {len(FAULT_CLASSES)} to cover every fault class)",
+        help=f"number of consecutive chaos seeds to sweep (default: 25; "
+        f"at least {len(FAULT_CLASSES)} to cover every fault class)",
     )
     parser.add_argument(
         "--base-seed", type=int, default=0,
-        help="first seed of the sweep (default 0)",
+        help="first seed of the sweep (default: 0)",
     )
     parser.add_argument(
         "--transfers", type=int, default=3,
-        help="episodes per micro campaign (default 3)",
-    )
-    parser.add_argument(
-        "--json", action="store_true",
-        help="emit the full report as JSON on stdout",
+        help="episodes per micro campaign (default: 3)",
     )
     parser.add_argument(
         "--matrix-out", metavar="PATH",
-        help="also write the outcome matrix (JSON) to PATH",
+        help="write the per-fault-class outcome matrix (JSON) to PATH",
     )
     parser.add_argument(
-        "--verbose", "-v", action="store_true",
+        "--json", action="store_true",
+        help="emit the full chaos report as JSON",
+    )
+    parser.add_argument(
+        "--verbose", action="store_true",
         help="print every case as it finishes",
     )
-    args = parser.parse_args(argv)
+
+
+def run_with_args(args: argparse.Namespace) -> int:
+    """Run a parsed chaos sweep: 0 when every fault class held, else 1."""
 
     def progress(case: ChaosCase) -> None:
         if args.verbose and not args.json:
@@ -590,6 +585,20 @@ def main(argv: list[str] | None = None) -> int:
     else:
         print(report.summary())
     return 0 if report.ok else 1
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.chaos",
+        description=(
+            "Seeded chaos sweep over the campaign execution stack: "
+            "inject one scheduled fault per seed, diff the outcome "
+            "against a clean run, and report the per-fault-class "
+            "matrix."
+        ),
+    )
+    configure_parser(parser)
+    return run_with_args(parser.parse_args(argv))
 
 
 if __name__ == "__main__":

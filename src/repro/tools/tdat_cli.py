@@ -44,10 +44,18 @@ import argparse
 import json
 import sys
 
-from repro.analysis.render import analysis_to_dict, report_payload
+from repro.analysis.render import report_payload
 from repro.analysis.series import SNIFFER_AT_RECEIVER, SNIFFER_LOCATIONS
 from repro.api import Pipeline
+from repro.chaos.runner import (
+    configure_parser as _configure_chaos_parser,
+    run_with_args as _run_chaos,
+)
 from repro.core.health import IngestError
+from repro.faults.fuzz import (
+    configure_parser as _configure_fuzz_parser,
+    run_with_args as _run_fuzz,
+)
 from repro.lint.cli import (
     LINT_EXIT_CODES,
     configure_parser as _configure_lint_parser,
@@ -371,60 +379,13 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos",
         help="seeded chaos sweep over the campaign execution stack",
     )
-    p.add_argument(
-        "--seeds", type=int, default=25,
-        help="number of consecutive chaos seeds to sweep (default: 25)",
-    )
-    p.add_argument(
-        "--base-seed", type=int, default=0,
-        help="first seed of the sweep (default: 0)",
-    )
-    p.add_argument(
-        "--transfers", type=int, default=3,
-        help="episodes per micro campaign (default: 3)",
-    )
-    p.add_argument(
-        "--matrix-out", metavar="PATH",
-        help="write the per-fault-class outcome matrix (JSON) to PATH",
-    )
-    p.add_argument(
-        "--json", action="store_true", dest="chaos_json",
-        help="emit the full chaos report as JSON",
-    )
-    p.add_argument("--verbose", action="store_true", help="print every case")
+    _configure_chaos_parser(p)
     p.set_defaults(handler=_cmd_chaos)
 
     p = add_parser(
         "fuzz", help="fault-injection harness over the ingest pipeline"
     )
-    p.add_argument(
-        "--seeds", type=int, default=200,
-        help="number of mangled variants to run (default: 200)",
-    )
-    p.add_argument(
-        "--base-seed", type=int, default=0,
-        help="first seed of the campaign (default: 0)",
-    )
-    p.add_argument(
-        "--table", type=int, default=2_000,
-        help="prefixes in the clean trace's table (default: 2000)",
-    )
-    p.add_argument(
-        "--max-ops", type=int, default=3,
-        help="most fault operators composed per case (default: 3)",
-    )
-    p.add_argument(
-        "--stress", action="store_true",
-        help="also run the adversarial stress corpus (connection "
-        "floods, idle flows, pathological reordering) through a "
-        "tight resource budget and check the degradation contract",
-    )
-    p.add_argument(
-        "--stress-connections", type=int, default=2_000, metavar="N",
-        help="connections in the stress corpus's flood trace "
-        "(default: 2000)",
-    )
-    p.add_argument("--verbose", action="store_true", help="print every case")
+    _configure_fuzz_parser(p)
     p.set_defaults(handler=_cmd_fuzz)
 
     p = add_parser(
@@ -732,38 +693,11 @@ def _metric_summary(entry: dict) -> str:
 
 
 def _cmd_chaos(args) -> int:
-    from repro.chaos import runner
-
-    chaos_argv = [
-        "--seeds", str(args.seeds),
-        "--base-seed", str(args.base_seed),
-        "--transfers", str(args.transfers),
-    ]
-    if args.matrix_out:
-        chaos_argv += ["--matrix-out", args.matrix_out]
-    if args.chaos_json:
-        chaos_argv.append("--json")
-    if args.verbose:
-        chaos_argv.append("--verbose")
-    return EXIT_ISSUES if runner.main(chaos_argv) else EXIT_OK
+    return EXIT_ISSUES if _run_chaos(args) else EXIT_OK
 
 
 def _cmd_fuzz(args) -> int:
-    from repro.faults import fuzz
-
-    fuzz_argv = [
-        "--seeds", str(args.seeds),
-        "--base-seed", str(args.base_seed),
-        "--table", str(args.table),
-        "--max-ops", str(args.max_ops),
-    ]
-    if args.stress:
-        fuzz_argv += [
-            "--stress", "--stress-connections", str(args.stress_connections),
-        ]
-    if args.verbose:
-        fuzz_argv.append("--verbose")
-    return EXIT_ISSUES if fuzz.main(fuzz_argv) else EXIT_OK
+    return EXIT_ISSUES if _run_fuzz(args) else EXIT_OK
 
 
 def _cmd_anonymize(args) -> int:
@@ -815,12 +749,6 @@ def _cmd_lint(args) -> int:
     # Returns lint's own codes (0/1/2) documented in LINT_EXIT_CODES,
     # not the analysis table above.
     return _run_lint(args)
-
-
-# The JSON flattening moved to repro.analysis.render so the analysis
-# service shares it; the old private name stays importable for the
-# benchmark harness and differential tests that compare shapes.
-_analysis_to_dict = analysis_to_dict
 
 
 if __name__ == "__main__":
