@@ -167,7 +167,6 @@ class PeerGroupBlockingReport:
 def detect_peer_group_blocking(
     idle_connection: Connection,
     failed_series: ConnectionSeries,
-    min_block_us: int = PEER_GROUP_MIN_BLOCK_US,
 ) -> PeerGroupBlockingReport:
     """Did ``failed`` drag down ``idle`` through peer-group replication?
 
@@ -178,14 +177,12 @@ def detect_peer_group_blocking(
     # Candidate pauses on the idle session: whole periods between
     # non-keepalive data with keepalives flowing inside (keepalives
     # would otherwise chop SendAppLimited into sub-threshold pieces).
-    pauses = detect_long_keepalive_pauses(
-        idle_connection, min_block_us
-    ).blocked_ranges
+    pauses = detect_long_keepalive_pauses(idle_connection).blocked_ranges
     failed_loss = failed_series.catalog.get_or_empty("AllLoss").ranges
     blocked = []
     for pause in pauses:
         overlap = TimeRangeSet([pause]).intersection(failed_loss)
-        if overlap.size() >= min(min_block_us, pause.duration // 2):
+        if overlap.size() >= min(PEER_GROUP_MIN_BLOCK_US, pause.duration // 2):
             blocked.append(pause)
     return PeerGroupBlockingReport(
         detected=bool(blocked),
@@ -196,7 +193,6 @@ def detect_peer_group_blocking(
 
 def detect_long_keepalive_pauses(
     connection: Connection,
-    min_block_us: int = PEER_GROUP_MIN_BLOCK_US,
 ) -> PeerGroupBlockingReport:
     """Single-trace variant: long sender pauses with only keepalives.
 
@@ -215,7 +211,7 @@ def detect_long_keepalive_pauses(
     keepalive_times = sorted(compress(data.time, data.keepalive))
     blocked = []
     for left, right in zip(real_data, real_data[1:]):
-        if right - left < min_block_us:
+        if right - left < PEER_GROUP_MIN_BLOCK_US:
             continue
         # The first keepalive after ``left``: is it before ``right``?
         inside = bisect.bisect_right(keepalive_times, left)

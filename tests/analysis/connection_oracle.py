@@ -20,10 +20,7 @@ import statistics
 from dataclasses import dataclass
 
 from repro.analysis.ackshift import AckShiftStats
-from repro.analysis.detectors import (
-    PEER_GROUP_MIN_BLOCK_US,
-    PeerGroupBlockingReport,
-)
+from repro.analysis.detectors import PeerGroupBlockingReport
 from repro.analysis.labeling import (
     KIND_DOWNSTREAM,
     KIND_NEW,
@@ -55,6 +52,8 @@ RESPONSE_THRESHOLD_US = 2_000
 BANDWIDTH_SLACK = 1.3
 #: Minimum packets of sustained bottleneck spacing.
 BANDWIDTH_MIN_PACKETS = 5
+#: Shortest keepalive-only sender pause that counts as blocked (10 s).
+PEER_GROUP_MIN_BLOCK_US = 10_000_000
 
 
 def flight_gap_threshold_us(rtt_us: int) -> int:
@@ -1128,7 +1127,6 @@ def find_capture_voids(connection: Connection) -> CaptureVoidReport:
 
 def detect_long_keepalive_pauses(
     connection: Connection,
-    min_block_us: int = PEER_GROUP_MIN_BLOCK_US,
 ) -> PeerGroupBlockingReport:
     """Single-trace variant: long sender pauses with only keepalives.
 
@@ -1149,7 +1147,7 @@ def detect_long_keepalive_pauses(
             real_data.append(packet.timestamp_us)
     blocked = []
     for left, right in zip(real_data, real_data[1:]):
-        if right - left < min_block_us:
+        if right - left < PEER_GROUP_MIN_BLOCK_US:
             continue
         inside = [t for t in keepalive_times if left < t < right]
         if inside:

@@ -18,10 +18,12 @@ BGP keepalives and one-sided flows.
 from __future__ import annotations
 
 from itertools import product
+from unittest import mock
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import detectors
 from repro.analysis.ackshift import shift_acks, unshift_acks
 from repro.analysis.detectors import detect_long_keepalive_pauses
 from repro.analysis.labeling import label_connection
@@ -225,11 +227,15 @@ def _assert_layers_match(columns, objects) -> None:
     assert voids.phantom_bytes == expected_voids.phantom_bytes
     assert voids.void_windows == expected_voids.void_windows
 
-    for min_block_us in (1, 25_000):
-        pauses = detect_long_keepalive_pauses(columns, min_block_us)
-        expected_pauses = oracle.detect_long_keepalive_pauses(
-            objects, min_block_us
-        )
+    # Generated connections last well under the 10 s threshold, so the
+    # comparison also runs with it lowered on both sides.
+    assert oracle.PEER_GROUP_MIN_BLOCK_US == detectors.PEER_GROUP_MIN_BLOCK_US
+    for min_block_us in (1, 25_000, oracle.PEER_GROUP_MIN_BLOCK_US):
+        with mock.patch.object(
+            detectors, "PEER_GROUP_MIN_BLOCK_US", min_block_us
+        ), mock.patch.object(oracle, "PEER_GROUP_MIN_BLOCK_US", min_block_us):
+            pauses = detect_long_keepalive_pauses(columns)
+            expected_pauses = oracle.detect_long_keepalive_pauses(objects)
         assert pauses.blocked_ranges == expected_pauses.blocked_ranges
 
     # The columns themselves, last: the oracle resolves ISNs lazily, on
