@@ -103,11 +103,9 @@ class ResourceBudget:
         if self.max_state_bytes is not None:
             parts.append(f"state<={self.max_state_bytes}B")
         limits = ", ".join(parts) if parts else "unbounded"
-        # The policy clause keeps the text every pinned report and
-        # session ETag was rendered with.
         return (
             f"budget({limits}; watermarks {HIGH_WATERMARK:g}"
-            f"/{LOW_WATERMARK:g}; policy finalize-idle>drop-coldest)"
+            f"/{LOW_WATERMARK:g})"
         )
 
 
@@ -183,9 +181,6 @@ class DegradationSummary:
             "peak_live_connections": self.peak_live_connections,
             "peak_state_bytes": self.peak_state_bytes,
             "finalized_early": self.finalized_early,
-            # No rule discards a victim without a report; the key keeps
-            # the payload (and every pinned digest) in its shape.
-            "dropped": 0,
             "capped": self.capped,
             "packets_shed": self.packets_shed,
             "bytes_shed": self.bytes_shed,
@@ -201,7 +196,7 @@ class DegradationSummary:
             )
         return (
             f"budget: degraded — {self.finalized_early} finalized early, "
-            f"0 dropped, {self.capped} capped "
+            f"{self.capped} capped "
             f"({self.packets_shed} packets / {self.bytes_shed} bytes shed; "
             f"peak {self.peak_live_connections} live connections, "
             f"{self.peak_state_bytes} state bytes)"

@@ -51,19 +51,19 @@ STRAGGLER_STREAMING_SHA256 = (
 BUDGETED_SHA256 = {
     "live-connections": (
         {"max_live_connections": 12},
-        "8ed9b432598e755c9938c17f78f89f9725f3271ae2f76f29ccf8a3f08a70ff6f",
+        "792ebc2df337a5d6cf54bd3c8b7783a3d97467cd586bc7f55a5be9e7543b41da",
     ),
     "connection-packets": (
         {"max_connection_packets": 64},
-        "d9a103fc5ee6a118b4944ba7d530904f4a3808bfe364231da47042b413e840b1",
+        "79c58557e78d94e4011d98f71a621b5579cc8899cafb1725846290f04143450e",
     ),
     "state-bytes": (
         {"max_state_bytes": 8_000},
-        "7e0a2aae3cc0fa4e37a6db5bb73383f3c545781e984343cd58240567faccf34b",
+        "a6d20885564c64d01a5b949086fa6be3ddbc2cce83795056e7030dca01710b32",
     ),
 }
 LEDGER_SUMMARY_SHA256 = (
-    "17964110f873136a0900e16bf0507fec1b81b5f40d86a2048af5fee82ab3c299"
+    "76e473a72e914db9cee451ccbce209ae1da0710d235448d8dc564d3472f8b2b5"
 )
 
 #: the execution modes besides the default (buffered, serial).
