@@ -27,13 +27,6 @@ TYPE_UPDATE = 2
 TYPE_NOTIFICATION = 3
 TYPE_KEEPALIVE = 4
 
-TYPE_NAMES = {
-    TYPE_OPEN: "OPEN",
-    TYPE_UPDATE: "UPDATE",
-    TYPE_NOTIFICATION: "NOTIFICATION",
-    TYPE_KEEPALIVE: "KEEPALIVE",
-}
-
 # NOTIFICATION error codes (subset).
 ERR_OPEN_MESSAGE = 2
 ERR_HOLD_TIMER_EXPIRED = 4

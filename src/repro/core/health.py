@@ -81,9 +81,6 @@ ISSUE_KINDS = {
     "chaos-injected": "a seeded chaos plan injected faults into this run",
 }
 
-#: Fast membership check for validation paths.
-KNOWN_ISSUE_KINDS = frozenset(ISSUE_KINDS)
-
 #: Default per-kind cap on *stored* issues.  A degenerate trace (e.g.
 #: a million-packet flood arriving after its flows closed) must not
 #: turn the health ledger itself into the memory hog: past the cap,

@@ -11,7 +11,6 @@ from __future__ import annotations
 # Canonical conversion constants.
 US_PER_SECOND = 1_000_000
 US_PER_MS = 1_000
-MS_PER_SECOND = 1_000
 
 
 def seconds(value: float) -> int:

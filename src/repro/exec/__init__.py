@@ -1,7 +1,6 @@
 """Parallel execution substrate: the work pool behind campaigns."""
 
 from repro.exec.pool import (
-    BACKENDS,
     CRASH_KIND,
     MULTIPROCESSING,
     SERIAL,
@@ -19,7 +18,6 @@ from repro.exec.pool import (
 )
 
 __all__ = [
-    "BACKENDS",
     "CRASH_KIND",
     "MULTIPROCESSING",
     "SERIAL",

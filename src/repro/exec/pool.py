@@ -63,7 +63,6 @@ from repro.obs import get_obs, reset_worker_obs
 
 SERIAL = "serial"
 MULTIPROCESSING = "multiprocessing"
-BACKENDS = (SERIAL, MULTIPROCESSING)
 
 #: TaskError.kind values synthesized by the supervisor itself (as
 #: opposed to captured task exception type names).

@@ -150,11 +150,6 @@ def _describe(qname: str) -> str:
 # ---------------------------------------------------------------------- #
 # RL002                                                                   #
 # ---------------------------------------------------------------------- #
-#: calls through which consuming a set is order-insensitive.
-_ORDER_FREE_CONSUMERS = {
-    "sorted", "len", "sum", "min", "max", "any", "all", "set", "frozenset",
-}
-
 #: builtins whose result exposes the set's iteration order.
 _ORDER_EXPOSING_CALLS = {"list", "tuple", "enumerate", "iter", "reversed"}
 
