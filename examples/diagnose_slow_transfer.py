@@ -15,16 +15,15 @@ Run:  python examples/diagnose_slow_transfer.py
 
 import random
 
-from repro.analysis import (
-    analyze_connection,
-    transfers_from_mrt_records,
-)
+from repro.analysis.mct import transfers_from_mrt_records
+from repro.analysis.tdat import analyze_connection
 from repro.api import Pipeline
-from repro.bgp import TimerBatchSender, generate_table
+from repro.bgp.sender_models import TimerBatchSender
+from repro.bgp.table import generate_table
 from repro.core.units import seconds, to_milliseconds
-from repro.netsim import Simulator
+from repro.netsim.simulator import Simulator
 from repro.tools.bgplot import render_panel
-from repro.workloads import MonitoringSetup, RouterParams
+from repro.workloads.scenarios import MonitoringSetup, RouterParams
 
 TIMER_MS = 200
 MESSAGES_PER_TICK = 12

@@ -19,15 +19,17 @@ import random
 import tempfile
 from pathlib import Path
 
-from repro.analysis import analyze_connection, minimum_collection_time
+from repro.analysis.mct import minimum_collection_time
 from repro.analysis.profile import Trace
-from repro.bgp import generate_table
+from repro.analysis.tdat import analyze_connection
+from repro.bgp.collector import VendorCollector
 from repro.bgp.mrt import read_mrt
+from repro.bgp.table import generate_table
 from repro.core.units import seconds
-from repro.bgp import VendorCollector
-from repro.netsim import Simulator, WindowLoss
+from repro.netsim.link import WindowLoss
+from repro.netsim.simulator import Simulator
 from repro.tools import pcap2bgp, tcptrace_lite
-from repro.workloads import MonitoringSetup, RouterParams
+from repro.workloads.scenarios import MonitoringSetup, RouterParams
 
 
 def build_capture(path: Path) -> None:

@@ -18,7 +18,7 @@ Run:  python examples/peer_group_blocking.py  (exits 1 if no block is found)
 
 import sys
 
-from repro.workloads import run_peer_group_episode
+from repro.workloads.campaign import run_peer_group_episode
 
 HOLD_TIME_S = 60  # scaled down from the paper's 180s for a quick run
 # The 20k-prefix transfer lasts about 0.7 s, so the vendor must die

@@ -16,16 +16,14 @@ import random
 import tempfile
 from pathlib import Path
 
-from repro.analysis import (
-    analyze_connection,
-    transfers_from_mrt_records,
-)
+from repro.analysis.mct import transfers_from_mrt_records
+from repro.analysis.tdat import analyze_connection
 from repro.api import Pipeline
-from repro.bgp import generate_table
+from repro.bgp.table import generate_table
 from repro.core.units import seconds
-from repro.netsim import Simulator
+from repro.netsim.simulator import Simulator
 from repro.tools.bgplot import render_analysis
-from repro.workloads import MonitoringSetup, RouterParams
+from repro.workloads.scenarios import MonitoringSetup, RouterParams
 
 
 def main() -> None:

@@ -20,7 +20,7 @@ from pathlib import Path
 from repro.analysis.factors import FACTORS
 from repro.api import Pipeline
 from repro.tools.report import render_markdown
-from repro.workloads import isp_quagga_config
+from repro.workloads.campaign import isp_quagga_config
 
 
 def main() -> None:

@@ -8,6 +8,7 @@ analyses.  This example runs two of them on simulated captures:
    application's internal timer from the ``SendAppLimited`` series —
    application clocks are invisible in raw traces because the RTT
    dominates, but the series isolates exactly the app-limited periods.
+   Every report carries the result as ``timer_gaps``.
 2. **TCP flavour inference** (Jaiswal et al.): watch how the
    congestion window reacts to a clean loss episode — Tahoe collapses
    to one segment, Reno/NewReno halve — using the outstanding-bytes
@@ -18,13 +19,15 @@ Run:  python examples/tcp_forensics.py
 
 import random
 
-from repro.analysis import extract_flow_clock, infer_tcp_flavor
+from repro.analysis.applications import infer_tcp_flavor
 from repro.api import Pipeline
-from repro.bgp import TimerBatchSender, generate_table
+from repro.bgp.sender_models import TimerBatchSender
+from repro.bgp.table import generate_table
 from repro.core.units import seconds
-from repro.netsim import CountedLoss, Simulator
+from repro.netsim.link import CountedLoss
+from repro.netsim.simulator import Simulator
 from repro.tcp.options import TcpConfig
-from repro.workloads import MonitoringSetup, RouterParams
+from repro.workloads.scenarios import MonitoringSetup, RouterParams
 
 
 def capture(flavor=None, timer_ms=None, single_loss=False, seed=5):
@@ -56,10 +59,10 @@ def capture(flavor=None, timer_ms=None, single_loss=False, seed=5):
 def main() -> None:
     print("--- flow clock extraction ---")
     analysis = capture(timer_ms=100)
-    clock = extract_flow_clock(analysis.series)
+    clock = analysis.timer_gaps
     if clock.detected:
-        print(f"application clock: {clock.period_us / 1000:.0f} ms "
-              f"(strength {clock.strength:.0%}, {clock.samples} gaps) — "
+        print(f"application clock: {clock.timer_us / 1000:.0f} ms "
+              f"({clock.plateau_count} of {clock.gap_count} gaps on it) — "
               "injected: 100 ms")
     else:
         print("no application clock found")

@@ -7,49 +7,23 @@ window-based TCP, a BGP implementation with the pathologies the paper
 studies, byte-faithful pcap capture, and the measurement campaigns
 regenerating the paper's tables and figures.
 
-Quick start::
+Each symbol is imported from the module that defines it; the facade
+is :mod:`repro.api`.  Quick start::
 
-    from repro import netsim, bgp, workloads
+    import random
+
     from repro.api import Pipeline
+    from repro.bgp.table import generate_table
+    from repro.netsim.simulator import Simulator
+    from repro.workloads.scenarios import MonitoringSetup, RouterParams
 
-    sim = netsim.Simulator()
-    setup = workloads.MonitoringSetup(sim)
-    setup.add_router(workloads.RouterParams(
+    sim = Simulator()
+    setup = MonitoringSetup(sim)
+    setup.add_router(RouterParams(
         name="r1", ip="10.1.0.1",
-        table=bgp.generate_table(1000, netsim.RandomStreams(1).stream("t")),
+        table=generate_table(1000, random.Random(1)),
     ))
     setup.start()
     sim.run(until_us=60_000_000)
     report = Pipeline().analyze(setup.sniffer.sorted_records())
 """
-
-from repro import (
-    analysis,
-    api,
-    bgp,
-    capture,
-    core,
-    exec,
-    netsim,
-    tcp,
-    tools,
-    wire,
-    workloads,
-)
-
-__version__ = "1.1.0"
-
-__all__ = [
-    "analysis",
-    "api",
-    "exec",
-    "bgp",
-    "capture",
-    "core",
-    "netsim",
-    "tcp",
-    "tools",
-    "wire",
-    "workloads",
-    "__version__",
-]

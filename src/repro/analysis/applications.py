@@ -5,22 +5,22 @@ traces:
 
 * Qian et al. extract *flow clocks* — non-RTT application timers — which
   are concealed by RTT except while the connection is application
-  limited: :func:`extract_flow_clock` runs directly on the
-  ``SendAppLimited`` series.
+  limited.  That is the timer-gap detector
+  (:func:`~repro.analysis.detectors.detect_timer_gaps`), which runs
+  directly on the ``SendAppLimited`` series; every report carries its
+  result as ``timer_gaps``.
 * Jaiswal et al. infer the *TCP flavour* by comparing outstanding data
   against a projected congestion window, which is only meaningful while
   the connection is congestion-window bounded: :func:`infer_tcp_flavor`
-  reasons over the loss labels and the outstanding step function.
-
-Both run on a :class:`~repro.analysis.series.ConnectionSeries` bundle,
-exactly the hand-off the paper proposes.
+  reasons over the loss labels and the outstanding step function, on a
+  :class:`~repro.analysis.series.ConnectionSeries` bundle, exactly the
+  hand-off the paper proposes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.detectors import detect_timer_gaps
 from repro.analysis.labeling import LabelingResult
 from repro.analysis.profile import Connection
 from repro.analysis.series import ConnectionSeries
@@ -29,34 +29,6 @@ FLAVOR_TAHOE = "tahoe"
 FLAVOR_RENO = "reno"
 FLAVOR_NEWRENO = "newreno"
 FLAVOR_UNKNOWN = "unknown"
-
-
-@dataclass
-class FlowClockReport:
-    """An inferred application timer driving the flow."""
-
-    detected: bool
-    period_us: int | None = None
-    strength: float = 0.0  # fraction of gaps on the clock
-    samples: int = 0
-
-
-def extract_flow_clock(series: ConnectionSeries) -> FlowClockReport:
-    """Recover a non-RTT application clock from sender-idle gaps.
-
-    The clock only shows while the connection is application limited —
-    which is exactly what the ``SendAppLimited`` series isolates, so no
-    RTT filtering is needed (the paper's point about Qian et al.).
-    """
-    report = detect_timer_gaps(series)
-    if not report.detected:
-        return FlowClockReport(detected=False, samples=report.gap_count)
-    return FlowClockReport(
-        detected=True,
-        period_us=report.timer_us,
-        strength=report.plateau_count / max(report.gap_count, 1),
-        samples=report.gap_count,
-    )
 
 
 @dataclass

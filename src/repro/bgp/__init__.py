@@ -1,63 +1,1 @@
 """BGP substrate: messages, tables, sessions, sender models, collectors."""
-
-from repro.bgp.attributes import AsPathSegment, PathAttributes
-from repro.bgp.collector import (
-    BaseCollector,
-    CollectorCpu,
-    QuaggaCollector,
-    VendorCollector,
-)
-from repro.bgp.messages import (
-    BgpError,
-    BgpMessage,
-    KeepaliveMessage,
-    MessageDecoder,
-    NotificationMessage,
-    OpenMessage,
-    Prefix,
-    UpdateMessage,
-    decode_message,
-    encode_message,
-)
-from repro.bgp.mrt import MrtRecord, read_mrt, write_mrt
-from repro.bgp.peer_group import PeerGroup
-from repro.bgp.sender_models import (
-    ImmediateSender,
-    RateLimitedSender,
-    SenderModel,
-    TimerBatchSender,
-)
-from repro.bgp.speaker import BgpSession, BgpSessionState
-from repro.bgp.table import Rib, Route, generate_table
-
-__all__ = [
-    "AsPathSegment",
-    "BaseCollector",
-    "BgpError",
-    "BgpMessage",
-    "BgpSession",
-    "BgpSessionState",
-    "CollectorCpu",
-    "ImmediateSender",
-    "KeepaliveMessage",
-    "MessageDecoder",
-    "MrtRecord",
-    "NotificationMessage",
-    "OpenMessage",
-    "PathAttributes",
-    "PeerGroup",
-    "Prefix",
-    "QuaggaCollector",
-    "RateLimitedSender",
-    "Rib",
-    "Route",
-    "SenderModel",
-    "TimerBatchSender",
-    "UpdateMessage",
-    "VendorCollector",
-    "decode_message",
-    "encode_message",
-    "generate_table",
-    "read_mrt",
-    "write_mrt",
-]

@@ -258,13 +258,3 @@ class BgpSession:
         self.sender_model.stop()
         if self.on_down is not None:
             self.on_down(self, reason)
-
-    def shutdown(self, notify: bool = True) -> None:
-        """Administrative teardown (CEASE)."""
-        if notify and self.state is not BgpSessionState.IDLE:
-            try:
-                self.send_message(NotificationMessage(6))  # CEASE
-            except RuntimeError:
-                pass
-        self._go_down("cease")
-        self.endpoint.abort()

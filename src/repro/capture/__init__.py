@@ -1,5 +1,1 @@
 """Passive capture: sniffer taps producing pcap traces."""
-
-from repro.capture.sniffer import SnifferTap
-
-__all__ = ["SnifferTap"]

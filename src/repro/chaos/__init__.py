@@ -11,50 +11,8 @@ a clean run: every fault must end either byte-identical (absorbed) or
 typed-and-resumable — never silent divergence, never a leaked worker.
 
 Entry points: ``python -m repro.chaos`` or ``tdat chaos``; the library
-surface is :func:`run_chaos` / :func:`run_plan` plus the plan
-compiler.  See the fault taxonomy and injection-point catalog in
-``docs/robustness.md``.
+surface is :func:`~repro.chaos.runner.run_chaos` /
+:func:`~repro.chaos.runner.run_plan` plus the plan compiler
+(:func:`~repro.chaos.plan.draw_plan`).  See the fault taxonomy and
+injection-point catalog in ``docs/robustness.md``.
 """
-
-from repro.chaos.fsfaults import FaultyCheckpointFs, SimulatedCrash
-from repro.chaos.plan import (
-    FAULT_CLASSES,
-    INJECTION_POINTS,
-    ChaosHooks,
-    ChaosPlan,
-    FsFault,
-    draw_plan,
-)
-from repro.chaos.runner import (
-    OUTCOME_IDENTICAL,
-    OUTCOME_TYPED,
-    OUTCOME_UNDEFINED,
-    OUTCOME_VIOLATION,
-    ChaosCase,
-    ChaosReport,
-    chaos_config,
-    main,
-    run_chaos,
-    run_plan,
-)
-
-__all__ = [
-    "FAULT_CLASSES",
-    "INJECTION_POINTS",
-    "OUTCOME_IDENTICAL",
-    "OUTCOME_TYPED",
-    "OUTCOME_UNDEFINED",
-    "OUTCOME_VIOLATION",
-    "ChaosCase",
-    "ChaosHooks",
-    "ChaosPlan",
-    "ChaosReport",
-    "FaultyCheckpointFs",
-    "FsFault",
-    "SimulatedCrash",
-    "chaos_config",
-    "draw_plan",
-    "main",
-    "run_chaos",
-    "run_plan",
-]

@@ -17,32 +17,3 @@ hoped for:
   pipeline, every run yields a TraceHealth report, and a clean trace
   yields an empty one with unchanged factor vectors.
 """
-
-from repro.faults.mangle import (
-    OPERATORS,
-    FaultOp,
-    mangle,
-    random_plan,
-    split_pcap,
-)
-
-__all__ = [
-    "FaultOp",
-    "FuzzCase",
-    "FuzzReport",
-    "OPERATORS",
-    "mangle",
-    "random_plan",
-    "run_fuzz",
-    "split_pcap",
-]
-
-
-def __getattr__(name):
-    # repro.faults.fuzz imports lazily so the mangler stays importable
-    # without the simulator stack.
-    if name in ("FuzzCase", "FuzzReport", "run_fuzz"):
-        from repro.faults import fuzz
-
-        return getattr(fuzz, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -60,19 +60,11 @@ from __future__ import annotations
 # everything (rule modules included, which registers the ruleset) and
 # caches the names in module globals.
 _EXPORTS = {
-    "Baseline": "repro.lint.baseline",
     "load_baseline": "repro.lint.baseline",
     "render_baseline": "repro.lint.baseline",
     "RULES": "repro.lint.engine",
-    "SEVERITY_ERROR": "repro.lint.engine",
-    "SEVERITY_WARNING": "repro.lint.engine",
     "Finding": "repro.lint.engine",
-    "LintResult": "repro.lint.engine",
-    "Rule": "repro.lint.engine",
-    "register_rule": "repro.lint.engine",
     "run_lint": "repro.lint.engine",
-    "Project": "repro.lint.project",
-    "SourceFile": "repro.lint.project",
 }
 
 
@@ -97,17 +89,9 @@ def __dir__() -> list[str]:
 
 
 __all__ = [
-    "Baseline",
     "Finding",
-    "LintResult",
-    "Project",
     "RULES",
-    "Rule",
-    "SEVERITY_ERROR",
-    "SEVERITY_WARNING",
-    "SourceFile",
     "load_baseline",
-    "register_rule",
     "render_baseline",
     "run_lint",
 ]

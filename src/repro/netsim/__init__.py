@@ -1,35 +1,1 @@
 """Discrete-event network simulation substrate."""
-
-from repro.netsim.link import (
-    BernoulliLoss,
-    CountedLoss,
-    GilbertElliottLoss,
-    Link,
-    LinkStats,
-    NoLoss,
-    PathSegmentChain,
-    WindowLoss,
-)
-from repro.netsim.node import Host
-from repro.netsim.packet import Packet, tcp_wire_length
-from repro.netsim.random import RandomStreams
-from repro.netsim.simulator import Event, PeriodicTimer, Simulator, Timer
-
-__all__ = [
-    "BernoulliLoss",
-    "CountedLoss",
-    "Event",
-    "GilbertElliottLoss",
-    "Host",
-    "Link",
-    "LinkStats",
-    "NoLoss",
-    "Packet",
-    "PathSegmentChain",
-    "PeriodicTimer",
-    "RandomStreams",
-    "Simulator",
-    "Timer",
-    "WindowLoss",
-    "tcp_wire_length",
-]

@@ -83,35 +83,6 @@ class CountedLoss:
         return False
 
 
-class GilbertElliottLoss:
-    """Two-state bursty loss (good/bad channel) — models congestion bursts."""
-
-    def __init__(
-        self,
-        rng,
-        p_good_to_bad: float = 0.001,
-        p_bad_to_good: float = 0.2,
-        loss_in_bad: float = 0.8,
-        loss_in_good: float = 0.0,
-    ) -> None:
-        self._rng = rng
-        self.p_good_to_bad = p_good_to_bad
-        self.p_bad_to_good = p_bad_to_good
-        self.loss_in_bad = loss_in_bad
-        self.loss_in_good = loss_in_good
-        self._bad = False
-
-    def should_drop(self, packet: Packet, now_us: int) -> bool:
-        if self._bad:
-            if self._rng.random() < self.p_bad_to_good:
-                self._bad = False
-        else:
-            if self._rng.random() < self.p_good_to_bad:
-                self._bad = True
-        rate = self.loss_in_bad if self._bad else self.loss_in_good
-        return rate > 0 and self._rng.random() < rate
-
-
 class LinkStats:
     """Counters a link accumulates over its lifetime."""
 
@@ -233,33 +204,3 @@ class Link:
         self.stats.delivered += 1
         self.stats.bytes_delivered += packet.wire_length
         self.deliver(packet)
-
-
-class PathSegmentChain:
-    """Several links in series forming one direction of a path.
-
-    The paper's collection setup is ``Sender --upstream--> Sniffer
-    --downstream--> Receiver``; a chain of two links with a tap on the
-    first link's egress models it exactly.
-    """
-
-    def __init__(self, links: list[Link]) -> None:
-        if not links:
-            raise ValueError("a path needs at least one link")
-        self.links = links
-        for upstream, downstream in zip(links, links[1:]):
-            upstream.deliver = downstream.send
-
-    @property
-    def entry(self) -> Link:
-        """The first link; feed packets into ``entry.send``."""
-        return self.links[0]
-
-    @property
-    def exit(self) -> Link:
-        """The last link; its ``deliver`` reaches the destination host."""
-        return self.links[-1]
-
-    def send(self, packet: Packet) -> bool:
-        """Inject a packet at the head of the chain."""
-        return self.entry.send(packet)

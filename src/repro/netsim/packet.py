@@ -2,7 +2,7 @@
 
 A :class:`Packet` is what travels across :mod:`repro.netsim.link` links.
 The payload is a structured object (for this project, a
-:class:`repro.tcp.segment.TcpSegment`); the wire framing overhead is
+:class:`repro.wire.tcpw.TcpHeader`); the wire framing overhead is
 accounted for in ``wire_length`` so link serialization times and the
 pcap traces match real Ethernet/IPv4/TCP byte counts.
 """

@@ -24,56 +24,22 @@ See ``docs/observability.md`` for the metric catalog, the span
 hierarchy, and the "disabled costs ~nothing" contract.
 """
 
-from repro.obs.metrics import (
-    NULL_REGISTRY,
-    SECONDS_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullRegistry,
-)
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import (
-    DISABLED,
     Observability,
     ObsExport,
     get_obs,
     reset_worker_obs,
-    set_obs,
     use_obs,
 )
-from repro.obs.trace import (
-    CLOCK_SIM,
-    CLOCK_WALL,
-    NULL_TRACER,
-    PID_SIM,
-    PID_WALL,
-    NullTracer,
-    SpanRecord,
-    Tracer,
-)
+from repro.obs.trace import CLOCK_SIM
 
 __all__ = [
     "CLOCK_SIM",
-    "CLOCK_WALL",
-    "Counter",
-    "DISABLED",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
-    "NULL_REGISTRY",
-    "NULL_TRACER",
-    "NullRegistry",
-    "NullTracer",
     "ObsExport",
     "Observability",
-    "PID_SIM",
-    "PID_WALL",
-    "SECONDS_BUCKETS",
-    "SpanRecord",
-    "Tracer",
     "get_obs",
     "reset_worker_obs",
-    "set_obs",
     "use_obs",
 ]

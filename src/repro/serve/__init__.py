@@ -21,24 +21,7 @@ Entry points:
 See ``docs/service.md`` for the endpoint and caching contract.
 """
 
-from repro.serve.http import (
-    AnalysisServer,
-    MAX_BODY_BYTES,
-    server_observability,
-)
-from repro.serve.session import (
-    AnalysisSession,
-    ChunkFeeder,
-    ServeError,
-    SessionManager,
-)
+from repro.serve.http import AnalysisServer
+from repro.serve.session import SessionManager
 
-__all__ = [
-    "AnalysisServer",
-    "AnalysisSession",
-    "ChunkFeeder",
-    "MAX_BODY_BYTES",
-    "ServeError",
-    "SessionManager",
-    "server_observability",
-]
+__all__ = ["AnalysisServer", "SessionManager"]

@@ -1,31 +1,1 @@
 """TCP substrate: window-based congestion control on the simulator."""
-
-from repro.tcp.congestion import (
-    FLAVORS,
-    CongestionControl,
-    NewReno,
-    Reno,
-    Tahoe,
-    make_congestion_control,
-)
-from repro.tcp.options import TcpConfig
-from repro.tcp.receiver import RecvHalf
-from repro.tcp.rto import RttEstimator
-from repro.tcp.sender import SendHalf
-from repro.tcp.socket import TcpEndpoint, TcpState, connect_pair
-
-__all__ = [
-    "FLAVORS",
-    "CongestionControl",
-    "NewReno",
-    "RecvHalf",
-    "Reno",
-    "RttEstimator",
-    "SendHalf",
-    "Tahoe",
-    "TcpConfig",
-    "TcpEndpoint",
-    "TcpState",
-    "connect_pair",
-    "make_congestion_control",
-]

@@ -408,46 +408,3 @@ class TcpEndpoint:
             self.state = TcpState.CLOSED
             self.closed_at_us = self.sim.now
             self._unregister()
-
-
-def connect_pair(
-    sim: Simulator,
-    client_host: Host,
-    server_host: Host,
-    client_port: int,
-    server_port: int,
-    client_config: TcpConfig | None = None,
-    server_config: TcpConfig | None = None,
-    **callbacks,
-) -> tuple[TcpEndpoint, TcpEndpoint]:
-    """Create an active/passive endpoint pair ready to handshake.
-
-    The caller wires hosts to links beforehand; ``client.connect()`` is
-    invoked here, so running the simulator completes the handshake.
-    Callbacks suffixed ``_client`` / ``_server`` are routed accordingly.
-    """
-    server = TcpEndpoint(
-        sim,
-        server_host,
-        server_port,
-        client_host.ip,
-        client_port,
-        config=server_config,
-        on_established=callbacks.get("on_established_server"),
-        on_data=callbacks.get("on_data_server"),
-        on_close=callbacks.get("on_close_server"),
-    )
-    server.listen()
-    client = TcpEndpoint(
-        sim,
-        client_host,
-        client_port,
-        server_host.ip,
-        server_port,
-        config=client_config,
-        on_established=callbacks.get("on_established_client"),
-        on_data=callbacks.get("on_data_client"),
-        on_close=callbacks.get("on_close_client"),
-    )
-    client.connect()
-    return client, server

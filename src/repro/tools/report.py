@@ -1,6 +1,6 @@
 """Campaign reports: CampaignResult -> the paper-style summary tables.
 
-Takes the structured output of :func:`repro.workloads.run_campaign`
+Takes the structured output of :func:`repro.workloads.campaign.run_campaign`
 and renders the survey an operator would publish: the dataset summary
 (Table I), duration statistics (Figure 3), the major-delay-factor
 distribution with per-factor breakdown (Table IV) and the detector

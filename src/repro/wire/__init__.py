@@ -1,25 +1,1 @@
 """Wire formats: pcap files and Ethernet/IPv4/TCP framing."""
-
-from repro.wire import ethernet, ip, tcpw
-from repro.wire.pcap import (
-    PcapError,
-    PcapReader,
-    PcapRecord,
-    PcapWriter,
-    read_pcap,
-    records_to_bytes,
-    write_pcap,
-)
-
-__all__ = [
-    "PcapError",
-    "PcapReader",
-    "PcapRecord",
-    "PcapWriter",
-    "ethernet",
-    "ip",
-    "read_pcap",
-    "records_to_bytes",
-    "tcpw",
-    "write_pcap",
-]

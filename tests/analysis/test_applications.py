@@ -8,9 +8,9 @@ from repro.analysis.applications import (
     FLAVOR_NEWRENO,
     FLAVOR_TAHOE,
     FLAVOR_UNKNOWN,
-    extract_flow_clock,
     infer_tcp_flavor,
 )
+from repro.analysis.detectors import detect_timer_gaps
 from repro.analysis.tdat import analyze_pcap
 from repro.bgp.sender_models import TimerBatchSender
 from repro.bgp.table import generate_table
@@ -66,20 +66,24 @@ def run_scenario(flavor="newreno", loss=None, sender_model_factory=None,
 
 
 class TestFlowClock:
+    """The flow clock is the timer-gap detector's answer."""
+
     def test_timer_sender_yields_clock(self):
         analysis = run_scenario(
             sender_model_factory=lambda sim: TimerBatchSender(sim, 200_000, 10),
         )
-        clock = extract_flow_clock(analysis.series)
+        clock = detect_timer_gaps(analysis.series)
+        assert clock == analysis.timer_gaps
         assert clock.detected
-        assert clock.period_us == pytest.approx(200_000, rel=0.15)
-        assert clock.strength > 0.5
-        assert clock.samples > 10
+        assert clock.timer_us == pytest.approx(200_000, rel=0.15)
+        assert clock.plateau_count / clock.gap_count > 0.5
+        assert clock.gap_count > 10
 
     def test_unpaced_sender_has_no_clock(self):
         analysis = run_scenario()
-        clock = extract_flow_clock(analysis.series)
+        clock = detect_timer_gaps(analysis.series)
         assert not clock.detected
+        assert not analysis.timer_gaps.detected
 
 
 class TestFlavorInference:

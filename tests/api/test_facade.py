@@ -1,4 +1,4 @@
-"""The repro.api facade, its knobs, and the removed re-exports."""
+"""The repro.api facade, its knobs, and one import path per symbol."""
 
 import ast
 import importlib
@@ -133,22 +133,56 @@ class TestDeprecationShims:
 
 
 class TestNoShimImportsInRepo:
-    """In-repo code must import engine modules or repro.api, not shims."""
+    """A symbol has one import path: its defining module.
 
-    def _shim_imports(self, path: Path) -> list[str]:
+    A package ``__init__`` may re-export a name only while some module
+    in ``src/`` or ``bench/`` imports that name through the package.
+    """
+
+    @staticmethod
+    def _from_imports(path: Path, body_only: bool = False):
+        """``(module, alias)`` of each ``from module import name [as x]``."""
         tree = ast.parse(path.read_text(), filename=str(path))
-        hits = []
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.ImportFrom) or node.module is None:
-                continue
-            for alias in node.names:
-                if SHIMMED.get(alias.name) == node.module:
-                    hits.append(f"{path}: from {node.module} import {alias.name}")
-        return hits
+        for node in tree.body if body_only else ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                for alias in node.names:
+                    yield node.module, alias
+
+    def test_every_reexport_has_an_importer(self):
+        inits = list((REPO_ROOT / "src").rglob("__init__.py"))
+        reexports = {
+            (".".join(init.parent.relative_to(REPO_ROOT / "src").parts),
+             alias.asname or alias.name)
+            for init in inits
+            for module, alias in self._from_imports(init, body_only=True)
+            if module != "__future__"
+        }
+        imported = {
+            (module, alias.name)
+            for tree in ("src", "bench")
+            for path in (REPO_ROOT / tree).rglob("*.py")
+            if path not in inits
+            for module, alias in self._from_imports(path)
+        }
+        unused = sorted(f"{pkg}.{name}" for pkg, name in reexports - imported)
+        assert not unused, (
+            "re-exports nothing in src/ or bench/ imports through the "
+            "package:\n" + "\n".join(unused)
+        )
 
     @pytest.mark.parametrize("tree", ["src", "examples", "benchmarks", "tests"])
     def test_no_deprecated_import_paths(self, tree):
+        """Every ``from <package> import <name>`` names a submodule or a
+        name the package still exports."""
         hits = []
         for path in (REPO_ROOT / tree).rglob("*.py"):
-            hits.extend(self._shim_imports(path))
+            for module_name, alias in self._from_imports(path):
+                name = alias.name
+                package = REPO_ROOT.joinpath("src", *module_name.split("."))
+                if not (package / "__init__.py").exists():
+                    continue
+                if not (hasattr(importlib.import_module(module_name), name)
+                        or (package / f"{name}.py").exists()
+                        or (package / name).is_dir()):
+                    hits.append(f"{path}: from {module_name} import {name}")
         assert not hits, "deprecated import paths:\n" + "\n".join(hits)

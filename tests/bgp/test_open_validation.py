@@ -12,9 +12,8 @@ from repro.bgp.messages import (
 from repro.bgp.speaker import BgpSession, BgpSessionState
 from repro.core.units import seconds
 from repro.netsim.simulator import Simulator
-from repro.tcp.socket import connect_pair
 
-from tests.tcp.helpers import Net
+from tests.tcp.helpers import Net, connect_pair
 
 
 def build_sessions(sim, net, **kwargs_a):

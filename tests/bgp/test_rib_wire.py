@@ -20,10 +20,9 @@ from repro.bgp.speaker import BgpSession
 from repro.bgp.table import Route, generate_table
 from repro.core.units import seconds
 from repro.netsim.simulator import Simulator
-from repro.tcp.socket import connect_pair
 
 from tests.bgp import test_session
-from tests.tcp.helpers import Net
+from tests.tcp.helpers import Net, connect_pair
 
 UPDATE = 2  # BGP message type, the byte after the 16-byte marker and length
 

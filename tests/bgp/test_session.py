@@ -12,9 +12,8 @@ from repro.bgp.table import generate_table
 from repro.core.units import seconds
 from repro.netsim.simulator import Simulator
 from repro.tcp.options import TcpConfig
-from repro.tcp.socket import connect_pair
 
-from tests.tcp.helpers import Net
+from tests.tcp.helpers import Net, connect_pair
 
 
 def build_peering(sim, net, sender_model=None, rib=None,

@@ -3,9 +3,10 @@
 Each example executes in a subprocess with the repo's interpreter; the
 slowest (survey, tcp_forensics) are excluded to keep the suite quick —
 they exercise the same code paths as the campaign and application
-tests.
+tests.  Every example's module body (its imports) runs in-process.
 """
 
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -32,6 +33,14 @@ def test_example_runs(name):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip(), f"{name} produced no output"
+
+
+@pytest.mark.parametrize(
+    "name", sorted(p.name for p in EXAMPLES_DIR.glob("*.py"))
+)
+def test_example_imports(name):
+    namespace = runpy.run_path(str(EXAMPLES_DIR / name), run_name="example")
+    assert callable(namespace["main"])
 
 
 def test_examples_inventory():

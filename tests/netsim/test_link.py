@@ -1,4 +1,4 @@
-"""Unit tests for links, loss models and path chains."""
+"""Unit tests for links and loss models."""
 
 import random
 
@@ -7,9 +7,7 @@ import pytest
 from repro.netsim.link import (
     BernoulliLoss,
     CountedLoss,
-    GilbertElliottLoss,
     Link,
-    PathSegmentChain,
     WindowLoss,
 )
 from repro.netsim.packet import Packet
@@ -163,61 +161,3 @@ class TestLossModels:
         pkt = make_packet()
         drops = sum(model.should_drop(pkt, 0) for _ in range(10_000))
         assert 2700 < drops < 3300
-
-    def test_gilbert_elliott_produces_bursts(self):
-        rng = random.Random(7)
-        model = GilbertElliottLoss(
-            rng, p_good_to_bad=0.05, p_bad_to_good=0.2, loss_in_bad=1.0
-        )
-        pkt = make_packet()
-        outcomes = [model.should_drop(pkt, i) for i in range(5000)]
-        # There must be at least one run of >= 3 consecutive drops.
-        run, best = 0, 0
-        for dropped in outcomes:
-            run = run + 1 if dropped else 0
-            best = max(best, run)
-        assert best >= 3
-
-
-class TestPathSegmentChain:
-    def test_two_link_chain_delivers_end_to_end(self):
-        sim = Simulator()
-        sink = []
-        second = Link(
-            sim, "down", bandwidth_bps=8_000_000, propagation_delay_us=50,
-            deliver=sink.append,
-        )
-        first = Link(
-            sim, "up", bandwidth_bps=8_000_000, propagation_delay_us=100,
-            deliver=lambda p: None,
-        )
-        chain = PathSegmentChain([first, second])
-        chain.send(make_packet(size=100))
-        sim.run()
-        # 100us ser + 100us prop + 100us ser + 50us prop.
-        assert sim.now == 350
-        assert len(sink) == 1
-
-    def test_downstream_loss_after_upstream_tap(self):
-        """A sniffer on link 1 sees packets the receiver never gets."""
-        sim = Simulator()
-        sink = []
-        captured = []
-        second = Link(
-            sim, "down", bandwidth_bps=8_000_000, propagation_delay_us=0,
-            deliver=sink.append, loss_model=WindowLoss([(0, 10**9)]),
-        )
-        first = Link(
-            sim, "up", bandwidth_bps=8_000_000, propagation_delay_us=0,
-            deliver=lambda p: None,
-        )
-        first.add_tap(lambda p, t: captured.append(p.packet_id))
-        chain = PathSegmentChain([first, second])
-        chain.send(make_packet())
-        sim.run()
-        assert len(captured) == 1
-        assert sink == []
-
-    def test_empty_chain_rejected(self):
-        with pytest.raises(ValueError):
-            PathSegmentChain([])

@@ -15,13 +15,8 @@ import pickle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs import (
-    DISABLED,
-    NULL_REGISTRY,
-    MetricsRegistry,
-    Observability,
-)
-from repro.obs.metrics import SECONDS_BUCKETS
+from repro.obs.metrics import NULL_REGISTRY, SECONDS_BUCKETS, MetricsRegistry
+from repro.obs.runtime import DISABLED, Observability
 
 
 def _events_strategy():

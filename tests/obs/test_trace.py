@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 
-from repro.obs import (
+from repro.obs.trace import (
     CLOCK_SIM,
     CLOCK_WALL,
     NULL_TRACER,

@@ -6,9 +6,9 @@ from repro.core.units import seconds
 from repro.netsim.link import CountedLoss, WindowLoss
 from repro.netsim.simulator import Simulator
 from repro.tcp.options import TcpConfig
-from repro.tcp.socket import TcpState, connect_pair
+from repro.tcp.socket import TcpState
 
-from tests.tcp.helpers import Net, collect_all
+from tests.tcp.helpers import Net, collect_all, connect_pair
 
 
 def run_transfer(sim, net, payload, client_config=None, server_config=None):

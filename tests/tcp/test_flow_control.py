@@ -4,9 +4,8 @@ from repro.core.units import seconds
 from repro.netsim.simulator import Simulator
 from repro.tcp.options import TcpConfig
 from repro.tcp.receiver import RecvHalf
-from repro.tcp.socket import connect_pair
 
-from tests.tcp.helpers import Net
+from tests.tcp.helpers import Net, connect_pair
 
 
 class SlowReader:

@@ -8,10 +8,9 @@ from repro.netsim.random import RandomStreams
 from repro.netsim.simulator import Simulator
 from repro.tcp.options import TcpConfig
 from repro.tcp.receiver import RecvHalf
-from repro.tcp.socket import connect_pair
 from repro.wire import tcpw
 
-from tests.tcp.helpers import Net, collect_all
+from tests.tcp.helpers import Net, collect_all, connect_pair
 from tests.wire.frame_oracle import tcp_decode
 
 

@@ -9,10 +9,9 @@ from repro.bgp.table import generate_table
 from repro.core.units import seconds
 from repro.netsim.simulator import Simulator
 from repro.tcp.options import TcpConfig
-from repro.tcp.socket import connect_pair
 from repro.workloads.scenarios import MonitoringSetup, RouterParams
 
-from tests.tcp.helpers import Net, collect_all
+from tests.tcp.helpers import Net, collect_all, connect_pair
 
 
 class TestNegotiation:

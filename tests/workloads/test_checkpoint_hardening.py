@@ -19,8 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chaos import FaultyCheckpointFs, FsFault
-from repro.chaos.plan import FS_ENOSPC
+from repro.chaos.fsfaults import FaultyCheckpointFs
+from repro.chaos.plan import FS_ENOSPC, FsFault
 from repro.chaos.runner import chaos_config
 from repro.core.health import TraceHealth
 from repro.workloads.campaign import CampaignResult, run_campaign
