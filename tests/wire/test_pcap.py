@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.core.health import TraceHealth
 from repro.faults.fuzz import clean_trace_bytes
 from repro.faults.mangle import mangle
+from repro.faults.stress import BASE_TIME_US, connection_flood
 from repro.obs import Observability, use_obs
 from repro.wire import frames, tcpw
 from repro.wire.pcap import (
@@ -473,6 +474,47 @@ class TestBufferedWalk:
         assert obs.metrics.get("pcap.resyncs").value == len(damaged)
         # No per-resync re-reads: each block of the file is read once.
         assert stream.reads <= len(blob) // READ_CHUNK + 3
+
+    def test_timestamp_zero_flood_resyncs_each_damaged_header(self):
+        # Flood records start on a whole second, so the next record's
+        # ts_usec is below 3,906 and its incl_len below 256: read a byte
+        # early, a header splices the damaged record's last byte into
+        # its seconds field and still reads as plausible, 253 days from
+        # the truth.  Each resync must land on the real header anyway.
+        records = list(connection_flood(connections=1000, base_time_us=BASE_TIME_US))
+        blob = bytearray(records_to_bytes(records))
+        at, headers = 24, []
+        for record in records:
+            headers.append(at)
+            at += 16 + len(record.data)
+        damaged = range(2, 9_000, 3)
+        for i in damaged:
+            struct.pack_into("<I", blob, headers[i] + 8, 0x7FFFFFFF)
+        health = TraceHealth()
+        got = read_pcap(io.BytesIO(bytes(blob)), tolerant=True, health=health)
+        assert health.by_kind() == {"bad-record-header": 3_000}
+        assert [r[:2] for r in got] == [
+            r[:2] for i, r in enumerate(records) if i not in damaged
+        ]
+
+    def test_resync_past_a_long_idle_gap(self):
+        # Nothing within the resync time window follows the damaged
+        # header: the first verified boundary, hours on, still wins.
+        hour = 3_600_000_000
+        records = [
+            PcapRecord(
+                1_000_000 + i * 1_000 + (i >= 3) * 5 * hour,
+                b"\xab" * 20,
+                original_length=20,
+            )
+            for i in range(6)
+        ]
+        blob = bytearray(records_to_bytes(records))
+        struct.pack_into("<I", blob, 24 + 2 * 36 + 8, 0x7FFFFFFF)
+        health = TraceHealth()
+        got = read_pcap(io.BytesIO(bytes(blob)), tolerant=True, health=health)
+        assert got == records[:2] + records[3:]
+        assert health.by_kind() == {"bad-record-header": 1}
 
     def test_short_reads_read_like_a_whole_file(self, transfer_blob):
         damaged = mangle(transfer_blob, ["corrupt-record-header"], seed=5)
