@@ -32,7 +32,7 @@ class TestRibSnapshotCodec:
         assert decoded.peer_ip == "10.1.0.1"
         assert len(decoded.entries) == len(table)
         assert set(str(p) for p, _ in decoded.entries) == set(
-            str(p) for p in table.prefixes()
+            str(route.prefix) for route in table
         )
 
     def test_attributes_preserved(self):

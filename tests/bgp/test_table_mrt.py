@@ -109,7 +109,7 @@ class TestRib:
         rib.announce(prefixes, new)
         assert len(rib) == 2
         # A replaced prefix keeps its place; a new one goes last.
-        assert rib.prefixes() == [prefixes[1], prefixes[0]]
+        assert [route.prefix for route in rib] == [prefixes[1], prefixes[0]]
         assert list(rib) == [Route(prefixes[1], new), Route(prefixes[0], new)]
 
     def test_to_updates_respects_message_limit(self):
@@ -135,7 +135,9 @@ class TestRib:
             for prefix in update.announced:
                 rebuilt.add(Route(prefix, update.attributes))
         assert len(rebuilt) == 500
-        assert sorted(map(str, rebuilt.prefixes())) == sorted(map(str, rib.prefixes()))
+        assert sorted(str(route.prefix) for route in rebuilt) == sorted(
+            str(route.prefix) for route in rib
+        )
 
     def test_wire_size_positive(self):
         rib = generate_table(100, random.Random(1))
@@ -146,16 +148,18 @@ class TestGenerateTable:
     def test_exact_size_and_uniqueness(self):
         rib = generate_table(1000, random.Random(42))
         assert len(rib) == 1000
-        assert len({str(p) for p in rib.prefixes()}) == 1000
+        assert len({str(route.prefix) for route in rib}) == 1000
 
     def test_deterministic_for_seed(self):
         a = generate_table(200, random.Random(5))
         b = generate_table(200, random.Random(5))
-        assert [str(p) for p in a.prefixes()] == [str(p) for p in b.prefixes()]
+        assert [str(route.prefix) for route in a] == [
+            str(route.prefix) for route in b
+        ]
 
     def test_prefix_length_distribution(self):
         rib = generate_table(2000, random.Random(9))
-        lengths = [p.length for p in rib.prefixes()]
+        lengths = [route.prefix.length for route in rib]
         frac_24 = sum(1 for l in lengths if l == 24) / len(lengths)
         assert 0.4 < frac_24 < 0.7  # /24 dominates the real table
         assert all(8 <= l <= 24 for l in lengths)
