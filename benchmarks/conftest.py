@@ -16,10 +16,11 @@ import pytest
 from repro.workloads.campaign import (
     isp_quagga_config,
     isp_vendor_config,
+    peer_group_spec,
     routeviews_config,
     run_campaign,
     run_concurrency_sweep,
-    run_peer_group_episode,
+    run_episode,
 )
 
 OUT_DIR = Path(__file__).parent / "out"
@@ -48,20 +49,18 @@ def campaigns():
 
 @pytest.fixture(scope="session")
 def peer_group_episodes():
-    """Three peer-group failures with ISP_A / RV style hold times."""
+    """Three peer-group failures with ISP_A / RV style hold times: the
+    surviving Quagga record of each, carrying its blocking report."""
+    cases = {
+        "ISP_A-Vendor": dict(seed=101, hold_time_s=90, fail_after_s=0.4),
+        "ISP_A-Quagga": dict(seed=102, hold_time_s=90, fail_after_s=0.3),
+        "RV": dict(seed=103, hold_time_s=60, fail_after_s=0.3),
+    }
     return {
-        "ISP_A-Vendor": run_peer_group_episode(
-            seed=101, hold_time_s=90, fail_after_s=0.4,
-            table_size=40_000, campaign="ISP_A-Vendor",
-        ),
-        "ISP_A-Quagga": run_peer_group_episode(
-            seed=102, hold_time_s=90, fail_after_s=0.3,
-            table_size=40_000, campaign="ISP_A-Quagga",
-        ),
-        "RV": run_peer_group_episode(
-            seed=103, hold_time_s=60, fail_after_s=0.3,
-            table_size=40_000, campaign="RV",
-        ),
+        name: run_episode(
+            peer_group_spec(table_size=40_000, campaign=name, **case)
+        )[0]
+        for name, case in cases.items()
     }
 
 

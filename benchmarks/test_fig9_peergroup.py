@@ -11,7 +11,7 @@ def build_figure(peer_group_episodes):
     lines = []
     blocked_durations = {}
     for name, episode in peer_group_episodes.items():
-        report = episode.blocked_report
+        report = episode.peer_group
         lines.append(f"{name}:")
         if report.detected:
             for rng in report.blocked_ranges:

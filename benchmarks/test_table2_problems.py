@@ -37,7 +37,7 @@ def build_table(campaigns, peer_group_episodes):
     gaps = sum(1 for r in sampled if r.timer.detected)
     consecutive = sum(1 for r in sampled if r.consecutive.detected)
     blocking = sum(
-        1 for e in peer_group_episodes.values() if e.blocked_report.detected
+        1 for e in peer_group_episodes.values() if e.peer_group.detected
     )
     lines = [
         f"sampled slow transfers: {len(sampled)}",

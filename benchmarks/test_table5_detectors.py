@@ -26,8 +26,8 @@ def build_table(campaigns, peer_group_episodes):
             [r.consecutive.induced_delay_us / 1e6 for r in loss_hits]
         )
         episode = peer_group_episodes[name]
-        pg_count = 1 if episode.blocked_report.detected else 0
-        pg_delay = episode.blocking_duration_us / 1e6
+        pg_count = 1 if episode.peer_group.detected else 0
+        pg_delay = episode.peer_group.induced_delay_us / 1e6
         stats[name] = {
             "timer": (len(timer_hits), timer_delay),
             "loss": (len(loss_hits), loss_delay),

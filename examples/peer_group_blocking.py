@@ -13,12 +13,16 @@ T-DAT finds this from the two traces with the paper's rule::
 
     Quagga.SendAppLimited  ∩  Vendor.Loss
 
+The episode is an ``EpisodeSpec`` from ``peer_group_spec``, run by the
+same ``run_episode`` as every campaign transfer.  It returns the
+surviving Quagga record, which carries the rule's verdict.
+
 Run:  python examples/peer_group_blocking.py  (exits 1 if no block is found)
 """
 
 import sys
 
-from repro.workloads.campaign import run_peer_group_episode
+from repro.workloads.campaign import peer_group_spec, run_episode
 
 HOLD_TIME_S = 60  # scaled down from the paper's 180s for a quick run
 # The 20k-prefix transfer lasts about 0.7 s, so the vendor must die
@@ -29,13 +33,15 @@ FAIL_AFTER_S = 0.3
 def main() -> int:
     print(f"hold time {HOLD_TIME_S}s; vendor collector dies "
           f"{FAIL_AFTER_S:.1f}s into the transfer...\n")
-    result = run_peer_group_episode(
-        hold_time_s=HOLD_TIME_S,
-        table_size=20_000,
-        fail_after_s=FAIL_AFTER_S,
+    (record,) = run_episode(
+        peer_group_spec(
+            hold_time_s=HOLD_TIME_S,
+            table_size=20_000,
+            fail_after_s=FAIL_AFTER_S,
+        )
     )
 
-    report = result.blocked_report
+    report = record.peer_group
     if report.detected:
         print("peer-group blocking detected (Quagga.SendAppLimited ∩ Vendor.Loss):")
         for rng in report.blocked_ranges:
@@ -47,16 +53,14 @@ def main() -> int:
         print("no blocking detected (unexpected!)")
         return 1
 
-    record = result.quagga_record
-    if record is not None:
-        print(f"\nQuagga-side MCT window: {record.duration_s:.1f}s "
-              f"(ended_by={record.mct_ended_by}; an interrupted transfer "
-              "looks 'idle' to MCT — the block itself is what the "
-              "cross-connection rule above measures)")
-        pause = record.keepalive_pause
-        if pause is not None and pause.detected:
-            print("single-trace confirmation: long keepalive-only pause found "
-                  f"({pause.induced_delay_us / 1e6:.1f}s)")
+    print(f"\nQuagga-side MCT window: {record.duration_s:.1f}s "
+          f"(ended_by={record.mct_ended_by}; an interrupted transfer "
+          "looks 'idle' to MCT — the block itself is what the "
+          "cross-connection rule above measures)")
+    pause = record.keepalive_pause
+    if pause is not None and pause.detected:
+        print("single-trace confirmation: long keepalive-only pause found "
+              f"({pause.induced_delay_us / 1e6:.1f}s)")
     return 0
 
 

@@ -13,7 +13,6 @@ active member's TCP has fully delivered (ACKed) the previous batch.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable
 
 from repro.bgp.speaker import BgpSession
 from repro.bgp.table import Rib
@@ -29,7 +28,6 @@ class PeerGroup:
         members: list[BgpSession],
         batch_messages: int = 20,
         poll_interval_us: int = 5_000,
-        advance_threshold_bytes: int = 0,
     ) -> None:
         if not members:
             raise ValueError("a peer group needs at least one member")
@@ -39,14 +37,10 @@ class PeerGroup:
         self.members = list(members)
         self.active = list(members)
         self.batch_messages = batch_messages
-        self.advance_threshold_bytes = advance_threshold_bytes
         self._queue: deque[bytes] = deque()
         self._poller = PeriodicTimer(
             sim, poll_interval_us, self._poll, name="peer-group"
         )
-        self.batches_sent = 0
-        self.messages_replicated = 0
-        self.on_drained: Callable[[], None] | None = None
         for member in self.members:
             self._chain_down_callback(member)
 
@@ -83,15 +77,13 @@ class PeerGroup:
     # ------------------------------------------------------------------
     def _all_members_drained(self) -> bool:
         return all(
-            member.endpoint.sender.buffered_bytes <= self.advance_threshold_bytes
+            member.endpoint.sender.buffered_bytes == 0
             for member in self.active
         )
 
     def _poll(self) -> None:
         if not self._queue:
             self._poller.stop()
-            if self.on_drained is not None:
-                self.on_drained()
             return
         if not self.active:
             # Everyone failed; drop the queue.
@@ -108,8 +100,6 @@ class PeerGroup:
             for encoded in batch:
                 member.endpoint.send(encoded)
                 member.updates_sent += 1
-        self.batches_sent += 1
-        self.messages_replicated += len(batch)
         if not self._queue:
             for member in self.active:
                 member.transfer_drained_at_us = self.sim.now

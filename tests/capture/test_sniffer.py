@@ -24,7 +24,7 @@ def run_simple_setup(table_size=300, **router_kw):
         RouterParams(name="r1", ip="10.1.0.1", table=table, **router_kw)
     )
     setup.start()
-    setup.run(until_us=seconds(300))
+    sim.run(until_us=seconds(300))
     return sim, setup, handle, table
 
 
@@ -89,7 +89,7 @@ class TestSnifferCapture:
         table = generate_table(800, random.Random(12))
         setup.add_router(RouterParams(name="r1", ip="10.1.0.1", table=table))
         setup.start()
-        setup.run(until_us=seconds(300))
+        sim.run(until_us=seconds(300))
         assert setup.sniffer.dropped_records > 0
         for record in setup.sniffer.records:
             assert not (seconds(0.03) <= record.timestamp_us < seconds(0.08))
@@ -108,7 +108,7 @@ class TestSnifferCapture:
             )
         )
         setup.start()
-        setup.run(until_us=seconds(300))
+        sim.run(until_us=seconds(300))
         assert handle.local_link.stats.dropped_loss > 0
         # All transfers recover; the archive is complete.
         assert setup.collector.updates_archived == len(table.to_updates())
@@ -123,8 +123,10 @@ class TestSnifferCapture:
             setup.add_router(
                 RouterParams(name=f"r{i}", ip=f"10.1.0.{i + 1}", table=table)
             )
-        setup.start(stagger_us=seconds(0.5))
-        setup.run(until_us=seconds(300))
+        # Staggered connects: one router every half second.
+        for index, handle in enumerate(setup.routers):
+            sim.schedule(index * seconds(0.5), handle.endpoint.connect)
+        sim.run(until_us=seconds(300))
         flows = set()
         for record in setup.sniffer.sorted_records():
             fields = frames.parse_packet(record.data)

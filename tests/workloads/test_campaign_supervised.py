@@ -20,9 +20,9 @@ from repro.workloads.campaign import (
     CampaignResult,
     _sweep_spec,
     isp_quagga_config,
+    peer_group_spec,
     run_campaign,
     run_episode,
-    run_peer_group_episode,
 )
 from repro.workloads.checkpoint import (
     CampaignInterrupted,
@@ -296,4 +296,4 @@ class TestWatchdogContainment:
             run_episode(_sweep_spec(table, 2, 40))
         assert err.value.events == 10
         with pytest.raises(SimBudgetExceeded):
-            run_peer_group_episode(table_size=500)
+            run_episode(peer_group_spec(table_size=500))
