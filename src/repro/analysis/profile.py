@@ -32,8 +32,9 @@ from repro.analysis.columns import (
     DataColumns,
     PacketColumns,
 )
-from repro.bgp.messages import HEADER_LEN as BGP_HEADER_LEN
-from repro.bgp.messages import MARKER as BGP_MARKER
+from repro.bgp.header import HEADER_LEN as BGP_HEADER_LEN
+from repro.bgp.header import MARKER as BGP_MARKER
+from repro.bgp.header import TYPE_KEEPALIVE
 from repro.core.health import STAGE_FRAME, TraceHealth
 from repro.wire import frames
 from repro.wire.ip import ip_to_bytes
@@ -43,7 +44,6 @@ from repro.wire.tcpw import ACK, FIN, RST, SYN
 FlowKey = tuple[str, int, str, int]
 
 _SEQ_MASK = 0xFFFFFFFF
-_KEEPALIVE_TYPE = 4
 
 
 @dataclass
@@ -423,7 +423,7 @@ def _decode_record(
         ip_id,
         length == BGP_HEADER_LEN
         and data.startswith(BGP_MARKER, start)
-        and data[start + 18] == _KEEPALIVE_TYPE,
+        and data[start + 18] == TYPE_KEEPALIVE,
         mss,
         wscale,
     )

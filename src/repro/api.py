@@ -22,13 +22,17 @@ The engine modules (``repro.analysis.tdat``, ``repro.workloads.campaign``,
 ``repro.tools.pcap2bgp``, ``repro.exec.pool``) stay importable for code
 that needs the full surface; this facade is the supported subset whose
 signatures will not churn.
+
+Importing this module loads the analysis engine only.  The campaign
+runner with its simulator and work pool, pcap2bgp and the service load
+on the first call that runs them, so an analysis never pays for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, BinaryIO, Iterator
+from typing import TYPE_CHECKING, Any, BinaryIO, Iterator
 
 from repro.analysis.budget import ResourceBudget, StateLedger
 from repro.analysis.series import SNIFFER_AT_RECEIVER, SeriesConfig
@@ -39,16 +43,12 @@ from repro.analysis.tdat import (
     iter_analyze_pcap,
 )
 from repro.core.health import TraceHealth
-from repro.exec.pool import WorkPool, available_parallelism
 from repro.obs import Observability, use_obs
-from repro.tools.pcap2bgp import StreamResult, pcap_to_bgp
 from repro.wire.pcap import PcapRecord
-from repro.workloads.campaign import (
-    CampaignConfig,
-    CampaignResult,
-    campaign_config,
-    run_campaign,
-)
+
+if TYPE_CHECKING:
+    from repro.tools.pcap2bgp import StreamResult
+    from repro.workloads.campaign import CampaignConfig, CampaignResult
 
 
 @dataclass
@@ -103,6 +103,8 @@ class Pipeline:
 
     def __post_init__(self) -> None:
         if self.workers == 0:
+            from repro.exec.pool import available_parallelism
+
             self.workers = available_parallelism()
         if self.obs is True:
             self.obs = Observability.create()
@@ -149,6 +151,8 @@ class Pipeline:
         self, source: BinaryIO | str | Path | list[PcapRecord]
     ) -> dict[tuple, StreamResult]:
         """Reconstruct per-connection BGP message streams (pcap2bgp)."""
+        from repro.tools.pcap2bgp import pcap_to_bgp
+
         return pcap_to_bgp(
             source, health=None if self.strict else TraceHealth()
         )
@@ -218,6 +222,13 @@ class Pipeline:
         ``resume=True`` skips the ones already journaled (without a
         ``checkpoint_dir`` it raises :class:`ValueError`).
         """
+        from repro.exec.pool import WorkPool
+        from repro.workloads.campaign import (
+            CampaignConfig,
+            campaign_config,
+            run_campaign,
+        )
+
         sized = {
             key: value
             for key, value in (("seed", seed), ("transfers", transfers))
@@ -248,7 +259,6 @@ __all__ = [
     "ServeRequest",
     "Pipeline",
     "TdatReport",
-    "CampaignResult",
     "TraceHealth",
     "SeriesConfig",
     "ResourceBudget",

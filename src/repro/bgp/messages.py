@@ -14,18 +14,18 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from repro.bgp.attributes import AttributeError_, PathAttributes
+from repro.bgp.header import (
+    HEADER_LEN,
+    MARKER,
+    MAX_MESSAGE_LEN,
+    TYPE_KEEPALIVE,
+    TYPE_NOTIFICATION,
+    TYPE_OPEN,
+    TYPE_UPDATE,
+)
 from repro.wire.ip import IpError, bytes_to_ip, ip_to_bytes
 
-MARKER = b"\xff" * 16
-HEADER_LEN = 19
-MAX_MESSAGE_LEN = 4096
-
 _U16 = struct.Struct("!H")
-
-TYPE_OPEN = 1
-TYPE_UPDATE = 2
-TYPE_NOTIFICATION = 3
-TYPE_KEEPALIVE = 4
 
 # NOTIFICATION error codes (subset).
 ERR_OPEN_MESSAGE = 2

@@ -18,9 +18,8 @@ from itertools import accumulate, repeat
 from operator import attrgetter
 
 from repro.bgp.attributes import PathAttributes
+from repro.bgp.header import HEADER_LEN, MAX_MESSAGE_LEN
 from repro.bgp.messages import (
-    HEADER_LEN,
-    MAX_MESSAGE_LEN,
     Prefix,
     UpdateMessage,
     encode_message,

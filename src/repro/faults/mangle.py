@@ -36,7 +36,7 @@ import random
 import struct
 from dataclasses import dataclass
 
-from repro.bgp.messages import MARKER as BGP_MARKER
+from repro.bgp.header import MARKER as BGP_MARKER
 from repro.wire.pcap import GLOBAL_HEADER, RECORD_HEADER
 
 _MIN_FILE = GLOBAL_HEADER.size + RECORD_HEADER.size

@@ -36,6 +36,11 @@ an uninterrupted run.
 
 Exit codes (shared by every subcommand, also shown in ``--help``):
 see :data:`EXIT_CODE_TABLE`.
+
+A subcommand's engine loads on first call: ``tdat`` builds the options
+of the invoked subcommand only and its handler imports what it runs,
+so ``tdat analyze`` and ``tdat serve`` never load the simulator, the
+campaign runner, chaos, fuzz or lint.
 """
 
 from __future__ import annotations
@@ -43,33 +48,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable
 
-from repro.analysis.render import report_payload
-from repro.analysis.series import SNIFFER_AT_RECEIVER, SNIFFER_LOCATIONS
-from repro.api import Pipeline
-from repro.chaos.runner import (
-    configure_parser as _configure_chaos_parser,
-    run_with_args as _run_chaos,
-)
 from repro.core.health import IngestError
-from repro.faults.fuzz import (
-    configure_parser as _configure_fuzz_parser,
-    run_with_args as _run_fuzz,
-)
-from repro.lint.cli import (
-    LINT_EXIT_CODES,
-    configure_parser as _configure_lint_parser,
-    run_with_args as _run_lint,
-)
-from repro.tools import bgplot, pcap2bgp, tcptrace_lite
-from repro.tools.bench import (
-    configure_parser as _configure_bench_parser,
-    run_with_args as _run_bench,
-)
-from repro.tools.report import duration_statistics, render_markdown
 from repro.wire.pcap import PcapError
-from repro.workloads.campaign import CAMPAIGNS
-from repro.workloads.checkpoint import CampaignInterrupted
 
 EXIT_OK = 0
 EXIT_NOTHING = 1
@@ -93,23 +75,6 @@ exit codes:
   6  completed, but the resource budget shed state (degraded analysis)
   7  server drained on signal (tdat serve: in-flight sessions flushed)\
 """
-
-SUBCOMMANDS = (
-    "analyze",
-    "bench",
-    "campaign",
-    "chaos",
-    "fuzz",
-    "report",
-    "serve",
-    "stats",
-    "anonymize",
-    "lint",
-    "pcap2bgp",
-    "tcptrace",
-    "bgplot",
-)
-
 
 def _guarded_call(prog: str, func, *args) -> int:
     """Turn ingest failures into one-line errors + exit code 2.
@@ -237,27 +202,23 @@ def _write_obs(args, obs) -> None:
         _status(args, f"wrote metrics -> {args.metrics_out}")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tdat",
-        description="TCP Delay Analysis Tool for BGP table transfers",
-        epilog=EXIT_CODE_TABLE,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+#: every subcommand in ``--help`` order: name -> (help line, the function
+#: that builds its options and sets its handler).
+SUBCOMMANDS: dict[str, tuple[str, Callable]] = {}
 
-    def add_parser(name: str, **kwargs) -> argparse.ArgumentParser:
-        # Every subcommand shows the same exit-code table; one source.
-        return sub.add_parser(
-            name,
-            epilog=EXIT_CODE_TABLE,
-            formatter_class=argparse.RawDescriptionHelpFormatter,
-            **kwargs,
-        )
 
-    p = add_parser(
-        "analyze", help="delay analysis of every connection in a capture"
-    )
+def _subcommand(name: str, help_line: str):
+    def register(build):
+        SUBCOMMANDS[name] = (help_line, build)
+        return build
+
+    return register
+
+
+@_subcommand("analyze", "delay analysis of every connection in a capture")
+def _analyze_parser(p: argparse.ArgumentParser) -> None:
+    from repro.analysis.series import SNIFFER_AT_RECEIVER, SNIFFER_LOCATIONS
+
     p.add_argument("pcap", help="input pcap trace")
     p.add_argument(
         "--sniffer-location",
@@ -277,7 +238,11 @@ def build_parser() -> argparse.ArgumentParser:
     _json_option(p)
     p.set_defaults(handler=_cmd_analyze)
 
-    p = add_parser("campaign", help="run one measurement campaign")
+
+@_subcommand("campaign", "run one measurement campaign")
+def _campaign_parser(p: argparse.ArgumentParser) -> None:
+    from repro.workloads.campaign import CAMPAIGNS
+
     p.add_argument(
         "name", choices=sorted(CAMPAIGNS),
         help="campaign from the paper's Table I",
@@ -304,17 +269,25 @@ def build_parser() -> argparse.ArgumentParser:
     _campaign_options(p)
     p.set_defaults(handler=_cmd_campaign)
 
-    p = add_parser(
-        "bench",
-        help="performance benchmarks with run history + regression gates",
-    )
-    _configure_bench_parser(p)
-    p.set_defaults(handler=_cmd_bench)
 
-    p = add_parser(
-        "serve",
-        help="run the analysis service (long-running sessions over HTTP)",
-    )
+@_subcommand(
+    "bench", "performance benchmarks with run history + regression gates"
+)
+def _bench_parser(p: argparse.ArgumentParser) -> None:
+    # Its handler returns EXIT_OK, EXIT_ERROR (a run failed or its
+    # reports diverged) or EXIT_REGRESSION (a perf gate tripped).
+    from repro.tools.bench import configure_parser, run_with_args
+
+    configure_parser(p)
+    p.set_defaults(handler=run_with_args)
+
+
+@_subcommand(
+    "serve", "run the analysis service (long-running sessions over HTTP)"
+)
+def _serve_parser(p: argparse.ArgumentParser) -> None:
+    from repro.analysis.series import SNIFFER_AT_RECEIVER, SNIFFER_LOCATIONS
+
     p.add_argument(
         "--host", default="127.0.0.1",
         help="bind address (default: 127.0.0.1)",
@@ -347,9 +320,11 @@ def build_parser() -> argparse.ArgumentParser:
     _execution_options(p)
     p.set_defaults(handler=_cmd_serve)
 
-    p = add_parser(
-        "report", help="run campaigns and render the survey tables"
-    )
+
+@_subcommand("report", "run campaigns and render the survey tables")
+def _report_parser(p: argparse.ArgumentParser) -> None:
+    from repro.workloads.campaign import CAMPAIGNS
+
     p.add_argument(
         "--campaign", action="append", choices=sorted(CAMPAIGNS),
         metavar="NAME", help="campaign to include (repeatable; default: all)",
@@ -362,9 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
     _campaign_options(p)
     p.set_defaults(handler=_cmd_report)
 
-    p = add_parser(
-        "stats", help="render a metrics snapshot as a sorted table"
-    )
+
+@_subcommand("stats", "render a metrics snapshot as a sorted table")
+def _stats_parser(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "metrics", help="metrics JSON written by --metrics-out",
     )
@@ -375,22 +350,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=_cmd_stats)
 
-    p = add_parser(
-        "chaos",
-        help="seeded chaos sweep over the campaign execution stack",
-    )
-    _configure_chaos_parser(p)
-    p.set_defaults(handler=_cmd_chaos)
 
-    p = add_parser(
-        "fuzz", help="fault-injection harness over the ingest pipeline"
-    )
-    _configure_fuzz_parser(p)
-    p.set_defaults(handler=_cmd_fuzz)
+@_subcommand("chaos", "seeded chaos sweep over the campaign execution stack")
+def _chaos_parser(p: argparse.ArgumentParser) -> None:
+    from repro.chaos.runner import configure_parser, run_with_args
 
-    p = add_parser(
-        "anonymize", help="prefix-preserving pcap anonymization"
+    configure_parser(p)
+    p.set_defaults(
+        handler=lambda args: EXIT_ISSUES if run_with_args(args) else EXIT_OK
     )
+
+
+@_subcommand("fuzz", "fault-injection harness over the ingest pipeline")
+def _fuzz_parser(p: argparse.ArgumentParser) -> None:
+    from repro.faults.fuzz import configure_parser, run_with_args
+
+    configure_parser(p)
+    p.set_defaults(
+        handler=lambda args: EXIT_ISSUES if run_with_args(args) else EXIT_OK
+    )
+
+
+@_subcommand("anonymize", "prefix-preserving pcap anonymization")
+def _anonymize_parser(p: argparse.ArgumentParser) -> None:
     p.add_argument("pcap", help="input pcap trace")
     p.add_argument("out", help="anonymized output pcap")
     p.add_argument(
@@ -403,31 +385,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=_cmd_anonymize)
 
-    p = add_parser(
-        "pcap2bgp", help="reconstruct BGP messages into an MRT file"
-    )
+
+@_subcommand("pcap2bgp", "reconstruct BGP messages into an MRT file")
+def _pcap2bgp_parser(p: argparse.ArgumentParser) -> None:
     p.add_argument("pcap", help="input pcap trace")
     p.add_argument("mrt", help="output MRT file")
     p.add_argument("--local-as", type=int, default=0)
     p.add_argument("--peer-as", type=int, default=0)
     p.set_defaults(handler=_cmd_pcap2bgp)
 
-    p = add_parser("tcptrace", help="per-connection summaries")
+
+@_subcommand("tcptrace", "per-connection summaries")
+def _tcptrace_parser(p: argparse.ArgumentParser) -> None:
     p.add_argument("pcap", help="input pcap trace")
     p.set_defaults(handler=_cmd_tcptrace)
 
-    # Lint carries its own exit-code contract (0 clean / 1 findings /
-    # 2 failed to run), so it bypasses the shared EXIT_CODE_TABLE.
-    p = sub.add_parser(
-        "lint",
-        help="determinism & isolation static analysis over the source",
-        epilog=LINT_EXIT_CODES,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    _configure_lint_parser(p)
-    p.set_defaults(handler=_cmd_lint)
 
-    p = add_parser("bgplot", help="event-series panels / CSV export")
+@_subcommand("lint", "determinism & isolation static analysis over the source")
+def _lint_parser(p: argparse.ArgumentParser) -> None:
+    from repro.lint.cli import LINT_EXIT_CODES, configure_parser, run_with_args
+
+    # Lint carries its own exit-code contract (0 clean / 1 findings /
+    # 2 failed to run), so it replaces the shared EXIT_CODE_TABLE.
+    p.epilog = LINT_EXIT_CODES
+    configure_parser(p)
+    p.set_defaults(handler=run_with_args)
+
+
+@_subcommand("bgplot", "event-series panels / CSV export")
+def _bgplot_parser(p: argparse.ArgumentParser) -> None:
     p.add_argument("pcap", help="input pcap trace")
     p.add_argument(
         "--csv", action="store_true", help="emit CSV instead of text panels"
@@ -439,6 +425,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=int, default=100)
     p.set_defaults(handler=_cmd_bgplot)
 
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``tdat`` parser: every subcommand, but only one's options.
+
+    Each subcommand is listed with its help line; only ``command``'s
+    options are built, because building them imports its engine (the
+    campaign names come from the campaign module, lint's flags from
+    lint).  So ``tdat serve`` loads neither the simulator nor lint.
+    """
+    parser = argparse.ArgumentParser(
+        prog="tdat",
+        description="TCP Delay Analysis Tool for BGP table transfers",
+        epilog=EXIT_CODE_TABLE,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    for name, (help_line, build) in SUBCOMMANDS.items():
+        # Every subcommand shows the same exit-code table; one source.
+        p = sub.add_parser(
+            name,
+            help=help_line,
+            epilog=EXIT_CODE_TABLE,
+            formatter_class=argparse.RawDescriptionHelpFormatter,
+        )
+        if name == command:
+            build(p)
     return parser
 
 
@@ -449,7 +461,7 @@ def main(argv: list[str] | None = None) -> int:
     # Legacy compatibility: ``tdat trace.pcap`` predates subcommands.
     if argv and argv[0] not in SUBCOMMANDS and argv[0] not in ("-h", "--help"):
         argv.insert(0, "analyze")
-    parser = build_parser()
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     if getattr(args, "resume", False) and not args.checkpoint_dir:
         parser.error("--resume requires --checkpoint-dir")
@@ -477,6 +489,10 @@ def _budget_from_args(args):
 
 
 def _cmd_analyze(args) -> int:
+    from repro.analysis.render import report_payload
+    from repro.api import Pipeline
+    from repro.tools import bgplot
+
     obs = _make_obs(args)
     pipe = Pipeline(
         strict=args.strict, streaming=args.streaming, obs=obs,
@@ -511,6 +527,10 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_campaign(args) -> int:
+    from repro.api import Pipeline
+    from repro.tools.report import duration_statistics
+    from repro.workloads.checkpoint import CampaignInterrupted
+
     overrides = {}
     if args.fail_episode:
         overrides["fail_episodes"] = tuple(args.fail_episode)
@@ -576,7 +596,7 @@ def _cmd_serve(args) -> int:
     discipline turns into a one-line stderr error and exit code 2 —
     never a traceback.
     """
-    from repro.api import ServeRequest
+    from repro.api import Pipeline, ServeRequest
 
     obs = _make_obs(args)
     pipe = Pipeline(
@@ -604,6 +624,10 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from repro.api import Pipeline
+    from repro.tools.report import render_markdown
+    from repro.workloads.campaign import CAMPAIGNS
+
     names = args.campaign or sorted(CAMPAIGNS)
     obs = _make_obs(args)
     pipe = Pipeline(
@@ -692,14 +716,6 @@ def _metric_summary(entry: dict) -> str:
     )
 
 
-def _cmd_chaos(args) -> int:
-    return EXIT_ISSUES if _run_chaos(args) else EXIT_OK
-
-
-def _cmd_fuzz(args) -> int:
-    return EXIT_ISSUES if _run_fuzz(args) else EXIT_OK
-
-
 def _cmd_anonymize(args) -> int:
     from repro.tools.anonymize import anonymize_pcap
 
@@ -712,7 +728,9 @@ def _cmd_anonymize(args) -> int:
 
 
 def _cmd_pcap2bgp(args) -> int:
-    count = pcap2bgp.pcap_to_mrt(
+    from repro.tools.pcap2bgp import pcap_to_mrt
+
+    count = pcap_to_mrt(
         args.pcap, args.mrt, local_as=args.local_as, peer_as=args.peer_as
     )
     print(f"wrote {count} MRT records to {args.mrt}")
@@ -720,12 +738,17 @@ def _cmd_pcap2bgp(args) -> int:
 
 
 def _cmd_tcptrace(args) -> int:
+    from repro.tools import tcptrace_lite
+
     rows = tcptrace_lite.summarize(args.pcap)
     print(tcptrace_lite.format_report(rows))
     return EXIT_OK
 
 
 def _cmd_bgplot(args) -> int:
+    from repro.api import Pipeline
+    from repro.tools import bgplot
+
     report = Pipeline().analyze(args.pcap)
     for analysis in report:
         if args.csv:
@@ -737,18 +760,6 @@ def _cmd_bgplot(args) -> int:
                 print(bgplot.render_time_sequence(analysis, width=args.width))
         print()
     return EXIT_OK
-
-
-def _cmd_bench(args) -> int:
-    # Returns EXIT_OK, EXIT_ERROR (a run failed or its reports
-    # diverged) or EXIT_REGRESSION (a perf gate tripped).
-    return _run_bench(args)
-
-
-def _cmd_lint(args) -> int:
-    # Returns lint's own codes (0/1/2) documented in LINT_EXIT_CODES,
-    # not the analysis table above.
-    return _run_lint(args)
 
 
 if __name__ == "__main__":

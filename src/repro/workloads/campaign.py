@@ -202,9 +202,6 @@ class CampaignResult:
     def durations_s(self) -> list[float]:
         return sorted(r.duration_s for r in self.records)
 
-    def by_pathology(self, pathology: str) -> list[TransferRecord]:
-        return [r for r in self.records if r.pathology == pathology]
-
     def to_dict(self) -> dict:
         """JSON-friendly form (records in episode order + the ledger)."""
         return {

@@ -38,8 +38,8 @@ from repro.analysis.series import (
     _bounded_ranges,
 )
 from repro.analysis.voids import CaptureVoidReport
-from repro.bgp.messages import HEADER_LEN as BGP_HEADER_LEN
-from repro.bgp.messages import MARKER as BGP_MARKER
+from repro.bgp.header import HEADER_LEN as BGP_HEADER_LEN
+from repro.bgp.header import MARKER as BGP_MARKER
 from repro.core.events import EventSeries, SeriesCatalog
 from repro.core.timeranges import TimeRange, TimeRangeSet
 from repro.wire.tcpw import ACK, FIN, RST, SYN

@@ -1,7 +1,7 @@
 """Builders for hand-crafted traces used by analysis unit tests."""
 
 from repro.analysis.profile import Connection, canonical_key
-from repro.bgp.messages import HEADER_LEN, MARKER
+from repro.bgp.header import HEADER_LEN, MARKER
 from repro.wire.ip import ip_to_bytes
 from repro.wire.tcpw import ACK, PSH, SYN
 

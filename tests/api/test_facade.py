@@ -87,7 +87,7 @@ class TestPipelineCampaign:
             calls.append((config, options))
             return "result"
 
-        monkeypatch.setattr("repro.api.run_campaign", fake)
+        monkeypatch.setattr("repro.workloads.campaign.run_campaign", fake)
         return calls
 
     def test_by_name_with_seed_and_transfers(self, run_campaign):

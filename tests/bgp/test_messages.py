@@ -15,8 +15,8 @@ from repro.bgp.attributes import (
     AsPathSegment,
     PathAttributes,
 )
+from repro.bgp.header import MARKER
 from repro.bgp.messages import (
-    MARKER,
     BgpError,
     KeepaliveMessage,
     MessageDecoder,

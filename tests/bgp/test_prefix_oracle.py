@@ -29,8 +29,8 @@ from repro.bgp.attributes import (
     ORIGIN,
     PathAttributes,
 )
+from repro.bgp.header import MARKER
 from repro.bgp.messages import (
-    MARKER,
     BgpError,
     MessageDecoder,
     Prefix,

@@ -2,7 +2,7 @@
 
 import struct
 
-from repro.bgp.messages import MARKER
+from repro.bgp.header import MARKER
 from repro.faults.mangle import (
     OPERATORS,
     mangle,
