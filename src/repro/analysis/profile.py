@@ -311,26 +311,29 @@ class Connection:
         return min(positive)
 
 
-def infer_sniffer_location(
-    connection: Connection, dominance: float = 4.0
-) -> str:
+#: How many times one side of the RTT split must exceed the other for
+#: :func:`infer_sniffer_location` to place the tap at that end.
+SNIFFER_DOMINANCE = 4.0
+
+
+def infer_sniffer_location(connection: Connection) -> str:
     """Guess where the tap sat from the d1/d2 split of the RTT.
 
     The paper leaves the sniffer location as user configuration but
     notes it can be inferred from packet/ACK inter-arrivals [28]: a
     receiver-side tap sees ACKs almost immediately after data
     (d1 << d2), a sender-side tap the reverse.  Returns ``"receiver"``,
-    ``"sender"`` or ``"middle"``; ``dominance`` is the ratio one side
-    must exceed the other by.
+    ``"sender"`` or ``"middle"`` (neither side dominates by
+    :data:`SNIFFER_DOMINANCE`).
     """
     profile = connection.profile
     if profile is None:
         raise ValueError("connection has no profile; call finalize() first")
     d1 = max(profile.d1_us, 1)
     d2 = max(profile.d2_us, 1)
-    if d2 >= d1 * dominance:
+    if d2 >= d1 * SNIFFER_DOMINANCE:
         return "receiver"
-    if d1 >= d2 * dominance:
+    if d1 >= d2 * SNIFFER_DOMINANCE:
         return "sender"
     return "middle"
 

@@ -138,14 +138,22 @@ class Pipeline:
         source: BinaryIO | str | Path | list[PcapRecord],
         sniffer_location: str = SNIFFER_AT_RECEIVER,
     ) -> Iterator[ConnectionAnalysis]:
-        """Yield each connection's analysis as its flow closes."""
+        """Yield each connection's analysis as its flow closes.
+
+        The pipeline's observability context (if any) is ambient while
+        the analysis advances; the caller's own context is back in place
+        at each yield and after ``close()``.
+        """
         bounded = self.budget is not None and self.budget.bounded
-        return iter_analyze_pcap(
+        analyses = iter_analyze_pcap(
             source,
             sniffer_location=sniffer_location,
             strict=self.strict,
             ledger=StateLedger(self.budget) if bounded else None,
         )
+        if self.obs is None:
+            return analyses
+        return _advanced_under(self.obs, analyses)
 
     def extract_bgp(
         self, source: BinaryIO | str | Path | list[PcapRecord]
@@ -253,6 +261,22 @@ class Pipeline:
                 checkpoint_dir=checkpoint_dir,
                 resume=resume,
             )
+
+
+def _advanced_under(
+    obs: Observability, analyses: Iterator[ConnectionAnalysis]
+) -> Iterator[ConnectionAnalysis]:
+    """``analyses``, each step (and the final close) run under ``obs``."""
+    try:
+        while True:
+            with use_obs(obs):
+                analysis = next(analyses, None)
+            if analysis is None:
+                return
+            yield analysis
+    finally:
+        with use_obs(obs):
+            analyses.close()
 
 
 __all__ = [

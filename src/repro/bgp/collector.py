@@ -192,32 +192,6 @@ class QuaggaCollector(BaseCollector):
         write_mrt(path, self.archive)
         return len(self.archive)
 
-    def write_rib_snapshot(self, path, peer_as: int = 0,
-                           peer_ip: str = "0.0.0.0") -> int:
-        """Dump the current RIB as a TABLE_DUMP_V2 snapshot.
-
-        Real Quagga collectors write periodic RIB dumps alongside the
-        update archive; returns the number of RIB entries written.
-        """
-        from repro.bgp.mrt import RibSnapshot
-
-        snapshot = RibSnapshot(
-            timestamp_us=self.sim.now,
-            collector_id=self.bgp_id,
-            peer_as=peer_as,
-            peer_ip=peer_ip,
-            entries=tuple(
-                (route.prefix, route.attributes) for route in self.rib
-            ),
-        )
-        data = snapshot.encode()
-        if isinstance(path, (str, bytes)) or hasattr(path, "__fspath__"):
-            with open(path, "wb") as stream:
-                stream.write(data)
-        else:
-            path.write(data)
-        return len(snapshot.entries)
-
 
 class VendorCollector(BaseCollector):
     """A vendor looking-glass: current RIB only, no archive."""

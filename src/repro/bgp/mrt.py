@@ -21,20 +21,15 @@ from typing import BinaryIO
 from repro.bgp.messages import (
     BgpError,
     BgpMessage,
-    Prefix,
     decode_message,
-    decode_nlri,
     encode_message,
 )
 from repro.core.units import US_PER_SECOND
-from repro.wire.ip import IpError, bytes_to_ip, ip_to_bytes
+from repro.wire.ip import bytes_to_ip, ip_to_bytes
 
-MRT_TABLE_DUMP_V2 = 13
 MRT_BGP4MP = 16
 MRT_BGP4MP_ET = 17
 BGP4MP_MESSAGE = 1
-TDV2_PEER_INDEX_TABLE = 1
-TDV2_RIB_IPV4_UNICAST = 2
 
 _COMMON_HEADER = struct.Struct("!IHHI")
 _BGP4MP_HEADER = struct.Struct("!HHHH4s4s")
@@ -74,130 +69,6 @@ class MrtRecord:
             mrt_type = MRT_BGP4MP
         header = _COMMON_HEADER.pack(seconds, mrt_type, BGP4MP_MESSAGE, len(body))
         return header + body
-
-
-@dataclass(frozen=True)
-class RibSnapshot:
-    """A TABLE_DUMP_V2 RIB snapshot: one peer's view of a table."""
-
-    timestamp_us: int
-    collector_id: str
-    peer_as: int
-    peer_ip: str
-    entries: tuple  # of (Prefix, PathAttributes)
-
-    def encode(self) -> bytes:
-        """Serialize as PEER_INDEX_TABLE + RIB_IPV4_UNICAST records."""
-        seconds = self.timestamp_us // US_PER_SECOND
-        view_name = b""
-        peer_entry = (
-            struct.pack("!B", 0)  # IPv4 peer, 2-byte AS
-            + ip_to_bytes(self.peer_ip)  # peer BGP ID (reuse the IP)
-            + ip_to_bytes(self.peer_ip)
-            + struct.pack("!H", self.peer_as)
-        )
-        index_body = (
-            ip_to_bytes(self.collector_id)
-            + struct.pack("!H", len(view_name))
-            + view_name
-            + struct.pack("!H", 1)
-            + peer_entry
-        )
-        out = [
-            _COMMON_HEADER.pack(
-                seconds, MRT_TABLE_DUMP_V2, TDV2_PEER_INDEX_TABLE,
-                len(index_body),
-            )
-            + index_body
-        ]
-        for sequence, (prefix, attributes) in enumerate(self.entries):
-            attrs = attributes.encode()
-            body = (
-                struct.pack("!I", sequence)
-                + prefix.encode()
-                + struct.pack("!H", 1)  # one RIB entry (one peer)
-                + struct.pack("!HIH", 0, seconds, len(attrs))
-                + attrs
-            )
-            out.append(
-                _COMMON_HEADER.pack(
-                    seconds, MRT_TABLE_DUMP_V2, TDV2_RIB_IPV4_UNICAST,
-                    len(body),
-                )
-                + body
-            )
-        return b"".join(out)
-
-
-def read_rib_snapshot(source: BinaryIO | str | Path) -> RibSnapshot:
-    """Parse a TABLE_DUMP_V2 snapshot written by :class:`RibSnapshot`."""
-    from repro.bgp.attributes import AttributeError_, PathAttributes
-
-    if isinstance(source, (str, Path)):
-        with open(source, "rb") as stream:
-            return read_rib_snapshot(stream)
-    header = source.read(_COMMON_HEADER.size)
-    if len(header) < _COMMON_HEADER.size:
-        raise MrtError("truncated TABLE_DUMP_V2 header")
-    seconds, mrt_type, subtype, length = _COMMON_HEADER.unpack(header)
-    if mrt_type != MRT_TABLE_DUMP_V2 or subtype != TDV2_PEER_INDEX_TABLE:
-        raise MrtError("snapshot must start with PEER_INDEX_TABLE")
-    body = source.read(length)
-    try:
-        collector_id = bytes_to_ip(body[:4])
-        (view_len,) = struct.unpack_from("!H", body, 4)
-        offset = 6 + view_len
-        (peer_count,) = struct.unpack_from("!H", body, offset)
-        if peer_count != 1:
-            raise MrtError(f"expected a single peer, found {peer_count}")
-        offset += 2
-        peer_type = body[offset]
-        if peer_type & 0x03:
-            raise MrtError("only IPv4 peers with 2-byte AS are supported")
-        peer_ip = bytes_to_ip(body[offset + 5 : offset + 9])
-        (peer_as,) = struct.unpack_from("!H", body, offset + 9)
-    except (IndexError, IpError, struct.error) as exc:
-        raise MrtError(f"truncated PEER_INDEX_TABLE: {exc}") from exc
-
-    entries = []
-    while True:
-        header = source.read(_COMMON_HEADER.size)
-        if not header:
-            break
-        if len(header) < _COMMON_HEADER.size:
-            raise MrtError("truncated RIB record header")
-        seconds, mrt_type, subtype, length = _COMMON_HEADER.unpack(header)
-        body = source.read(length)
-        if len(body) < length:
-            raise MrtError("truncated RIB record body")
-        if mrt_type != MRT_TABLE_DUMP_V2 or subtype != TDV2_RIB_IPV4_UNICAST:
-            continue
-        if len(body) < 5:
-            raise MrtError("truncated RIB entry")
-        stop = 5 + (body[4] + 7) // 8
-        try:
-            (key,) = decode_nlri(body[4:stop])
-        except BgpError as exc:
-            raise MrtError(f"bad RIB entry prefix: {exc}") from exc
-        offset = stop + 2  # skip entry count (always 1)
-        if len(body) < offset + 8:
-            raise MrtError("truncated RIB entry")
-        (_peer_index, _originated, attr_len) = struct.unpack_from(
-            "!HIH", body, offset
-        )
-        offset += 8
-        try:
-            attributes = PathAttributes.decode(body[offset : offset + attr_len])
-        except AttributeError_ as exc:
-            raise MrtError(f"bad RIB entry attributes: {exc}") from exc
-        entries.append((Prefix.from_key(key), attributes))
-    return RibSnapshot(
-        timestamp_us=seconds * US_PER_SECOND,
-        collector_id=collector_id,
-        peer_as=peer_as,
-        peer_ip=peer_ip,
-        entries=tuple(entries),
-    )
 
 
 def write_mrt(target: BinaryIO | str | Path, records: Iterable[MrtRecord]) -> None:

@@ -10,7 +10,7 @@ micro campaign, and a differential verifier diffs the outcome against
 a clean run: every fault must end either byte-identical (absorbed) or
 typed-and-resumable — never silent divergence, never a leaked worker.
 
-Entry points: ``python -m repro.chaos`` or ``tdat chaos``; the library
+Entry point: ``tdat chaos``; the library
 surface is :func:`~repro.chaos.runner.run_chaos` /
 :func:`~repro.chaos.runner.run_plan` plus the plan compiler
 (:func:`~repro.chaos.plan.draw_plan`).  See the fault taxonomy and

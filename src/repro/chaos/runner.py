@@ -26,10 +26,10 @@ must leave the report byte-identical to the unbudgeted run
 (``byte-identical``); a tight one must degrade *gracefully* — typed
 benign issues, peak state inside the budget (``typed-recoverable``).
 
-``python -m repro.chaos`` / ``tdat chaos`` sweep a contiguous seed
-range (covering every fault class, since the class is
-``seed % len(FAULT_CLASSES)``) and report the per-fault-class outcome
-matrix; any ``violation`` or ``undefined`` cell fails the sweep.
+``tdat chaos`` sweeps a contiguous seed range (covering every fault
+class, since the class is ``seed % len(FAULT_CLASSES)``) and reports the
+per-fault-class outcome matrix; any ``violation`` or ``undefined`` cell
+fails the sweep.
 """
 
 from __future__ import annotations
@@ -585,21 +585,3 @@ def run_with_args(args: argparse.Namespace) -> int:
     else:
         print(report.summary())
     return 0 if report.ok else 1
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.chaos",
-        description=(
-            "Seeded chaos sweep over the campaign execution stack: "
-            "inject one scheduled fault per seed, diff the outcome "
-            "against a clean run, and report the per-fault-class "
-            "matrix."
-        ),
-    )
-    configure_parser(parser)
-    return run_with_args(parser.parse_args(argv))
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

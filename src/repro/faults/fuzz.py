@@ -268,13 +268,3 @@ def run_with_args(args: argparse.Namespace) -> int:
     )
     print(report.summary())
     return 0 if report.ok else 1
-
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI: run a campaign and exit nonzero on any invariant violation."""
-    parser = argparse.ArgumentParser(
-        prog="tdat fuzz",
-        description="Fuzz the T-DAT ingest pipeline with mangled pcaps",
-    )
-    configure_parser(parser)
-    return run_with_args(parser.parse_args(argv))

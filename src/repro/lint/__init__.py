@@ -46,7 +46,7 @@ ruleset encoding the repo's contracts:
   acyclic (a cycle is a potential deadlock, reported with both
   witness chains).
 
-Run it as ``tdat lint`` or ``python -m repro.lint``; see
+Run it as ``tdat lint``; see
 ``docs/static-analysis.md`` for the rule catalog and how to add a
 rule.
 """

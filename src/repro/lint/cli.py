@@ -1,4 +1,4 @@
-"""The lint command line, shared by ``tdat lint`` and ``python -m repro.lint``.
+"""The `tdat lint` command line.
 
 Exit codes (lint's own contract, independent of ``tdat``'s analysis
 codes): 0 — clean (no non-baselined findings); 1 — findings; 2 — the
@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Sequence
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
@@ -65,19 +64,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         "--list-rules", action="store_true",
         help="print the rule catalog and exit",
     )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro.lint",
-        description=(
-            "Determinism & isolation static analysis for the T-DAT repo"
-        ),
-        epilog=LINT_EXIT_CODES,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    configure_parser(parser)
-    return parser
 
 
 def run_with_args(args: argparse.Namespace) -> int:
@@ -166,11 +152,6 @@ def run_with_args(args: argparse.Namespace) -> int:
     return EXIT_FINDINGS if result.findings else EXIT_CLEAN
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return run_with_args(args)
-
-
 def _resolve_root(args: argparse.Namespace) -> Path:
     if args.root:
         root = Path(args.root).resolve()
@@ -193,7 +174,3 @@ def _default_target(root: Path) -> Path:
     raise FileNotFoundError(
         f"no lint target given and {target} does not exist; pass PATH"
     )
-
-
-if __name__ == "__main__":
-    sys.exit(main())

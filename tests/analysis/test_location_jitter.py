@@ -8,20 +8,37 @@ from repro.analysis.profile import Trace, infer_sniffer_location
 from repro.analysis.tdat import analyze_pcap
 from repro.bgp.table import generate_table
 from repro.core.units import seconds
-from repro.netsim.link import Link
+from repro.netsim.link import BernoulliLoss, Link
 from repro.netsim.packet import Packet
 from repro.netsim.random import RandomStreams
 from repro.netsim.simulator import Simulator
 from repro.workloads.scenarios import MonitoringSetup, RouterParams
 
 
-def capture(tap_location, jitter=False, seed=85):
+def capture(tap, rtt_ms=9.1, loss_rate=0.0, seed=85):
+    """One transfer over a path of about ``rtt_ms``, with Bernoulli loss
+    ``loss_rate`` on the router's link, captured at ``tap``: the
+    ``"receiver"`` or ``"sender"`` end, or the ``"middle"``: a receiver
+    tap moved up the path until half the RTT lies on each side of it."""
     sim = Simulator()
     setup = MonitoringSetup(sim)
     table = generate_table(10_000, random.Random(seed))
+    upstream_loss = None
+    if loss_rate:
+        upstream_loss = BernoulliLoss(
+            loss_rate, RandomStreams(seed).stream("loss")
+        )
+    upstream_delay_us = max(int(rtt_ms * 500) - 550, 100)
+    middle = tap == "middle"
     setup.add_router(
         RouterParams(
-            name="r1", ip="10.85.0.1", table=table, tap_location=tap_location
+            name="r1",
+            ip="10.85.0.1",
+            table=table,
+            tap_location="receiver" if middle else tap,
+            upstream_delay_us=100 if middle else upstream_delay_us,
+            local_delay_us=upstream_delay_us if middle else 500,
+            upstream_loss=upstream_loss,
         )
     )
     setup.start()
@@ -29,16 +46,42 @@ def capture(tap_location, jitter=False, seed=85):
     return setup.sniffer.sorted_records()
 
 
+def location_draws(seed=13, count=12):
+    """A seeded draw of paths: RTT in 2-120 ms, loss 0 or 1%."""
+    rng = random.Random(seed)
+    return [
+        (rng.uniform(2.0, 120.0), rng.choice((0.0, 0.01)), rng.randrange(1000))
+        for _ in range(count)
+    ]
+
+
 class TestLocationInference:
+    """Scored against the simulator's tap: every draw names its tap."""
+
+    def misplaced(self, tap):
+        wrong = []
+        for rtt_ms, loss_rate, seed in location_draws():
+            records = capture(tap, rtt_ms, loss_rate, seed)
+            connection = next(iter(Trace.from_pcap(records)))
+            inferred = infer_sniffer_location(connection)
+            if inferred != tap:
+                wrong.append((round(rtt_ms, 1), loss_rate, inferred))
+        return wrong
+
+    def test_draw_covers_the_range(self):
+        draws = location_draws()
+        assert {loss for _, loss, _ in draws} == {0.0, 0.01}
+        assert min(rtt for rtt, _, _ in draws) < 20
+        assert max(rtt for rtt, _, _ in draws) > 80
+
     def test_receiver_side_tap(self):
-        records = capture("receiver")
-        connection = next(iter(Trace.from_pcap(records)))
-        assert infer_sniffer_location(connection) == "receiver"
+        assert self.misplaced("receiver") == []
 
     def test_sender_side_tap(self):
-        records = capture("sender")
-        connection = next(iter(Trace.from_pcap(records)))
-        assert infer_sniffer_location(connection) == "sender"
+        assert self.misplaced("sender") == []
+
+    def test_mid_path_tap(self):
+        assert self.misplaced("middle") == []
 
     def test_unfinalized_connection_rejected(self):
         from repro.analysis.profile import Connection

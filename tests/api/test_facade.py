@@ -9,6 +9,7 @@ import pytest
 import repro.analysis
 from repro.api import Pipeline
 from repro.faults.fuzz import clean_trace_bytes
+from repro.obs import get_obs
 from repro.workloads.campaign import isp_quagga_config
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
@@ -56,6 +57,24 @@ class TestPipelineAnalyze:
     def test_iter_analyze(self, clean_pcap):
         analyses = list(Pipeline().iter_analyze(clean_pcap))
         assert len(analyses) == 1
+
+    def test_iter_analyze_records_under_the_pipeline_obs(self, clean_pcap):
+        eager = Pipeline(obs=True)
+        eager.analyze(clean_pcap)
+        lazy = Pipeline(obs=True)
+        ambient = get_obs()
+        for _ in lazy.iter_analyze(clean_pcap):
+            assert get_obs() is ambient
+        assert get_obs() is ambient
+        assert "analysis.connections" in eager.obs.metrics
+        assert lazy.obs.metrics.names() == eager.obs.metrics.names()
+
+    def test_closing_iter_analyze_restores_the_ambient_obs(self, clean_pcap):
+        ambient = get_obs()
+        analyses = Pipeline(obs=True).iter_analyze(clean_pcap)
+        next(analyses)
+        analyses.close()
+        assert get_obs() is ambient
 
     def test_extract_bgp(self, clean_pcap):
         streams = Pipeline().extract_bgp(clean_pcap)

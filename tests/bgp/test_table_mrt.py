@@ -2,6 +2,7 @@
 
 import io
 import random
+import struct
 
 import pytest
 
@@ -229,6 +230,14 @@ class TestMrt:
         buffer.seek(0)
         (got,) = read_mrt(buffer)
         assert got.timestamp_us == 1_300_000_000_500_000
+
+    def test_rib_dump_records_are_skipped(self):
+        first, second = (record.encode() for record in self.records())
+        # An MRT type-13 (RIB dump) record: read_mrt yields updates only.
+        body = b"\x00" * 12
+        rib_dump = struct.pack("!IHHI", 1_300_000_000, 13, 1, len(body))
+        buffer = io.BytesIO(first + rib_dump + body + second)
+        assert list(read_mrt(buffer)) == self.records()
 
     def test_malformed_message_raises_mrt_error(self):
         buffer = io.BytesIO()

@@ -14,10 +14,10 @@ from repro.chaos.runner import (
     OUTCOME_VIOLATION,
     ChaosCase,
     ChaosReport,
-    main,
     run_chaos,
     run_plan,
 )
+from repro.tools import tdat_cli
 
 TRANSFERS = 2  # the smallest legal plan; keeps the sweep fast
 
@@ -98,15 +98,16 @@ class TestCli:
     def test_sweep_too_short_to_cover_every_class_exits_nonzero(
         self, capsys
     ):
-        assert main(["--seeds", "2", "--transfers", "2"]) == 1
+        code = tdat_cli.main(["chaos", "--seeds", "2", "--transfers", "2"])
+        assert code == tdat_cli.EXIT_ISSUES
         out = capsys.readouterr().out
         assert "undefined" in out
         assert "chaos: FAILED" in out
 
     def test_json_and_matrix_out(self, tmp_path, capsys):
         matrix_path = tmp_path / "matrix.json"
-        code = main([
-            "--seeds", str(len(FAULT_CLASSES)), "--transfers", "2",
+        code = tdat_cli.main([
+            "chaos", "--seeds", str(len(FAULT_CLASSES)), "--transfers", "2",
             "--json", "--matrix-out", str(matrix_path),
         ])
         assert code == 0

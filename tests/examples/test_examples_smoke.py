@@ -1,9 +1,7 @@
 """Smoke tests: the runnable examples must stay runnable.
 
-Each example executes in a subprocess with the repo's interpreter; the
-slowest (survey, tcp_forensics) are excluded to keep the suite quick —
-they exercise the same code paths as the campaign and application
-tests.  Every example's module body (its imports) runs in-process.
+Each example executes in a subprocess with the repo's interpreter, and
+its module body (its imports) also runs in-process.
 """
 
 import runpy
@@ -20,6 +18,7 @@ FAST_EXAMPLES = [
     "diagnose_slow_transfer.py",
     "peer_group_blocking.py",
     "pcap_workflow.py",
+    "survey_delay_factors.py",
 ]
 
 
@@ -44,8 +43,6 @@ def test_example_imports(name):
 
 
 def test_examples_inventory():
-    """Every example file is either smoke-tested or known-slow."""
-    known_slow = {"survey_delay_factors.py", "tcp_forensics.py"}
+    """Every example file is smoke-tested."""
     present = {p.name for p in EXAMPLES_DIR.glob("*.py")}
-    assert set(FAST_EXAMPLES) <= present
-    assert present - set(FAST_EXAMPLES) <= known_slow
+    assert present == set(FAST_EXAMPLES)

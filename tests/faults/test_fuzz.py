@@ -5,7 +5,6 @@ import io
 import pytest
 
 from repro.analysis.tdat import analyze_pcap
-from repro.faults import fuzz
 from repro.faults.fuzz import (
     check_clean_invariant,
     clean_trace_bytes,
@@ -13,6 +12,7 @@ from repro.faults.fuzz import (
     run_fuzz,
 )
 from repro.faults.mangle import mangle
+from repro.tools import tdat_cli
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +81,7 @@ class TestCampaign:
         assert "clean-trace invariant ok" in text
 
     def test_main_smoke(self, capsys):
-        rc = fuzz.main(["--seeds", "5"])
+        rc = tdat_cli.main(["fuzz", "--seeds", "5"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "5 mangled trace(s), 0 crash(es)" in out

@@ -5,12 +5,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.lint.cli import (
-    EXIT_CLEAN,
-    EXIT_FINDINGS,
-    EXIT_USAGE,
-    main,
-)
+from repro.lint.cli import EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE
 from repro.tools import tdat_cli
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -19,7 +14,7 @@ BAD = FIXTURES / "rl003" / "bad"
 
 
 def lint(*argv: str) -> int:
-    return main(list(argv))
+    return tdat_cli.main(["lint", *argv])
 
 
 class TestExitCodes:
