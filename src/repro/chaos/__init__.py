@@ -10,8 +10,8 @@ micro campaign, and a differential verifier diffs the outcome against
 a clean run: every fault must end either byte-identical (absorbed) or
 typed-and-resumable — never silent divergence, never a leaked worker.
 
-Entry point: ``tdat chaos``; the library
-surface is :func:`~repro.chaos.runner.run_chaos` /
+Entry point: ``tdat chaos``; the library surface is
+:func:`~repro.chaos.runner.run_chaos` /
 :func:`~repro.chaos.runner.run_plan` plus the plan compiler
 (:func:`~repro.chaos.plan.draw_plan`).  See the fault taxonomy and
 injection-point catalog in ``docs/robustness.md``.

@@ -1,4 +1,4 @@
-"""The `tdat lint` command line.
+"""The ``tdat lint`` command line.
 
 Exit codes (lint's own contract, independent of ``tdat``'s analysis
 codes): 0 — clean (no non-baselined findings); 1 — findings; 2 — the
