@@ -151,9 +151,7 @@ class Pipeline:
             strict=self.strict,
             ledger=StateLedger(self.budget) if bounded else None,
         )
-        if self.obs is None:
-            return analyses
-        return _advanced_under(self.obs, analyses)
+        return _advanced_under(self.obs or None, analyses)
 
     def extract_bgp(
         self, source: BinaryIO | str | Path | list[PcapRecord]
@@ -264,7 +262,7 @@ class Pipeline:
 
 
 def _advanced_under(
-    obs: Observability, analyses: Iterator[ConnectionAnalysis]
+    obs: Observability | None, analyses: Iterator[ConnectionAnalysis]
 ) -> Iterator[ConnectionAnalysis]:
     """``analyses``, each step (and the final close) run under ``obs``."""
     try:
