@@ -51,12 +51,6 @@ class PacketLabel:
     position: int
     kind: str
     timestamp_us: int
-    trigger_time_us: int | None = None
-    recovery_time_us: int | None = None
-
-    @property
-    def is_retransmission(self) -> bool:
-        return self.kind in (KIND_UPSTREAM, KIND_DOWNSTREAM)
 
 
 @dataclass
@@ -73,28 +67,13 @@ class LabelingResult:
     events: list[tuple[int, str, int | None, int | None]]
     times: Sequence[int]
 
-    @property
-    def labels(self) -> list[PacketLabel]:
-        """Every data packet's label, in data order."""
-        labels = [
-            PacketLabel(position, kind, self.times[position])
-            for position, kind in enumerate(self.kinds)
-        ]
-        for position, kind, trigger, recovery in self.events:
-            labels[position].trigger_time_us = trigger
-            labels[position].recovery_time_us = recovery
-        return labels
-
     def retransmissions(self) -> list[PacketLabel]:
         times = self.times
         return [
-            PacketLabel(position, kind, times[position], trigger, recovery)
-            for position, kind, trigger, recovery in self.events
+            PacketLabel(position, kind, times[position])
+            for position, kind, _, _ in self.events
             if kind in (KIND_UPSTREAM, KIND_DOWNSTREAM)
         ]
-
-    def by_kind(self, kind: str) -> list[PacketLabel]:
-        return [l for l in self.labels if l.kind == kind]
 
     def count(self, kind: str) -> int:
         return self.kinds.count(kind)

@@ -165,10 +165,6 @@ class StepFunction:
             spans.append((run_start, end_us))
         return TimeRangeSet(spans)
 
-    def samples(self) -> list[tuple[int, int]]:
-        """The raw (time, value) samples."""
-        return list(zip(self._times, self._values))
-
 
 @dataclass
 class ConnectionSeries:
@@ -176,8 +172,6 @@ class ConnectionSeries:
 
     catalog: SeriesCatalog
     labeling: LabelingResult
-    outstanding: StepFunction
-    advertised_window: StepFunction
     window: TimeRange
     mss: int
     rtt_us: int
@@ -452,8 +446,6 @@ def generate_series(
     return ConnectionSeries(
         catalog=catalog,
         labeling=labeling,
-        outstanding=outstanding_fn,
-        advertised_window=adv_fn,
         window=analysis,
         mss=mss,
         rtt_us=profile.rtt_us,

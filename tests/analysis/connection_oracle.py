@@ -855,8 +855,6 @@ def generate_series(
     return ConnectionSeries(
         catalog=catalog,
         labeling=labeling,
-        outstanding=outstanding_fn,
-        advertised_window=adv_fn,
         window=analysis,
         mss=mss,
         rtt_us=profile.rtt_us,

@@ -29,7 +29,13 @@ from repro.analysis.detectors import detect_long_keepalive_pauses
 from repro.analysis.labeling import label_connection
 from repro.analysis.profile import Connection, canonical_key
 from repro.analysis.columns import FirstAbove
-from repro.analysis.series import SERIES_NAMES, _flight_cycles, generate_series
+from repro.analysis.series import (
+    SERIES_NAMES,
+    _advertised_window,
+    _flight_cycles,
+    _outstanding,
+    generate_series,
+)
 from repro.analysis.tdat import analyze_connection
 from repro.analysis.voids import find_capture_voids
 from repro.bgp.messages import KeepaliveMessage, encode_message
@@ -163,10 +169,24 @@ def _ranges(series) -> list[tuple]:
 
 
 def _labels(labeling) -> list[tuple]:
+    """Each data packet's ``(kind, trigger, recovery)``."""
+    times = {position: (t, r) for position, _, t, r in labeling.events}
+    return [
+        (kind, *times.get(position, (None, None)))
+        for position, kind in enumerate(labeling.kinds)
+    ]
+
+
+def _oracle_labels(labeling) -> list[tuple]:
     return [
         (label.kind, label.trigger_time_us, label.recovery_time_us)
         for label in labeling.labels
     ]
+
+
+def _steps(fn) -> tuple:
+    """A step function's initial value and ``(time, value)`` samples."""
+    return fn.initial, list(zip(fn._times, fn._values))
 
 
 def _cycle(cycle) -> tuple:
@@ -203,7 +223,7 @@ def _assert_layers_match(columns, objects) -> None:
 
     labeling = label_connection(columns)
     expected_labeling = oracle.label_connection(objects)
-    assert _labels(labeling) == _labels(expected_labeling)
+    assert _labels(labeling) == _oracle_labels(expected_labeling)
     assert [l.timestamp_us for l in labeling.retransmissions()] == [
         l.packet.timestamp_us for l in expected_labeling.retransmissions()
     ]
@@ -220,6 +240,14 @@ def _assert_layers_match(columns, objects) -> None:
         assert error == expected_error
         if error is None:
             _assert_series_match(series, expected)
+    assert _steps(_outstanding(columns.data, columns.acks)[0]) == _steps(
+        oracle._outstanding(
+            objects, objects.data_packets(), objects.ack_packets()
+        )[0]
+    )
+    assert _steps(_advertised_window(columns.acks)) == _steps(
+        oracle._advertised_window(objects.ack_packets())
+    )
 
     voids = find_capture_voids(columns)
     expected_voids = oracle.find_capture_voids(objects)
@@ -256,11 +284,6 @@ def _assert_series_match(series, expected) -> None:
     assert set(SERIES_NAMES) <= set(series.catalog.names())
     for name in series.catalog.names():
         assert _ranges(series.get(name)) == _ranges(expected.get(name)), name
-    assert series.outstanding.samples() == expected.outstanding.samples()
-    assert (
-        series.advertised_window.samples()
-        == expected.advertised_window.samples()
-    )
     assert series.window == expected.window
     assert (
         series.serialization_us_per_byte
