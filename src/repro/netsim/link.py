@@ -66,23 +66,6 @@ class WindowLoss:
         return any(start <= now_us < end for start, end in self.windows)
 
 
-class CountedLoss:
-    """Drop the next ``count`` packets once armed (then pass everything)."""
-
-    def __init__(self, count: int) -> None:
-        self.remaining = count
-
-    def arm(self, count: int) -> None:
-        """Re-arm the model to drop the next ``count`` packets."""
-        self.remaining = count
-
-    def should_drop(self, packet: Packet, now_us: int) -> bool:
-        if self.remaining > 0:
-            self.remaining -= 1
-            return True
-        return False
-
-
 class LinkStats:
     """Counters a link accumulates over its lifetime."""
 

@@ -6,12 +6,13 @@ import pytest
 
 from repro.netsim.link import (
     BernoulliLoss,
-    CountedLoss,
     Link,
     WindowLoss,
 )
 from repro.netsim.packet import Packet
 from repro.netsim.simulator import Simulator
+
+from tests.tcp.helpers import CountedLoss
 
 
 def make_packet(size=1000, src="10.0.0.1", dst="10.0.0.2"):

@@ -1,4 +1,4 @@
-"""Shared topology builder and endpoint pair for TCP tests."""
+"""Shared topology builder, endpoint pair and loss model for TCP tests."""
 
 from repro.netsim.link import Link
 from repro.netsim.node import Host
@@ -34,6 +34,23 @@ class Net:
         )
         self.a.add_route("10.0.0.2", self.link_ab.send)
         self.b.add_route("10.0.0.1", self.link_ba.send)
+
+
+class CountedLoss:
+    """Drop the next ``count`` packets once armed (then pass everything)."""
+
+    def __init__(self, count: int) -> None:
+        self.remaining = count
+
+    def arm(self, count: int) -> None:
+        """Re-arm the model to drop the next ``count`` packets."""
+        self.remaining = count
+
+    def should_drop(self, packet, now_us: int) -> bool:
+        if self.remaining > 0:
+            self.remaining -= 1
+            return True
+        return False
 
 
 def collect_all(endpoint, sink: bytearray):

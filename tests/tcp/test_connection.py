@@ -3,12 +3,12 @@
 import pytest
 
 from repro.core.units import seconds
-from repro.netsim.link import CountedLoss, WindowLoss
+from repro.netsim.link import WindowLoss
 from repro.netsim.simulator import Simulator
 from repro.tcp.options import TcpConfig
 from repro.tcp.socket import TcpState
 
-from tests.tcp.helpers import Net, collect_all, connect_pair
+from tests.tcp.helpers import CountedLoss, Net, collect_all, connect_pair
 
 
 def run_transfer(sim, net, payload, client_config=None, server_config=None):

@@ -3,14 +3,14 @@
 import pytest
 
 from repro.core.units import seconds
-from repro.netsim.link import BernoulliLoss, CountedLoss
+from repro.netsim.link import BernoulliLoss
 from repro.netsim.random import RandomStreams
 from repro.netsim.simulator import Simulator
 from repro.tcp.options import TcpConfig
 from repro.tcp.receiver import RecvHalf
 from repro.wire import tcpw
 
-from tests.tcp.helpers import Net, collect_all, connect_pair
+from tests.tcp.helpers import CountedLoss, Net, collect_all, connect_pair
 from tests.wire.frame_oracle import tcp_decode
 
 
