@@ -241,10 +241,10 @@ def _analyze_parser(p: argparse.ArgumentParser) -> None:
 
 @_subcommand("campaign", "run one measurement campaign")
 def _campaign_parser(p: argparse.ArgumentParser) -> None:
-    from repro.workloads.campaign import CAMPAIGNS
+    from repro.workloads.names import CAMPAIGN_NAMES
 
     p.add_argument(
-        "name", choices=sorted(CAMPAIGNS),
+        "name", choices=sorted(CAMPAIGN_NAMES),
         help="campaign from the paper's Table I",
     )
     p.add_argument("--transfers", type=int, help="override the transfer count")
@@ -323,10 +323,10 @@ def _serve_parser(p: argparse.ArgumentParser) -> None:
 
 @_subcommand("report", "run campaigns and render the survey tables")
 def _report_parser(p: argparse.ArgumentParser) -> None:
-    from repro.workloads.campaign import CAMPAIGNS
+    from repro.workloads.names import CAMPAIGN_NAMES
 
     p.add_argument(
-        "--campaign", action="append", choices=sorted(CAMPAIGNS),
+        "--campaign", action="append", choices=sorted(CAMPAIGN_NAMES),
         metavar="NAME", help="campaign to include (repeatable; default: all)",
     )
     p.add_argument("--transfers", type=int, help="override the transfer count")
@@ -626,9 +626,9 @@ def _cmd_serve(args) -> int:
 def _cmd_report(args) -> int:
     from repro.api import Pipeline
     from repro.tools.report import render_markdown
-    from repro.workloads.campaign import CAMPAIGNS
+    from repro.workloads.names import CAMPAIGN_NAMES
 
-    names = args.campaign or sorted(CAMPAIGNS)
+    names = args.campaign or sorted(CAMPAIGN_NAMES)
     obs = _make_obs(args)
     pipe = Pipeline(
         workers=args.workers, strict=args.strict,

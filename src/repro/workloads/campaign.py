@@ -63,6 +63,7 @@ from repro.workloads.checkpoint import (
     CheckpointWriteError,
     GracefulShutdown,
 )
+from repro.workloads.names import ISP_A_QUAGGA, ISP_A_VENDOR, ROUTEVIEWS
 from repro.workloads.scenarios import MonitoringSetup, RouterParams
 
 # Pathology labels (ground truth, recorded per transfer).
@@ -257,7 +258,7 @@ class CampaignConfig:
 def isp_vendor_config(seed: int = 11, transfers: int = 40) -> CampaignConfig:
     """ISP_A monitored by the vendor looking-glass (paper's ISP_A-1)."""
     return CampaignConfig(
-        name="ISP_A-Vendor",
+        name=ISP_A_VENDOR,
         collector_kind="vendor",
         seed=seed,
         transfers=transfers,
@@ -269,7 +270,7 @@ def isp_vendor_config(seed: int = 11, transfers: int = 40) -> CampaignConfig:
 def isp_quagga_config(seed: int = 22, transfers: int = 30) -> CampaignConfig:
     """ISP_A monitored by the Quagga collector (paper's ISP_A-2)."""
     return CampaignConfig(
-        name="ISP_A-Quagga",
+        name=ISP_A_QUAGGA,
         collector_kind="quagga",
         seed=seed,
         transfers=transfers,
@@ -281,7 +282,7 @@ def isp_quagga_config(seed: int = 22, transfers: int = 30) -> CampaignConfig:
 def routeviews_config(seed: int = 33, transfers: int = 24) -> CampaignConfig:
     """RouteViews-style eBGP monitoring (paper's RV trace)."""
     return CampaignConfig(
-        name="RV",
+        name=ROUTEVIEWS,
         collector_kind="vendor",
         seed=seed,
         transfers=transfers,
@@ -307,9 +308,9 @@ PATHOLOGIES = (
 #: factory registry: campaign name → config factory (``seed``,
 #: ``transfers`` keyword overrides pass through).
 CAMPAIGNS = {
-    "ISP_A-Vendor": isp_vendor_config,
-    "ISP_A-Quagga": isp_quagga_config,
-    "RV": routeviews_config,
+    ISP_A_VENDOR: isp_vendor_config,
+    ISP_A_QUAGGA: isp_quagga_config,
+    ROUTEVIEWS: routeviews_config,
 }
 
 

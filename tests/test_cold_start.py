@@ -88,3 +88,22 @@ def test_tdat_serve_loads_no_simulator_or_tooling():
     assert rc == 0
     assert "repro.serve.session" in modules
     assert not under(modules, NOT_FOR_ANALYSIS)
+
+
+@pytest.mark.parametrize("command", ["campaign", "report"])
+def test_campaign_help_loads_no_simulator(command):
+    # The help lists every campaign name; the simulator that runs them
+    # loads only when a campaign does.
+    rc, modules = loaded_modules(
+        "from repro.tools.tdat_cli import main\n"
+        "try:\n"
+        f"    main([{command!r}, '--help'])\n"
+        "except SystemExit as exc:\n"
+        "    rc = exc.code"
+    )
+    assert rc == 0
+    assert "repro.workloads.names" in modules
+    assert not under(modules, (
+        "repro.netsim", "repro.tcp", "repro.exec", "repro.chaos",
+        "repro.faults", "repro.lint", "repro.workloads.campaign",
+    ))

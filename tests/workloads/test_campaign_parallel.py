@@ -12,6 +12,7 @@ from repro.workloads.campaign import (
     isp_quagga_config,
     run_campaign,
 )
+from repro.workloads.names import CAMPAIGN_NAMES
 
 TRANSFERS = 3
 SEED = 5
@@ -78,6 +79,9 @@ class TestFaultIsolation:
 class TestRegistry:
     def test_known_campaigns(self):
         assert set(CAMPAIGNS) == {"ISP_A-Vendor", "ISP_A-Quagga", "RV"}
+        assert tuple(CAMPAIGNS) == CAMPAIGN_NAMES
+        for name, factory in CAMPAIGNS.items():
+            assert factory().name == name
 
     def test_campaign_config_passes_overrides(self):
         config = campaign_config("RV", seed=3, transfers=7)
