@@ -118,23 +118,6 @@ class StepFunction:
         fn._times, fn._values = times, values
         return fn
 
-    def add(self, time_us: int, value: int) -> None:
-        """Append a sample; times must be non-decreasing."""
-        if self._times and time_us < self._times[-1]:
-            raise ValueError("step function samples must be time-ordered")
-        if self._times and self._times[-1] == time_us:
-            self._values[-1] = value
-            return
-        self._times.append(time_us)
-        self._values.append(value)
-
-    def value_at(self, time_us: int) -> int:
-        """The value in effect at ``time_us``."""
-        idx = bisect.bisect_right(self._times, time_us) - 1
-        if idx < 0:
-            return self.initial
-        return self._values[idx]
-
     def ranges_where(self, predicate, start_us: int, end_us: int) -> TimeRangeSet:
         """Intervals within [start, end) where ``predicate(value)`` holds.
 

@@ -890,7 +890,7 @@ def _outstanding(
     for ack in acks:
         events.append((ack.effective_time_us, 1, "ack", connection.relative_ack(ack)))
     events.sort(key=lambda e: (e[0], e[1]))
-    fn = StepFunction()
+    fn = _StepBuilder()
     spans = []
     snd_max = 0
     acked = 0
@@ -909,14 +909,36 @@ def _outstanding(
             open_since = None
     if open_since is not None and events:
         spans.append((open_since, events[-1][0] + 1))
-    return fn, TimeRangeSet(spans)
+    return fn.build(), TimeRangeSet(spans)
 
 
 def _advertised_window(acks: list[TracePacket]) -> StepFunction:
-    fn = StepFunction(initial=65535)
+    fn = _StepBuilder(initial=65535)
     for ack in sorted(acks, key=lambda a: a.effective_time_us):
         fn.add(ack.effective_time_us, ack.window)
-    return fn
+    return fn.build()
+
+
+class _StepBuilder:
+    """Time-ordered samples of a :class:`StepFunction`, one at a time."""
+
+    def __init__(self, initial: int = 0) -> None:
+        self.times: list[int] = []
+        self.values: list[int] = []
+        self.initial = initial
+
+    def add(self, time_us: int, value: int) -> None:
+        """Append a sample; a sample at the last time replaces it."""
+        if self.times and time_us < self.times[-1]:
+            raise ValueError("step function samples must be time-ordered")
+        if self.times and self.times[-1] == time_us:
+            self.values[-1] = value
+            return
+        self.times.append(time_us)
+        self.values.append(value)
+
+    def build(self) -> StepFunction:
+        return StepFunction.from_columns(self.times, self.values, self.initial)
 
 
 def _loss_series(labeling: LabelingResult) -> tuple[list, list, list]:

@@ -51,39 +51,29 @@ def window_bound_connection(window=16384, rtt=10_000, rounds=12):
     return builder.build()
 
 
+def spans(ranges) -> list[tuple[int, int]]:
+    return [(r.start, r.end) for r in ranges]
+
+
 class TestStepFunction:
     def test_initial_value(self):
-        fn = StepFunction(initial=7)
-        assert fn.value_at(100) == 7
+        fn = StepFunction.from_columns([], [], initial=7)
+        assert spans(fn.ranges_where(lambda v: v == 7, 0, 100)) == [(0, 100)]
+        assert spans(fn.ranges_where(lambda v: v != 7, 0, 100)) == []
 
     def test_value_lookup(self):
-        fn = StepFunction()
-        fn.add(10, 5)
-        fn.add(20, 0)
-        assert fn.value_at(9) == 0
-        assert fn.value_at(10) == 5
-        assert fn.value_at(19) == 5
-        assert fn.value_at(25) == 0
-
-    def test_same_time_overwrites(self):
-        fn = StepFunction()
-        fn.add(10, 5)
-        fn.add(10, 8)
-        assert fn.value_at(10) == 8
-
-    def test_time_order_enforced(self):
-        fn = StepFunction()
-        fn.add(10, 5)
-        with pytest.raises(ValueError):
-            fn.add(5, 1)
+        fn = StepFunction.from_columns([10, 20], [5, 0])
+        assert spans(fn.ranges_where(lambda v: v == 0, 0, 30)) == [
+            (0, 10), (20, 30)
+        ]
+        assert spans(fn.ranges_where(lambda v: v == 5, 0, 30)) == [(10, 20)]
+        # A window that opens inside a step starts with that step's value.
+        assert spans(fn.ranges_where(lambda v: v == 5, 15, 30)) == [(15, 20)]
 
     def test_ranges_where(self):
-        fn = StepFunction()
-        fn.add(10, 5)
-        fn.add(20, 0)
-        fn.add(30, 5)
+        fn = StepFunction.from_columns([10, 20, 30], [5, 0, 5])
         ranges = fn.ranges_where(lambda v: v > 0, 0, 40)
-        assert [(r.start, r.end) for r in ranges] == [(10, 20), (30, 40)]
+        assert spans(ranges) == [(10, 20), (30, 40)]
 
     def test_ranges_where_empty_window(self):
         fn = StepFunction()
