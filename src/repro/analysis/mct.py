@@ -55,7 +55,7 @@ def minimum_collection_time(
         return None
     if start_us is None:
         start_us = updates[0][0]
-    seen: set[int] = set()  # packed Prefix.key ints
+    seen: set[int] = set()  # Prefix.key ints
     end_us = updates[0][0]
     total_updates = 0
     duplicates = 0

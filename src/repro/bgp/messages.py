@@ -9,8 +9,10 @@ and the ``pcap2bgp`` side tool.
 
 from __future__ import annotations
 
+import re
 import struct
 from dataclasses import dataclass
+from itertools import repeat
 from operator import itemgetter
 
 from repro.bgp.attributes import AttributeError_, PathAttributes
@@ -55,52 +57,61 @@ class BgpError(ValueError):
 # NLRI layout by prefix length (RFC 4271 section 4.3): a length byte,
 # then the fewest address bytes that hold ``length`` bits.  Read as one
 # big-endian integer, an NLRI is ``_NLRI_TAG[length] | address >>
-# _NLRI_SHIFT[length]`` in ``_NLRI_SIZE[length]`` bytes.  A prefix's
-# packed key is ``address << 6 | length``, so the same NLRI integer is
-# ``_NLRI_TAG[length] | key >> _KEY_SHIFT[length]``.
+# _NLRI_SHIFT[length]`` in ``_NLRI_SIZE[length]`` bytes; that integer is
+# a prefix's :attr:`Prefix.key`.
 _NLRI_SIZE = [1 + (length + 7) // 8 for length in range(33)]
 _NLRI_SHIFT = [40 - 8 * size for size in _NLRI_SIZE]
 _NLRI_TAG = [length << (8 * size - 8) for length, size in enumerate(_NLRI_SIZE)]
-_KEY_SHIFT = [6 + shift for shift in _NLRI_SHIFT]
+
+# One alternative per NLRI size: a length byte in 17-24, 9-16, 25-32,
+# 1-8 or 0, then its 3, 2, 4, 1 or 0 address bytes.  /17-/24 comes
+# first: over half of a global table is /24.
+_NLRI_RUN = re.compile(
+    rb"[\x11-\x18]...|[\x09-\x10]..|[\x19-\x20]....|[\x01-\x08].|\x00",
+    re.DOTALL,
+)
 
 _new_tuple = tuple.__new__
 _new_object = object.__new__
 
 
 def decode_nlri(data: bytes) -> list[int]:
-    """Parse a run of NLRI-encoded prefixes into packed keys.
+    """Parse a run of NLRI-encoded prefixes into their keys.
 
-    Each key is :attr:`Prefix.key` of the prefix the NLRI encodes; host
-    bits inside the last address byte are kept.  One pass checks every
-    length byte and that no prefix is cut short.
+    Each key is the NLRI read as one big-endian integer, the
+    :attr:`Prefix.key` of the prefix it encodes.  The run is split in
+    one ``findall``; the parts tile it exactly when every length byte
+    is at most 32 and no prefix is cut short, and otherwise
+    :func:`_nlri_error` names the first fault.
     """
-    keys = []
-    append = keys.append
-    from_bytes = int.from_bytes
-    size, shift = _NLRI_SIZE, _KEY_SHIFT
+    parts = _NLRI_RUN.findall(data)
+    # Matches never overlap, so they tile the run when their bytes add
+    # up to it; joining them is the cheapest way to add up.
+    if len(b"".join(parts)) != len(data):
+        raise _nlri_error(data)
+    return list(map(int.from_bytes, parts, repeat("big")))
+
+
+def _nlri_error(data: bytes) -> BgpError:
+    """The error of the first malformed NLRI in ``data``."""
+    size = _NLRI_SIZE
     end = len(data)
     i = 0
     while i < end:
         length = data[i]
         if length > 32:
-            raise BgpError(f"bad prefix length {length}")
-        start = i + 1
+            return BgpError(f"bad prefix length {length}")
         i += size[length]
-        if i > end:
-            raise BgpError("truncated prefix")
-        # The address bytes alone are the NLRI integer without its tag.
-        append(from_bytes(data[start:i], "big") << shift[length] | length)
-    return keys
+    return BgpError("truncated prefix")
 
 
 def encode_nlri(keys) -> list[bytes]:
-    """The NLRI wire form of each packed key, in order."""
-    tag, shift, size = _NLRI_TAG, _KEY_SHIFT, _NLRI_SIZE
-    return [
-        (tag[length] | key >> shift[length]).to_bytes(size[length], "big")
-        for key in keys
-        for length in (key & 63,)
-    ]
+    """The NLRI wire form of each key, in order.
+
+    A key's length byte is its top byte, so its bit length gives its
+    size; the /0 key, 0, takes the one length byte.
+    """
+    return [key.to_bytes((key.bit_length() + 7) >> 3 or 1, "big") for key in keys]
 
 
 class Prefix(tuple):
@@ -120,7 +131,7 @@ class Prefix(tuple):
 
     Underneath, a prefix is the immutable tuple ``(address, length,
     nlri)``.  Tables and UPDATEs do not hold prefixes: a RIB is keyed on
-    :attr:`key`, the packed int ``address << 6 | length``, and an UPDATE
+    :attr:`key`, the NLRI read as one big-endian integer, and an UPDATE
     holds its NLRI bytes; both build a prefix only when one is read
     (:meth:`from_key`).
     """
@@ -148,20 +159,30 @@ class Prefix(tuple):
 
     @classmethod
     def from_key(cls, key: int) -> "Prefix":
-        """The prefix whose :attr:`key` is ``key``."""
-        return cls.from_int(key >> 6, key & 63)
+        """The prefix whose NLRI is ``key`` (see :attr:`key`).
+
+        The key's length byte is its top byte, so its bit length gives
+        the NLRI size; the /0 key, 0, is the one length byte.
+        """
+        top = 8 * ((key.bit_length() + 7) >> 3 or 1) - 8
+        length = key >> top
+        if length > 32:
+            raise BgpError(f"bad prefix length {length}")
+        return cls.from_int((key ^ length << top) << _NLRI_SHIFT[length], length)
 
     length = property(itemgetter(1), doc="The prefix length in bits.")
     nlri = property(itemgetter(2), doc="The NLRI wire form.")
 
     @property
     def key(self) -> int:
-        """The packed int ``address << 6 | length``, host bits kept.
+        """The NLRI read as one big-endian integer.
 
-        Two prefixes are equal exactly when their keys are, and an int
-        hashes far faster than the tuple: this is what RIBs key on.
+        An int hashes far faster than the tuple: this is what RIBs key
+        on.  It holds what the wire holds, so host bits past the NLRI's
+        last byte are not part of it: ``Prefix("10.0.0.1", 8).key ==
+        Prefix("10.0.0.0", 8).key``, although the prefixes differ.
         """
-        return self[0] << 6 | self[1]
+        return int.from_bytes(self[2], "big")
 
     @property
     def network(self) -> str:
@@ -283,7 +304,7 @@ class UpdateMessage:
     message re-encodes to exactly the body it came from.
 
     ``announced`` and ``withdrawn`` build :class:`Prefix` tuples when
-    read.  ``announced_keys`` and ``withdrawn_keys`` are the packed
+    read.  ``announced_keys`` and ``withdrawn_keys`` are the
     :attr:`Prefix.key` ints a RIB or MCT's seen-set files directly;
     :meth:`from_body` decodes them in the pass that checks each NLRI
     run, while a message built for sending decodes nothing unless
@@ -342,13 +363,13 @@ class UpdateMessage:
 
     @property
     def announced_keys(self) -> tuple[int, ...]:
-        """The packed keys of the announced prefixes, in wire order."""
+        """The keys of the announced prefixes, in wire order."""
         keys = self._announced_keys
         return tuple(decode_nlri(self._nlri)) if keys is None else keys
 
     @property
     def withdrawn_keys(self) -> tuple[int, ...]:
-        """The packed keys of the withdrawn prefixes, in wire order."""
+        """The keys of the withdrawn prefixes, in wire order."""
         keys = self._withdrawn_keys
         return tuple(decode_nlri(self._withdrawn)) if keys is None else keys
 
@@ -397,7 +418,7 @@ class UpdateMessage:
         if i + 2 > len(body):
             raise BgpError("UPDATE truncated after withdrawals")
         withdrawn = body[2:i]
-        withdrawn_keys = tuple(decode_nlri(withdrawn))
+        withdrawn_keys = tuple(decode_nlri(withdrawn)) if withdrawn else ()
         (attr_len,) = _U16.unpack_from(body, i)
         i += 2
         if i + attr_len > len(body):

@@ -156,11 +156,15 @@ class BgpSession:
 
         Collectors with a CPU model call this themselves with a byte
         budget; ``auto_read`` sessions call it on every data arrival.
+        A read that completes messages restarts the hold timer once:
+        they all arrive at the same instant.
         """
         data = self.endpoint.read(max_bytes)
         if not data:
             return []
         messages = self.decoder.feed(data)
+        if messages:
+            self._restart_hold_timer()
         for message in messages:
             self._handle_message(message)
         return messages
@@ -173,7 +177,6 @@ class BgpSession:
     # Inbound FSM
     # ------------------------------------------------------------------
     def _handle_message(self, message: BgpMessage) -> None:
-        self._restart_hold_timer()
         if self.on_message is not None:
             self.on_message(self, message, self.sim.now)
         if isinstance(message, OpenMessage):

@@ -40,8 +40,9 @@ class Route:
 class Rib:
     """A Routing Information Base keyed by prefix.
 
-    The table maps each prefix's packed :attr:`Prefix.key` to its
-    ``PathAttributes``.  :class:`Prefix` and :class:`Route` objects are
+    The table maps each prefix's :attr:`Prefix.key`, its NLRI read as
+    one integer, to its ``PathAttributes``.  A key holds what the wire
+    holds, so ``10.0.0.1/8`` and ``10.0.0.0/8`` are one route.  :class:`Prefix` and :class:`Route` objects are
     built only when a caller reads them (``lookup``, iteration); filing
     a received UPDATE (:meth:`apply`) and packing the table into
     UPDATEs (:meth:`to_updates`) touch only ints and bytes.
@@ -80,7 +81,7 @@ class Rib:
         self._wire = None
 
     def apply(self, update: UpdateMessage) -> None:
-        """File one received UPDATE by its packed keys.
+        """File one received UPDATE by its keys.
 
         Its NLRI get its attributes, then its withdrawn routes go.
         """
@@ -187,10 +188,16 @@ _PREFIX_LENGTH_WEIGHTS = [
 
 
 # Indexed by the position of each length above: its cumulative weight,
-# for the length draw, and its network mask.
+# for the length draw, its network mask, and the shift and tag that
+# make a masked address its NLRI integer (``Prefix.key``): the length
+# byte, then the fewest address bytes that hold ``length`` bits.
 _LENGTHS = [length for length, _ in _PREFIX_LENGTH_WEIGHTS]
 _LENGTH_CUM_WEIGHTS = list(accumulate(weight for _, weight in _PREFIX_LENGTH_WEIGHTS))
 _LENGTH_MASKS = [(0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF for length in _LENGTHS]
+_LENGTH_SHIFTS = [32 - 8 * ((length + 7) // 8) for length in _LENGTHS]
+_LENGTH_TAGS = [
+    length << 32 - shift for length, shift in zip(_LENGTHS, _LENGTH_SHIFTS)
+]
 # First octets outside routable unicast space.
 _OFF_UNICAST = frozenset((0, 10, 127, *range(224, 256)))
 
@@ -239,7 +246,8 @@ def generate_table(
     #   is below the count.
     draw = rng.random
     getrandbits = rng.getrandbits
-    cum_weights, masks, lengths = _LENGTH_CUM_WEIGHTS, _LENGTH_MASKS, _LENGTHS
+    cum_weights, masks = _LENGTH_CUM_WEIGHTS, _LENGTH_MASKS
+    tags, shifts = _LENGTH_TAGS, _LENGTH_SHIFTS
     total = cum_weights[-1] + 0.0
     hi = len(cum_weights) - 1
     off_unicast = _OFF_UNICAST
@@ -256,7 +264,7 @@ def generate_table(
             while octet > 223 or octet == 10 or octet == 127:
                 octet = getrandbits(8) + 1
             address = (address & 0x00FFFFFF) | octet << 24
-        key = address << 6 | lengths[i]
+        key = tags[i] | address >> shifts[i]
         if key in routes:
             continue
         group = getrandbits(group_bits)

@@ -26,9 +26,9 @@ class IpError(ValueError):
 # simulator packs the same few into every frame it builds; cache both
 # directions (bounded: cleared wholesale if damaged input ever floods
 # one with garbage addresses).  Only endpoint-like addresses come
-# through here in bulk: BGP prefixes travel as NLRI bytes, are filed as
-# packed int keys (``repro.bgp.messages.Prefix.key``) and render their
-# dotted quad without these caches.
+# through here in bulk: BGP prefixes travel as NLRI bytes, are filed by
+# their NLRI read as one integer (``repro.bgp.messages.Prefix.key``) and
+# render their dotted quad without these caches.
 _IP_BYTES_CACHE: dict[str, bytes] = {}
 _IP_STR_CACHE: dict[bytes, str] = {}
 _IP_CACHE_LIMIT = 65536

@@ -353,6 +353,27 @@ class TestMessageDecoderResync:
         assert got == messages
         assert issues == [("malformed-message", "LOCAL_PREF must be 4 bytes")]
 
+    def test_bad_prefix_length_mid_run_costs_only_its_message(self):
+        attributes = PathAttributes.from_path([1, 2], "10.0.0.1")
+        good = UpdateMessage(
+            announced=(Prefix("10.0.0.0", 8), Prefix("192.0.2.0", 24)),
+            attributes=attributes,
+        )
+        # Length byte 33 between two sound prefixes of the NLRI run.
+        nlri = (Prefix("10.0.0.0", 8).nlri + b"\x21" + bytes(5)
+                + Prefix("192.0.2.0", 24).nlri)
+        bad = UpdateMessage.from_wire(nlri, attributes, attributes.encode())
+        issues = []
+        decoder = MessageDecoder(
+            resync=True,
+            on_issue=lambda kind, lost, detail: issues.append((kind, detail)),
+        )
+        got = decoder.feed(
+            encode_message(good) + encode_message(bad) + encode_message(good)
+        )
+        assert got == [good, good]
+        assert issues == [("malformed-message", "bad prefix length 33")]
+
     @pytest.mark.parametrize("attribute", [
         b"\x40\x01\x02\x00\x00",  # ORIGIN of 2 bytes
         b"\x80\x04\x02\x00\x00",  # MULTI_EXIT_DISC of 2 bytes

@@ -3,7 +3,7 @@
 ``prefix_oracle`` is the original string-based ``Prefix`` and
 ``decode_prefixes``, kept as a test oracle; ``decode_prefixes`` has
 left ``repro.bgp.messages``, where :func:`decode_nlri` decodes NLRI
-runs to packed keys instead.  The properties below give both codecs the
+runs to keys instead.  The properties below give both codecs the
 same inputs and require the same NLRI bytes, the same ``str()``, the
 same decoded prefixes and the same errors.  The one intended
 difference: a bad dotted quad raises ``IpError`` when the wire-native
@@ -51,7 +51,7 @@ any_lengths = st.integers(min_value=-3, max_value=40)
 
 
 def decode_keys(data: bytes) -> list[Prefix]:
-    """The prefixes of an NLRI run, through its packed keys."""
+    """The prefixes of an NLRI run, through its keys."""
     return [Prefix.from_key(key) for key in decode_nlri(data)]
 
 
@@ -120,8 +120,13 @@ def test_error_kinds_are_covered():
 @given(addresses, lengths)
 def test_from_key_inverts_key(address, length):
     prefix = Prefix.from_int(address, length)  # host bits and all
-    assert prefix.key == address << 6 | length
-    assert Prefix.from_key(prefix.key) == prefix
+    assert prefix.key == int.from_bytes(prefix.encode(), "big")
+    assert Prefix.from_key(prefix.key).encode() == prefix.encode()
+    # The key keeps no host bits past the NLRI's last byte.
+    kept = 8 * (len(prefix.encode()) - 1)
+    mask = (0xFFFFFFFF << (32 - kept)) & 0xFFFFFFFF
+    bare = address & mask == address
+    assert (Prefix.from_key(prefix.key) == prefix) == bare
 
 
 # ----------------------------------------------------------------------

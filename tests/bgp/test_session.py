@@ -81,6 +81,34 @@ class TestSessionEstablishment:
         assert seconds(9) <= downs[0][0] <= seconds(12)
 
 
+class TestHoldTimer:
+    def test_one_read_restarts_the_hold_timer_once(self):
+        sim = Simulator()
+        net = Net(sim)
+        router, monitor = build_peering(
+            sim, net, rib=generate_table(800, random.Random(1))
+        )
+        # The monitor is up before the router's UPDATEs arrive; from then
+        # on they wait in its TCP receive buffer for one read.
+        monitor.on_established = lambda s: setattr(s, "auto_read", False)
+        seen = {}
+
+        def read_once():
+            seen["messages"] = monitor.process_input()
+            deadline = sim.now + seconds(monitor.hold_time_s)
+            seen["entries"] = [
+                event for time_us, _, event in sim._heap
+                if event.callback == monitor._hold_timer._fire
+                and time_us == deadline
+            ]
+
+        sim.schedule(seconds(2), read_once)
+        sim.run(until_us=seconds(3))
+        assert len(seen["messages"]) > 1
+        # One heap entry from the read, live, at now + hold.
+        assert [e.cancelled for e in seen["entries"]] == [False]
+
+
 class TestTableTransfer:
     def test_immediate_sender_full_transfer(self):
         sim = Simulator()

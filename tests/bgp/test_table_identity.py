@@ -1,8 +1,8 @@
 """Golden digests of ``generate_table``'s tables and RNG end states.
 
-Each digest covers, in insertion order, every route's packed prefix key
-and encoded path attributes, then the next ``rng.random()`` after the
-table is drawn.  A change to how the generator spends its draws must
+Each digest covers, in insertion order, every route's prefix packed as
+``address << 6 | length`` and its encoded path attributes, then the
+next ``rng.random()`` after the table is drawn.  A change to how the generator spends its draws must
 leave every table, and the state it hands back to a caller that keeps
 drawing from the same ``Random``, identical.
 """
@@ -15,13 +15,17 @@ import pytest
 
 from repro.bgp.table import generate_table
 from repro.netsim.random import RandomStreams
+from repro.wire.ip import ip_to_bytes
 
 
 def table_digest(size: int, rng: random.Random, **kwargs) -> str:
     digest = hashlib.sha256()
     for route in generate_table(size, rng, **kwargs):
         block = route.attributes.encode()
-        digest.update(struct.pack(">QH", route.prefix.key, len(block)))
+        # The packed ``address << 6 | length`` the pins were taken with.
+        address = int.from_bytes(ip_to_bytes(route.prefix.network), "big")
+        packed = address << 6 | route.prefix.length
+        digest.update(struct.pack(">QH", packed, len(block)))
         digest.update(block)
     digest.update(struct.pack(">d", rng.random()))
     return digest.hexdigest()

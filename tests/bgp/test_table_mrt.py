@@ -35,6 +35,17 @@ class TestRib:
         assert len(rib) == 1
         assert rib.lookup(Prefix("10.0.0.0", 8)).attributes.path_asns() == (2,)
 
+    def test_host_bits_past_the_nlri_are_one_route(self):
+        # The RIB holds what the wire holds: both prefixes encode alike.
+        first = self.route("10.0.0.0/8", path=(1,)).attributes
+        second = self.route("10.0.0.0/8", path=(2,)).attributes
+        rib = Rib()
+        rib.add(Route(Prefix("10.0.0.1", 8), first))
+        rib.add(Route(Prefix("10.0.0.0", 8), second))
+        assert len(rib) == 1
+        assert rib.lookup(Prefix("10.0.0.1", 8)).attributes.path_asns() == (2,)
+        assert [str(route.prefix) for route in rib] == ["10.0.0.0/8"]
+
     def test_withdraw(self):
         rib = Rib([self.route("10.0.0.0/8")])
         removed = rib.withdraw(Prefix("10.0.0.0", 8))
