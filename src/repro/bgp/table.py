@@ -42,10 +42,11 @@ class Rib:
 
     The table maps each prefix's :attr:`Prefix.key`, its NLRI read as
     one integer, to its ``PathAttributes``.  A key holds what the wire
-    holds, so ``10.0.0.1/8`` and ``10.0.0.0/8`` are one route.  :class:`Prefix` and :class:`Route` objects are
-    built only when a caller reads them (``lookup``, iteration); filing
-    a received UPDATE (:meth:`apply`) and packing the table into
-    UPDATEs (:meth:`to_updates`) touch only ints and bytes.
+    holds, so ``10.0.0.1/8`` and ``10.0.0.0/8`` are one route.
+    :class:`Prefix` and :class:`Route` objects are built only when a
+    caller reads them (``lookup``, iteration); filing a received UPDATE
+    (:meth:`apply`) and packing the table into UPDATEs
+    (:meth:`to_updates`) touch only ints and bytes.
 
     The table transfer's encoded UPDATEs (:meth:`wire_form`) are packed
     on first use and held until the table changes: every mutator drops
@@ -196,7 +197,7 @@ _LENGTH_CUM_WEIGHTS = list(accumulate(weight for _, weight in _PREFIX_LENGTH_WEI
 _LENGTH_MASKS = [(0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF for length in _LENGTHS]
 _LENGTH_SHIFTS = [32 - 8 * ((length + 7) // 8) for length in _LENGTHS]
 _LENGTH_TAGS = [
-    length << 32 - shift for length, shift in zip(_LENGTHS, _LENGTH_SHIFTS)
+    length << (32 - shift) for length, shift in zip(_LENGTHS, _LENGTH_SHIFTS)
 ]
 # First octets outside routable unicast space.
 _OFF_UNICAST = frozenset((0, 10, 127, *range(224, 256)))
