@@ -203,6 +203,10 @@ class BgpSession:
             return
         self.peer_open = message
         self.hold_time_s = min(self.configured_hold_time_s, message.hold_time_s)
+        if self.hold_time_s == 0:
+            # RFC 4271 section 4.2: no hold timer.  The read that brought
+            # this OPEN armed it with the configured time.
+            self._hold_timer.stop()
         self.send_message(KeepaliveMessage())
         if self.state is BgpSessionState.OPEN_SENT:
             self.state = BgpSessionState.OPEN_CONFIRM
@@ -228,9 +232,12 @@ class BgpSession:
     def _establish(self) -> None:
         self.state = BgpSessionState.ESTABLISHED
         self.established_at_us = self.sim.now
-        interval = seconds(max(self.hold_time_s // 3, 1))
-        self._keepalive_timer.interval_us = interval
-        self._keepalive_timer.start()
+        if self.hold_time_s > 0:
+            # RFC 4271 section 4.4: a hold time of 0 sends no periodic
+            # KEEPALIVE.
+            interval = seconds(max(self.hold_time_s // 3, 1))
+            self._keepalive_timer.interval_us = interval
+            self._keepalive_timer.start()
         self._restart_hold_timer()
         if self.on_established is not None:
             self.on_established(self)

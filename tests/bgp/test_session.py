@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.bgp.collector import CollectorCpu, QuaggaCollector, VendorCollector
+from repro.bgp.messages import KeepaliveMessage
 from repro.bgp.peer_group import PeerGroup
 from repro.bgp.sender_models import ImmediateSender, RateLimitedSender, TimerBatchSender
 from repro.bgp.speaker import BgpSession, BgpSessionState
@@ -107,6 +108,29 @@ class TestHoldTimer:
         assert len(seen["messages"]) > 1
         # One heap entry from the read, live, at now + hold.
         assert [e.cancelled for e in seen["entries"]] == [False]
+
+
+class TestHoldTimeZero:
+    def test_zero_hold_time_runs_no_hold_timer_and_no_keepalives(self):
+        # RFC 4271 sections 4.2 and 4.4: a negotiated hold time of 0
+        # means no hold timer and no periodic KEEPALIVE.
+        sim = Simulator()
+        net = Net(sim)
+        router, monitor = build_peering(sim, net)
+        monitor.configured_hold_time_s = 0
+        keepalives = {router: 0, monitor: 0}
+
+        def count(session, message, ts):
+            if isinstance(message, KeepaliveMessage):
+                keepalives[session] += 1
+
+        router.on_message = monitor.on_message = count
+        sim.run(until_us=seconds(400))
+        assert router.hold_time_s == monitor.hold_time_s == 0
+        assert router.state is BgpSessionState.ESTABLISHED
+        assert monitor.state is BgpSessionState.ESTABLISHED
+        # Each side received the peer's handshake KEEPALIVE and no other.
+        assert keepalives == {router: 1, monitor: 1}
 
 
 class TestTableTransfer:
