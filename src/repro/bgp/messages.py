@@ -28,6 +28,7 @@ from repro.bgp.header import (
 from repro.wire.ip import IpError, bytes_to_ip, ip_to_bytes
 
 _U16 = struct.Struct("!H")
+_LENGTH_TYPE = struct.Struct("!HB")
 
 # NOTIFICATION error codes (subset).
 ERR_OPEN_MESSAGE = 2
@@ -492,18 +493,11 @@ def encode_message(message: BgpMessage) -> bytes:
 
 def decode_message(data: bytes) -> BgpMessage:
     """Parse exactly one complete BGP message."""
-    message, consumed = _decode_one(data)
-    if consumed != len(data):
-        raise BgpError(f"{len(data) - consumed} trailing bytes")
-    return message
-
-
-def _decode_one(data: bytes) -> tuple[BgpMessage, int]:
     if len(data) < HEADER_LEN:
         raise BgpError("truncated header")
     if data[:16] != MARKER:
         raise BgpError("bad marker")
-    length, type_code = struct.unpack_from("!HB", data, 16)
+    length, type_code = _LENGTH_TYPE.unpack_from(data, 16)
     if not HEADER_LEN <= length <= MAX_MESSAGE_LEN:
         raise BgpError(f"bad message length {length}")
     if len(data) < length:
@@ -511,25 +505,33 @@ def _decode_one(data: bytes) -> tuple[BgpMessage, int]:
     parser = _BODY_PARSERS.get(type_code)
     if parser is None:
         raise BgpError(f"unknown message type {type_code}")
-    return parser(data[HEADER_LEN:length]), length
+    message = parser(data[HEADER_LEN:length])
+    if length != len(data):
+        raise BgpError(f"{len(data) - length} trailing bytes")
+    return message
 
 
 class MessageDecoder:
     """Incremental decoder over a reassembled TCP byte stream.
 
     Feed bytes as they arrive; complete messages pop out.  Used by the
-    BGP speaker's receive path and by ``pcap2bgp``.
+    BGP speaker's receive path and by ``pcap2bgp``.  Each feed frames
+    every complete message at its offset in the buffered bytes (one
+    length/type unpack, one marker compare, one body slice) and drops
+    the consumed bytes once, at the end of the feed.
 
     With ``resync=True`` the decoder never raises: after a malformed
     message it scans forward for the next 16-byte all-ones marker and
     resumes there, containing the blast radius to one message instead
     of the whole session (the spirit of RFC 7606).  Every skip is
     counted in ``resync_count`` / ``bytes_skipped`` and reported to the
-    optional ``on_issue(kind, bytes_lost, detail)`` callback.
+    optional ``on_issue(kind, bytes_lost, detail)`` callback.  Without
+    it the first malformed message raises :class:`BgpError`; the bytes
+    before that message are consumed all the same.
     """
 
     def __init__(self, resync: bool = False, on_issue=None) -> None:
-        self._buffer = bytearray()
+        self._buffer = b""
         self.messages_decoded = 0
         self.resync = resync
         self.on_issue = on_issue
@@ -542,65 +544,62 @@ class MessageDecoder:
         return len(self._buffer)
 
     def _skip(self, count: int, kind: str, detail: str) -> None:
-        """Discard ``count`` buffered bytes, accounting for them."""
-        del self._buffer[:count]
+        """Account for ``count`` discarded stream bytes."""
         self.resync_count += 1
         self.bytes_skipped += count
         if self.on_issue is not None:
             self.on_issue(kind, count, detail)
 
-    def _scan_distance(self) -> int | None:
-        """Bytes to discard so the buffer starts at the next marker.
-
-        Returns None when no marker is in reach yet (all but a partial
-        marker's worth of the buffer can be dropped; the tail might be
-        a marker prefix completed by the next feed).
-        """
-        position = bytes(self._buffer).find(MARKER, 1)
-        return position if position >= 0 else None
-
     def feed(self, data: bytes) -> list[BgpMessage]:
         """Append stream bytes and return all newly completed messages."""
-        self._buffer.extend(data)
+        buf = self._buffer + data
+        end = len(buf)
+        start = 0
+        parsers = _BODY_PARSERS
         messages: list[BgpMessage] = []
-        while True:
-            if len(self._buffer) < HEADER_LEN:
-                break
-            if bytes(self._buffer[:16]) != MARKER:
-                if not self.resync:
-                    raise BgpError("stream desynchronized: bad marker")
-                distance = self._scan_distance()
-                if distance is None:
-                    # Keep a marker-length tail: it may be a prefix of a
-                    # marker whose remainder is still in flight.
-                    keep = len(MARKER) - 1
-                    if len(self._buffer) > keep:
-                        self._skip(
-                            len(self._buffer) - keep,
-                            "bad-marker", "no marker in buffered stream",
-                        )
+        try:
+            while end - start >= HEADER_LEN:
+                if not buf.startswith(MARKER, start):
+                    if not self.resync:
+                        raise BgpError("stream desynchronized: bad marker")
+                    position = buf.find(MARKER, start + 1)
+                    if position < 0:
+                        # Keep a marker-length tail: it may be a prefix
+                        # of a marker whose remainder is still in flight.
+                        keep = end - len(MARKER) + 1
+                        self._skip(keep - start, "bad-marker",
+                                   "no marker in buffered stream")
+                        start = keep
+                        break
+                    self._skip(position - start, "bad-marker",
+                               f"marker found {position - start} bytes ahead")
+                    start = position
+                    continue
+                length, type_code = _LENGTH_TYPE.unpack_from(buf, start + 16)
+                if not HEADER_LEN <= length <= MAX_MESSAGE_LEN:
+                    if not self.resync:
+                        raise BgpError(f"bad message length {length}")
+                    self._skip(1, "bad-length", f"message length {length}")
+                    start += 1
+                    continue
+                stop = start + length
+                if stop > end:
                     break
-                self._skip(distance, "bad-marker",
-                           f"marker found {distance} bytes ahead")
-                continue
-            (length,) = struct.unpack_from("!H", self._buffer, 16)
-            if not HEADER_LEN <= length <= MAX_MESSAGE_LEN:
-                if not self.resync:
-                    raise BgpError(f"bad message length {length}")
-                self._skip(1, "bad-length", f"message length {length}")
-                continue
-            if len(self._buffer) < length:
-                break
-            try:
-                message, _ = _decode_one(bytes(self._buffer[:length]))
-            except BgpError as exc:
-                if not self.resync:
-                    raise
-                # The framing was sound but the body was not: drop
-                # exactly this message and continue with the next.
-                self._skip(length, "malformed-message", str(exc))
-                continue
-            del self._buffer[:length]
-            messages.append(message)
-            self.messages_decoded += 1
+                parser = parsers.get(type_code)
+                try:
+                    if parser is None:
+                        raise BgpError(f"unknown message type {type_code}")
+                    message = parser(buf[start + HEADER_LEN:stop])
+                except BgpError as exc:
+                    if not self.resync:
+                        raise
+                    # The framing was sound but the body was not: drop
+                    # exactly this message and continue with the next.
+                    self._skip(length, "malformed-message", str(exc))
+                else:
+                    messages.append(message)
+                start = stop
+        finally:
+            self._buffer = buf[start:]
+            self.messages_decoded += len(messages)
         return messages

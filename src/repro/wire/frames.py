@@ -1,8 +1,8 @@
 """Full-frame composition: TCP header -> IPv4 -> Ethernet and back.
 
-The sniffer serializes simulated segments through :func:`build_frame`
-(the layer codecs' encode halves) so captures contain genuine protocol
-bytes.  Every captured frame is read back by one decoder,
+The sniffer serializes simulated segments through :func:`build_frame`,
+which packs all three headers at once, so captures contain genuine
+protocol bytes.  Every captured frame is read back by one decoder,
 :func:`decode_fields`, which reads the three headers straight out of
 the frame bytes; :func:`parse_packet` is its string-rendered view.
 """
@@ -47,22 +47,60 @@ def build_frame(
     identification: int = 0,
     ttl: int = 64,
 ) -> bytes:
-    """Serialize a TCP header + payload into a complete Ethernet frame."""
-    tcp_bytes = tcp_header.encode(src_ip, dst_ip)
-    ip_bytes = ip.Ipv4Header(
-        src=src_ip,
-        dst=dst_ip,
-        payload=tcp_bytes,
-        identification=identification,
-        ttl=ttl,
-    ).encode()
-    frame = ethernet.EthernetFrame(
-        dst_mac=ethernet.mac_from_ip(dst_ip),
-        src_mac=ethernet.mac_from_ip(src_ip),
-        ethertype=ethernet.ETHERTYPE_IPV4,
-        payload=ip_bytes,
+    """Serialize a TCP header + payload into a complete Ethernet frame.
+
+    The frame is an Ethernet II header, a 20-byte IPv4 header (DF set,
+    TOS 0) and the TCP header, options and payload.  One pack writes
+    the three headers: both checksums are summed from the fields first
+    (:func:`repro.wire.ip.complement`), the payload read as one integer.
+    """
+    src = ip.ip_to_bytes(src_ip)
+    dst = ip.ip_to_bytes(dst_ip)
+    header = tcp_header
+    if (
+        header.mss_option is None and header.wscale_option is None
+        and not header.sack_permitted and not header.sack_blocks
+    ):
+        options = b""
+    else:
+        options = header.options_bytes()
+    payload = header.payload
+    offset = (20 + len(options)) << 2  # the data-offset byte
+    segment_length = 20 + len(options) + len(payload)
+    seq = header.seq & 0xFFFFFFFF
+    ack = header.ack & 0xFFFFFFFF
+    addresses = int.from_bytes(src, "big") + int.from_bytes(dst, "big")
+    payload_sum = int.from_bytes(payload, "big")
+    if len(payload) % 2:
+        payload_sum <<= 8
+    tcp_checksum = ip.complement(
+        addresses + ip.PROTO_TCP + segment_length
+        + header.src_port + header.dst_port + seq + ack
+        + (offset << 8 | header.flags) + header.window + header.urgent
+        + int.from_bytes(options, "big") + payload_sum
     )
-    return frame.encode()
+    total_length = 20 + segment_length
+    ip_checksum = ip.complement(
+        _IPV4_FIXED_WORDS + total_length + identification
+        + (ttl << 8 | ip.PROTO_TCP) + addresses
+    )
+    headers = _FRAME_HEADERS.pack(
+        ethernet.MAC_PREFIX + dst, ethernet.MAC_PREFIX + src,
+        ethernet.ETHERTYPE_IPV4,
+        0x45, 0, total_length, identification, _DONT_FRAGMENT, ttl,
+        ip.PROTO_TCP, ip_checksum, src, dst,
+        header.src_port, header.dst_port, seq, ack, offset, header.flags,
+        header.window, tcp_checksum, header.urgent,
+    )
+    return b"".join((headers, options, payload))
+
+
+#: Ethernet II, a 20-byte IPv4 header and the fixed 20 bytes of TCP.
+_FRAME_HEADERS = struct.Struct("!6s6sHBBHHHBBH4s4sHHIIBBHHH")
+_DONT_FRAGMENT = 0x4000
+#: the IPv4 header words ``build_frame`` never varies: version/IHL/TOS
+#: and flags/fragment offset.
+_IPV4_FIXED_WORDS = 0x4500 + _DONT_FRAGMENT
 
 
 # TCP option blocks repeat across a capture (usually empty, an MSS on

@@ -1,21 +1,15 @@
-"""IPv4 header encoding (no options, no fragmentation) and address helpers.
+"""IPv4 address helpers and the Internet checksum.
 
 BGP sessions between routers never fragment in practice (MSS keeps TCP
-segments under the MTU), so the simulator emits exactly this:
-20-byte headers, protocol TCP, valid checksums.  Captured frames are
-decoded by ``repro.wire.frames.decode_fields``.
+segments under the MTU), so the simulator emits 20-byte headers,
+protocol TCP, valid checksums: ``repro.wire.frames.build_frame`` packs
+them and ``repro.wire.frames.decode_fields`` reads captured frames.
 """
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, field
-
 PROTO_TCP = 6
 PROTO_UDP = 17
-HEADER_LEN = 20
-
-_HEADER = struct.Struct("!BBHHHBBH4s4s")
 
 
 class IpError(ValueError):
@@ -74,51 +68,26 @@ def checksum(data: bytes | bytearray | memoryview) -> int:
     """The Internet checksum (RFC 1071) over any bytes-like ``data``.
 
     Odd-length input is zero-padded on the right per RFC 1071's
-    "padded at the end with zero" rule; the pad is explicit (never a
-    truncation) and works for memoryview/bytearray inputs too.
+    "padded at the end with zero" rule: the data is read as one
+    big-endian integer, shifted a byte left when its length is odd.
     """
+    total = int.from_bytes(data, "big")
     if len(data) % 2:
-        data = bytes(data) + b"\x00"
-    total = sum(struct.unpack(f"!{len(data) // 2}H", data))
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return ~total & 0xFFFF
+        total <<= 8
+    return complement(total)
 
 
-@dataclass(frozen=True)
-class Ipv4Header:
-    """An IPv4 header plus payload to encode."""
+def complement(total: int) -> int:
+    """The checksum of data whose 16-bit words sum to ``total``.
 
-    src: str
-    dst: str
-    payload: bytes
-    ttl: int = 64
-    protocol: int = PROTO_TCP
-    identification: int = 0
-    dscp: int = 0
-    header_checksum: int = field(default=0, compare=False)
-
-    @property
-    def total_length(self) -> int:
-        """Header plus payload length in bytes."""
-        return HEADER_LEN + len(self.payload)
-
-    def encode(self) -> bytes:
-        """Serialize with a freshly computed header checksum."""
-        version_ihl = (4 << 4) | (HEADER_LEN // 4)
-        flags_fragment = 0x4000  # Don't Fragment, offset 0.
-        header = _HEADER.pack(
-            version_ihl,
-            self.dscp << 2,
-            self.total_length,
-            self.identification,
-            flags_fragment,
-            self.ttl,
-            self.protocol,
-            0,
-            ip_to_bytes(self.src),
-            ip_to_bytes(self.dst),
-        )
-        csum = checksum(header)
-        return header[:10] + struct.pack("!H", csum) + header[12:] + self.payload
-
+    ``total`` may be any nonnegative integer congruent to that sum
+    modulo 0xFFFF and zero only for all-zero data: ``2**16 % 0xFFFF ==
+    1``, so the data read as one integer, or the sum of integers read
+    from its even-length pieces, will do.  The end-around-carry fold of
+    a nonzero sum lies in 1..0xFFFF, so a remainder of 0 folds to
+    0xFFFF.
+    """
+    folded = total % 0xFFFF
+    if not folded and total:
+        folded = 0xFFFF
+    return ~folded & 0xFFFF

@@ -1,19 +1,16 @@
-"""TCP header encoding and option parsing (MSS, window scale, SACK).
+"""TCP segments, their options (MSS, window scale, SACK) and option parsing.
 
-The codec is deliberately complete enough for analysis tools to consume
-captures produced by the simulator with off-the-shelf software: real
-flags, real checksums over the IPv4 pseudo-header, and the two options
-BGP-era routers actually negotiated (MSS, occasionally window scale).
+Captures produced by the simulator are complete enough for
+off-the-shelf software: ``repro.wire.frames.build_frame`` packs a
+:class:`TcpHeader` with real flags, a real checksum over the IPv4
+pseudo-header, and the options BGP-era routers actually negotiated
+(MSS, occasionally window scale).
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-
-from repro.wire.ip import checksum, ip_to_bytes
-
-BASE_HEADER_LEN = 20
 
 FIN = 0x01
 SYN = 0x02
@@ -38,7 +35,8 @@ class TcpError(ValueError):
 
 @dataclass(frozen=True)
 class TcpHeader:
-    """A TCP segment to encode."""
+    """A TCP segment as the simulator sends it (``frames.build_frame``
+    writes its wire form)."""
 
     src_port: int
     dst_port: int
@@ -90,39 +88,6 @@ class TcpHeader:
         if len(opts) % 4:
             opts += bytes([OPT_NOP] * (4 - len(opts) % 4))
         return opts
-
-    @property
-    def header_len(self) -> int:
-        """Header length including options, in bytes."""
-        return BASE_HEADER_LEN + len(self.options_bytes())
-
-    def encode(self, src_ip: str, dst_ip: str) -> bytes:
-        """Serialize with a checksum over the IPv4 pseudo-header."""
-        options = self.options_bytes()
-        data_offset = (BASE_HEADER_LEN + len(options)) // 4
-        header = _HEADER.pack(
-            self.src_port,
-            self.dst_port,
-            self.seq & 0xFFFFFFFF,
-            self.ack & 0xFFFFFFFF,
-            data_offset << 4,
-            self.flags,
-            self.window,
-            0,
-            self.urgent,
-        )
-        segment = header + options + self.payload
-        csum = _tcp_checksum(src_ip, dst_ip, segment)
-        return segment[:16] + struct.pack("!H", csum) + segment[18:]
-
-
-def _tcp_checksum(src_ip: str, dst_ip: str, segment: bytes) -> int:
-    pseudo = (
-        ip_to_bytes(src_ip)
-        + ip_to_bytes(dst_ip)
-        + struct.pack("!BBH", 0, 6, len(segment))
-    )
-    return checksum(pseudo + segment)
 
 
 def _parse_options(

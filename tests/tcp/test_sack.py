@@ -11,7 +11,7 @@ from repro.tcp.receiver import RecvHalf
 from repro.wire import tcpw
 
 from tests.tcp.helpers import CountedLoss, Net, collect_all, connect_pair
-from tests.wire.frame_oracle import tcp_decode
+from tests.wire.frame_oracle import tcp_decode, tcp_encode
 
 
 class TestSackCodec:
@@ -25,30 +25,30 @@ class TestSackCodec:
 
     def test_sack_permitted_roundtrip(self):
         header = self.make(flags=tcpw.SYN, sack_permitted=True, mss_option=1400)
-        decoded = tcp_decode(header.encode("1.1.1.1", "2.2.2.2"))
+        decoded = tcp_decode(tcp_encode(header, "1.1.1.1", "2.2.2.2"))
         assert decoded.sack_permitted
         assert decoded.mss_option == 1400
 
     def test_sack_blocks_roundtrip(self):
         blocks = ((1000, 2400), (5000, 6400), (9000, 10400))
         header = self.make(sack_blocks=blocks)
-        decoded = tcp_decode(header.encode("1.1.1.1", "2.2.2.2"))
+        decoded = tcp_decode(tcp_encode(header, "1.1.1.1", "2.2.2.2"))
         assert decoded.sack_blocks == blocks
 
     def test_no_sack_by_default(self):
-        decoded = tcp_decode(self.make().encode("1.1.1.1", "2.2.2.2"))
+        decoded = tcp_decode(tcp_encode(self.make(), "1.1.1.1", "2.2.2.2"))
         assert not decoded.sack_permitted
         assert decoded.sack_blocks == ()
 
     def test_at_most_four_blocks_encoded(self):
         blocks = tuple((i * 1000, i * 1000 + 500) for i in range(6))
         header = self.make(sack_blocks=blocks)
-        decoded = tcp_decode(header.encode("1.1.1.1", "2.2.2.2"))
+        decoded = tcp_decode(tcp_encode(header, "1.1.1.1", "2.2.2.2"))
         assert len(decoded.sack_blocks) == 4
 
     def test_checksum_still_valid_with_sack(self):
         header = self.make(sack_blocks=((1, 2),), payload=b"xy")
-        raw = header.encode("1.1.1.1", "2.2.2.2")
+        raw = tcp_encode(header, "1.1.1.1", "2.2.2.2")
         decoded = tcp_decode(raw, "1.1.1.1", "2.2.2.2", verify_checksum=True)
         assert decoded.payload == b"xy"
 

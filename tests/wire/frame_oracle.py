@@ -1,42 +1,178 @@
-"""Test-only oracle: the layered frame decoder.
+"""Test-only oracle: the layered frame encoder and decoder.
 
 Before ``repro.wire.frames.decode_fields`` decoded every frame itself,
 each layer codec carried a ``decode`` half (Ethernet, IPv4, TCP) and
 ``parse_frame`` chained them into layer objects; the single-pass
 decoder fell back to that chain for anything but the common shape.
-This module keeps that path verbatim apart from this docstring, the
-imports and the module prefixes on the layer names: ``parse_frame``
-and ``ParsedFrame``, plus ``ethernet_decode``, ``ip_decode`` and
-``tcp_decode``.  It also verifies checksums, which ``decode_fields``
-never does, so tests that check a frame's checksums read it here.
-``tests/analysis/test_fastpath_differential.py`` holds the
-single-pass decoder to it: identical fields, identical
-``FrameError`` text.
+Before ``repro.wire.frames.build_frame`` packed a frame in one pass,
+it chained the encode halves the same way: ``tcp_encode`` (once
+``TcpHeader.encode``) with ``_tcp_checksum``, then
+``Ipv4Header.encode`` and ``EthernetFrame.encode``, every checksum
+summed one 16-bit word at a time by ``checksum``.  This module keeps
+both paths verbatim apart from this docstring, the imports, the module
+prefixes on the layer names and ``tcp_encode`` taking its header as an
+argument.  It also verifies checksums, which ``decode_fields`` never
+does, so tests that check a frame's checksums read it here.
+``tests/analysis/test_fastpath_differential.py`` holds the single-pass
+decoder to it (identical fields, identical ``FrameError`` text) and
+``tests/wire/test_frame_differential.py`` holds ``build_frame`` and
+``repro.wire.ip.checksum`` to it, byte for byte.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.wire import ethernet, ip, tcpw
-from repro.wire.ethernet import EthernetError, EthernetFrame
+from repro.wire.ethernet import EthernetError, mac_from_ip
 from repro.wire.frames import FrameError
-from repro.wire.ip import IpError, Ipv4Header, bytes_to_ip, checksum
-from repro.wire.tcpw import TcpError, TcpHeader, _parse_options, _tcp_checksum
+from repro.wire.ip import IpError, bytes_to_ip, ip_to_bytes
+from repro.wire.tcpw import TcpError, TcpHeader, _parse_options
+
+ETHERNET_HEADER_LEN = 14
+IPV4_HEADER_LEN = 20
+TCP_BASE_HEADER_LEN = 20
+_ETHERNET_HEADER = struct.Struct("!6s6sH")
+_IPV4_HEADER = struct.Struct("!BBHHHBBH4s4s")
+
+
+def checksum(data: bytes | bytearray | memoryview) -> int:
+    """The Internet checksum (RFC 1071) over any bytes-like ``data``.
+
+    Odd-length input is zero-padded on the right per RFC 1071's
+    "padded at the end with zero" rule; the pad is explicit (never a
+    truncation) and works for memoryview/bytearray inputs too.
+    """
+    if len(data) % 2:
+        data = bytes(data) + b"\x00"
+    total = sum(struct.unpack(f"!{len(data) // 2}H", data))
+    while total >> 16:
+        total = (total & 0xFFFF) + (total >> 16)
+    return ~total & 0xFFFF
+
+
+@dataclass(frozen=True)
+class EthernetFrame:
+    """An Ethernet II frame to encode."""
+
+    dst_mac: bytes
+    src_mac: bytes
+    ethertype: int
+    payload: bytes
+
+    def encode(self) -> bytes:
+        """Serialize to wire bytes."""
+        if len(self.dst_mac) != 6 or len(self.src_mac) != 6:
+            raise EthernetError("MAC addresses must be 6 bytes")
+        return _ETHERNET_HEADER.pack(
+            self.dst_mac, self.src_mac, self.ethertype
+        ) + self.payload
+
+
+@dataclass(frozen=True)
+class Ipv4Header:
+    """An IPv4 header plus payload to encode."""
+
+    src: str
+    dst: str
+    payload: bytes
+    ttl: int = 64
+    protocol: int = ip.PROTO_TCP
+    identification: int = 0
+    dscp: int = 0
+    header_checksum: int = field(default=0, compare=False)
+
+    @property
+    def total_length(self) -> int:
+        """Header plus payload length in bytes."""
+        return IPV4_HEADER_LEN + len(self.payload)
+
+    def encode(self) -> bytes:
+        """Serialize with a freshly computed header checksum."""
+        version_ihl = (4 << 4) | (IPV4_HEADER_LEN // 4)
+        flags_fragment = 0x4000  # Don't Fragment, offset 0.
+        header = _IPV4_HEADER.pack(
+            version_ihl,
+            self.dscp << 2,
+            self.total_length,
+            self.identification,
+            flags_fragment,
+            self.ttl,
+            self.protocol,
+            0,
+            ip_to_bytes(self.src),
+            ip_to_bytes(self.dst),
+        )
+        csum = checksum(header)
+        return header[:10] + struct.pack("!H", csum) + header[12:] + self.payload
+
+
+def tcp_encode(header: TcpHeader, src_ip: str, dst_ip: str) -> bytes:
+    """Serialize with a checksum over the IPv4 pseudo-header."""
+    options = header.options_bytes()
+    data_offset = (TCP_BASE_HEADER_LEN + len(options)) // 4
+    fixed = tcpw._HEADER.pack(
+        header.src_port,
+        header.dst_port,
+        header.seq & 0xFFFFFFFF,
+        header.ack & 0xFFFFFFFF,
+        data_offset << 4,
+        header.flags,
+        header.window,
+        0,
+        header.urgent,
+    )
+    segment = fixed + options + header.payload
+    csum = _tcp_checksum(src_ip, dst_ip, segment)
+    return segment[:16] + struct.pack("!H", csum) + segment[18:]
+
+
+def _tcp_checksum(src_ip: str, dst_ip: str, segment: bytes) -> int:
+    pseudo = (
+        ip_to_bytes(src_ip)
+        + ip_to_bytes(dst_ip)
+        + struct.pack("!BBH", 0, 6, len(segment))
+    )
+    return checksum(pseudo + segment)
+
+
+def build_frame(
+    src_ip: str,
+    dst_ip: str,
+    tcp_header: TcpHeader,
+    identification: int = 0,
+    ttl: int = 64,
+) -> bytes:
+    """Serialize a TCP header + payload into a complete Ethernet frame."""
+    tcp_bytes = tcp_encode(tcp_header, src_ip, dst_ip)
+    ip_bytes = Ipv4Header(
+        src=src_ip,
+        dst=dst_ip,
+        payload=tcp_bytes,
+        identification=identification,
+        ttl=ttl,
+    ).encode()
+    frame = EthernetFrame(
+        dst_mac=mac_from_ip(dst_ip),
+        src_mac=mac_from_ip(src_ip),
+        ethertype=ethernet.ETHERTYPE_IPV4,
+        payload=ip_bytes,
+    )
+    return frame.encode()
 
 
 def ethernet_decode(data: bytes) -> EthernetFrame:
     """Parse wire bytes into an :class:`EthernetFrame`."""
-    if len(data) < ethernet.HEADER_LEN:
+    if len(data) < ETHERNET_HEADER_LEN:
         raise EthernetError(f"frame too short: {len(data)} bytes")
-    dst, src, ethertype = ethernet._HEADER.unpack_from(data)
-    return EthernetFrame(dst, src, ethertype, data[ethernet.HEADER_LEN:])
+    dst, src, ethertype = _ETHERNET_HEADER.unpack_from(data)
+    return EthernetFrame(dst, src, ethertype, data[ETHERNET_HEADER_LEN:])
 
 
 def ip_decode(data: bytes, verify_checksum: bool = True) -> Ipv4Header:
     """Parse wire bytes into an :class:`Ipv4Header`."""
-    if len(data) < ip.HEADER_LEN:
+    if len(data) < IPV4_HEADER_LEN:
         raise IpError(f"IPv4 packet too short: {len(data)} bytes")
     (
         version_ihl,
@@ -49,12 +185,12 @@ def ip_decode(data: bytes, verify_checksum: bool = True) -> Ipv4Header:
         header_checksum,
         src_raw,
         dst_raw,
-    ) = ip._HEADER.unpack_from(data)
+    ) = _IPV4_HEADER.unpack_from(data)
     version = version_ihl >> 4
     ihl = (version_ihl & 0x0F) * 4
     if version != 4:
         raise IpError(f"not IPv4 (version={version})")
-    if ihl < ip.HEADER_LEN or len(data) < ihl:
+    if ihl < IPV4_HEADER_LEN or len(data) < ihl:
         raise IpError(f"bad IHL {ihl}")
     if total_length < ihl or total_length > len(data):
         raise IpError(
@@ -82,7 +218,7 @@ def tcp_decode(data: bytes, src_ip: str = "", dst_ip: str = "",
     and is off by default (sniffers frequently capture segments whose
     checksums are offloaded to hardware on real systems).
     """
-    if len(data) < tcpw.BASE_HEADER_LEN:
+    if len(data) < TCP_BASE_HEADER_LEN:
         raise TcpError(f"TCP segment too short: {len(data)} bytes")
     (
         src_port,
@@ -96,7 +232,7 @@ def tcp_decode(data: bytes, src_ip: str = "", dst_ip: str = "",
         urgent,
     ) = tcpw._HEADER.unpack_from(data)
     header_len = (offset_field >> 4) * 4
-    if header_len < tcpw.BASE_HEADER_LEN or header_len > len(data):
+    if header_len < TCP_BASE_HEADER_LEN or header_len > len(data):
         raise TcpError(f"bad data offset {header_len}")
     if verify_checksum:
         if not src_ip or not dst_ip:
@@ -104,7 +240,7 @@ def tcp_decode(data: bytes, src_ip: str = "", dst_ip: str = "",
         if _tcp_checksum(src_ip, dst_ip, data) != 0:
             raise TcpError("TCP checksum mismatch")
     mss, wscale, sack_permitted, sack_blocks = _parse_options(
-        data[tcpw.BASE_HEADER_LEN:header_len]
+        data[TCP_BASE_HEADER_LEN:header_len]
     )
     return TcpHeader(
         src_port=src_port,

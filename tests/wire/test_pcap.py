@@ -25,7 +25,7 @@ from repro.wire.pcap import (
     write_pcap,
 )
 
-from tests.wire.frame_oracle import parse_frame
+from tests.wire.frame_oracle import EthernetFrame, Ipv4Header, parse_frame
 
 
 def sample_records():
@@ -569,21 +569,17 @@ class TestFrames:
         assert frames.parse_packet(raw).mss_option == 1460
 
     def test_non_ip_frame_rejected(self):
-        from repro.wire import ethernet
-
-        raw = ethernet.EthernetFrame(
+        raw = EthernetFrame(
             b"\x02" * 6, b"\x02" * 6, 0x0806, b"arp"
         ).encode()
         with pytest.raises(frames.FrameError, match="not IPv4"):
             frames.parse_packet(raw)
 
     def test_non_tcp_packet_rejected(self):
-        from repro.wire import ethernet, ip
-
-        udp_ip = ip.Ipv4Header(
+        udp_ip = Ipv4Header(
             src="1.1.1.1", dst="2.2.2.2", payload=b"", protocol=17
         ).encode()
-        raw = ethernet.EthernetFrame(
+        raw = EthernetFrame(
             b"\x02" * 6, b"\x02" * 6, 0x0800, udp_ip
         ).encode()
         with pytest.raises(frames.FrameError, match="not TCP"):
